@@ -350,6 +350,8 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     if a.shape != b.shape:
         raise ValueError("partitions must cover the same items")
     n = a.size
+    if n < 2:
+        raise ValueError(f"adjusted Rand index needs at least 2 items, got {n}")
     values_a = np.unique(a)
     values_b = np.unique(b)
     table = np.zeros((values_a.size, values_b.size), dtype=np.int64)

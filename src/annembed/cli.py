@@ -10,6 +10,7 @@ all per-run seeds through numpy SeedSequence counters.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -44,7 +45,7 @@ def _resolve_out(args) -> str:
     return out
 
 
-def _write_run_manifest(out, args, parser) -> None:
+def _write_run_manifest(out, args) -> None:
     options = {
         k: v for k, v in vars(args).items()
         if k not in ("command", "func", "config")
@@ -121,7 +122,8 @@ def cmd_split(args, out):
 
 def _load_split(split_dir: str) -> corpus.Split:
     schema = corpus.read_manifest(os.path.join(split_dir, "schema.manifest.json"))
-    meta = json.load(open(os.path.join(split_dir, "split_manifest.json")))
+    with open(os.path.join(split_dir, "split_manifest.json"), encoding="utf-8") as fh:
+        meta = json.load(fh)
     labels = schema["label_names"]
     train = corpus.load_dataset(os.path.join(split_dir, "train.jsonl"), labels, name="train")
     test = corpus.load_dataset(os.path.join(split_dir, "test.jsonl"), labels, name="test")
@@ -224,8 +226,7 @@ def cmd_baselines(args, out):
 def cmd_ablate(args, out):
     model = trainer.load_checkpoint(args.checkpoint)
     dataset = corpus.load_dataset(args.data, model.label_names)
-    variants = ["embedding_only", "text_only", "combination"] \
-        if args.variant == "all" else [args.variant]
+    variants = list(trainer.ABLATIONS) if args.variant == "all" else [args.variant]
     results = {}
     for variant in variants:
         report = trainer.ablation_eval(model, dataset, variant)
@@ -299,12 +300,7 @@ def cmd_report(args, out):
             obj = json.load(fh)
         rows.append((path, obj))
         report = trainer.EvalReport(**{
-            k: obj[k] for k in (
-                "em_accuracy", "macro_f1", "per_annotator_em", "confusion",
-                "n_annotations", "baseline_random", "baseline_majority",
-                "variant", "per_class_f1",
-            )
-        })
+            f.name: obj[f.name] for f in dataclasses.fields(trainer.EvalReport)})
         print(f"== {path}")
         print(report.to_text())
     if len(rows) > 1:
@@ -327,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--config", default=None,
@@ -393,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--data")
     p.add_argument("--variant", default="all",
-                   choices=["embedding_only", "text_only", "combination", "all"])
+                   choices=[*trainer.ABLATIONS, "all"])
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("analyze", help="agreement/correlation/cluster analyses")
@@ -459,7 +455,7 @@ def main(argv=None) -> int:
         args = _apply_config(parser, argv if argv is not None else sys.argv[1:])
         out = _resolve_out(args) if args.command != "report" or args.out else args.out
         if out:
-            _write_run_manifest(out, args, parser)
+            _write_run_manifest(out, args)
         try:
             args.func(args, out)
         except Exception:

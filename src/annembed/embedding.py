@@ -10,15 +10,14 @@ token embedding matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import tensor
+from .encoder import INIT_STD
 from .tensor import Node
-
-INIT_STD = 0.02
 
 
 class CombinationMode(str, Enum):
@@ -76,6 +75,25 @@ class EmbeddingBank:
         return params
 
 
+def label_coefficients(counts: np.ndarray | None, n_labels: int,
+                       exclude_label: int | None = None) -> np.ndarray:
+    """Label-row weights of an annotation embedding, as a 1 x M row.
+
+    counts holds an annotator's training label counts. exclude_label drops
+    one annotation with that label, which gives the leave-one-out average
+    used in training. With no counts, or no annotation left after the
+    exclusion, the weights fall back to the uniform label average.
+    """
+    if counts is not None:
+        coeff = np.array(counts, dtype=np.float64)
+        if exclude_label is not None:
+            coeff[exclude_label] -= 1.0
+        total = coeff.sum()
+        if total > 0:
+            return (coeff / total).reshape(1, -1)
+    return np.full((1, n_labels), 1.0 / n_labels)
+
+
 class AnnotationIndex:
     """Per-annotator training annotations: ordered ids, labels, and counts."""
 
@@ -91,51 +109,30 @@ class AnnotationIndex:
             self.counts[ex.annotator_id][ex.label] += 1.0
             self._label_of[(ex.annotator_id, ex.example_id)] = ex.label
 
-    def size(self, annotator_id: str) -> int:
-        return len(self.examples.get(annotator_id, ()))
-
-    def label_of(self, annotator_id: str, example_id: str) -> int:
-        return self._label_of[(annotator_id, example_id)]
-
     def train_coefficients(self, annotator_id: str, example_id: str) -> np.ndarray:
-        """Label-row weights for the leave-one-out average, as a 1 x M row.
-
-        The current example's own label is excluded; an annotator with no
-        other annotations falls back to the uniform label average.
-        """
+        """Leave-one-out label-row weights; KeyError for an unindexed annotation
+        of a known annotator."""
         counts = self.counts.get(annotator_id)
-        if counts is None:
-            return np.full((1, self.n_labels), 1.0 / self.n_labels)
-        k = counts.sum()
-        coeff = counts.copy()
-        coeff[self.label_of(annotator_id, example_id)] -= 1.0
-        if k <= 1:
-            return np.full((1, self.n_labels), 1.0 / self.n_labels)
-        return (coeff / (k - 1.0)).reshape(1, -1)
+        exclude = None if counts is None else self._label_of[(annotator_id, example_id)]
+        return label_coefficients(counts, self.n_labels, exclude)
 
-    def test_coefficients(self, annotator_id: str) -> np.ndarray:
-        """Label-row weights averaging all training annotations, as 1 x M.
 
-        Annotators unseen in training fall back to the uniform label average.
-        """
-        counts = self.counts.get(annotator_id)
-        if counts is None or counts.sum() == 0:
-            return np.full((1, self.n_labels), 1.0 / self.n_labels)
-        return (counts / counts.sum()).reshape(1, -1)
+def annotation_embedding(bank: EmbeddingBank, coeff: np.ndarray) -> Node:
+    """The label rows weighted by a 1 x M coefficient row."""
+    return tensor.matmul(tensor.constant(coeff), bank.label_rows)
 
 
 def annotation_embedding_train(bank: EmbeddingBank, index: AnnotationIndex,
                                annotator_id: str, example_id: str) -> Node:
     """Mean of the label rows for the annotator's other training annotations."""
-    coeff = index.train_coefficients(annotator_id, example_id)
-    return tensor.matmul(tensor.constant(coeff), bank.label_rows)
+    return annotation_embedding(bank, index.train_coefficients(annotator_id, example_id))
 
 
 def annotation_embedding_test(bank: EmbeddingBank, index: AnnotationIndex,
                               annotator_id: str) -> Node:
     """Mean of the label rows over all of the annotator's training annotations."""
-    coeff = index.test_coefficients(annotator_id)
-    return tensor.matmul(tensor.constant(coeff), bank.label_rows)
+    coeff = label_coefficients(index.counts.get(annotator_id), index.n_labels)
+    return annotation_embedding(bank, coeff)
 
 
 def sentence_embedding(token_embeddings: Node) -> Node:
@@ -153,14 +150,19 @@ def gate_weight(w_sentence: Node, w_other: Node, e_sentence: Node, e_other: Node
 
 
 def combine(mode: CombinationMode, token_embeddings: Node, annotation_emb: Node | None,
-            annotator_emb: Node | None, bank: EmbeddingBank | None) -> Node:
+            annotator_emb: Node | None, bank: EmbeddingBank | None,
+            keep_text: bool = True) -> Node:
     """Add the gated embeddings to the [CLS] row; other rows pass through.
 
     TEXT_ONLY returns the token embeddings unchanged. The gates are computed
     against the sentence embedding of the raw summed token embeddings, before
-    any layer norm or dropout.
+    any layer norm or dropout. keep_text=False is the embedding-only
+    ablation: row 0 holds only the gated terms and the other rows are zero,
+    while the gates still read the true sentence embedding.
     """
     if mode == CombinationMode.TEXT_ONLY:
+        if not keep_text:
+            raise ValueError("dropping the text needs a mode with an embedding")
         return token_embeddings
     if bank is None:
         raise ValueError(f"mode {mode.value} requires an embedding bank")
@@ -169,18 +171,21 @@ def combine(mode: CombinationMode, token_embeddings: Node, annotation_emb: Node 
     if mode.uses_annotator and annotator_emb is None:
         raise ValueError(f"mode {mode.value} requires an annotator embedding")
 
-    rows = token_embeddings.value.shape[0]
+    rows, cols = token_embeddings.value.shape
     e_sent = sentence_embedding(token_embeddings)
-    cls_row = tensor.gather_rows(token_embeddings, [0])
-    if mode.uses_annotation:
-        alpha_n = gate_weight(bank.w_sentence, bank.w_annotation, e_sent, annotation_emb)
-        cls_row = tensor.add(cls_row, tensor.scalar_mul(alpha_n, annotation_emb))
-    if mode.uses_annotator:
-        alpha_a = gate_weight(bank.w_sentence, bank.w_annotator, e_sent, annotator_emb)
-        cls_row = tensor.add(cls_row, tensor.scalar_mul(alpha_a, annotator_emb))
+    cls_row = tensor.gather_rows(token_embeddings, [0]) if keep_text else None
+    for used, w_other, emb in ((mode.uses_annotation, bank.w_annotation, annotation_emb),
+                               (mode.uses_annotator, bank.w_annotator, annotator_emb)):
+        if used:
+            alpha = gate_weight(bank.w_sentence, w_other, e_sent, emb)
+            gated = tensor.scalar_mul(alpha, emb)
+            cls_row = gated if cls_row is None else tensor.add(cls_row, gated)
     if rows == 1:
         return cls_row
-    rest = tensor.gather_rows(token_embeddings, list(range(1, rows)))
+    if keep_text:
+        rest = tensor.gather_rows(token_embeddings, list(range(1, rows)))
+    else:
+        rest = tensor.constant(np.zeros((rows - 1, cols)))
     return tensor.concat_rows(cls_row, rest)
 
 
@@ -193,13 +198,7 @@ class OverheadReport:
     over_budget: bool
 
     def to_dict(self) -> dict:
-        return {
-            "added_parameters": self.added_parameters,
-            "base_parameters": self.base_parameters,
-            "ratio": self.ratio,
-            "budget": self.budget,
-            "over_budget": self.over_budget,
-        }
+        return asdict(self)
 
 
 def parameter_overhead(n_annotators: int, n_labels: int, hidden: int,

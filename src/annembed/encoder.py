@@ -9,7 +9,7 @@ encoder blocks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,9 @@ UNK_ID = 1
 CLS_ID = 2
 SEP_ID = 3
 SPECIAL_TOKENS = {"[PAD]": PAD_ID, "[UNK]": UNK_ID, "[CLS]": CLS_ID, "[SEP]": SEP_ID}
+
+# standard deviation of every normally initialized weight, bank rows included
+INIT_STD = 0.02
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -78,15 +81,7 @@ class EncoderConfig:
             raise ValueError("dropout must lie in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "hidden": self.hidden,
-            "layers": self.layers,
-            "heads": self.heads,
-            "max_len": self.max_len,
-            "ffn_mult": self.ffn_mult,
-            "dropout": self.dropout,
-            "vocab_size": self.vocab_size,
-        }
+        return asdict(self)
 
 
 class EncoderParams:
@@ -98,7 +93,7 @@ class EncoderParams:
         ffn = h * config.ffn_mult
 
         def normal(rows, cols):
-            return tensor.parameter(rng.normal(0.0, 0.02, size=(rows, cols)))
+            return tensor.parameter(rng.normal(0.0, INIT_STD, size=(rows, cols)))
 
         def zeros(rows, cols):
             return tensor.parameter(np.zeros((rows, cols)))

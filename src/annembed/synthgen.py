@@ -10,7 +10,7 @@ base label to a random target label, so 0 gives unanimous clean labels and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,18 +49,7 @@ class PopulationConfig:
             raise SynthError("annotations_per_text must lie in [1, n_annotators]")
 
     def to_dict(self) -> dict:
-        return {
-            "n_annotators": self.n_annotators,
-            "n_texts": self.n_texts,
-            "n_labels": self.n_labels,
-            "vocab_size": self.vocab_size,
-            "group_count": self.group_count,
-            "bias_strength": self.bias_strength,
-            "annotations_per_text": self.annotations_per_text,
-            "seed": self.seed,
-            "signal_tokens_per_text": self.signal_tokens_per_text,
-            "filler_tokens_per_text": self.filler_tokens_per_text,
-        }
+        return asdict(self)
 
 
 @dataclass

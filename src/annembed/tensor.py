@@ -40,12 +40,6 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Node(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
@@ -298,32 +292,6 @@ def softmax_cross_entropy(logits: Node, target: int) -> Node:
 
     out._backward = _backward
     return out
-
-
-_PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "scalar_scale": scalar_scale,
-    "scalar_mul": scalar_mul,
-    "row_mean": row_mean,
-    "gather_rows": gather_rows,
-    "scatter_add": scatter_add,
-    "layer_norm": layer_norm,
-    "dropout": dropout,
-    "gelu": gelu,
-    "row_softmax": row_softmax,
-    "softmax_cross_entropy": softmax_cross_entropy,
-    "concat_rows": concat_rows,
-    "transpose": transpose,
-    "sum_all": sum_all,
-}
-
-
-def primitive_forward(op: str, *args, **kwargs) -> Node:
-    """Dispatch a primitive by name; see _PRIMITIVES for the op table."""
-    if op not in _PRIMITIVES:
-        raise ValueError(f"unknown primitive {op!r}")
-    return _PRIMITIVES[op](*args, **kwargs)
 
 
 def _topo_order(root: Node) -> list[Node]:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -23,11 +24,11 @@ from .embedding import (
     AnnotationIndex,
     CombinationMode,
     EmbeddingBank,
+    annotation_embedding,
     combine,
+    label_coefficients,
 )
-from .encoder import EncoderConfig, EncoderParams, Vocabulary
-
-INIT_STD = 0.02
+from .encoder import INIT_STD, EncoderConfig, EncoderParams, Vocabulary
 
 
 class TrainingDiverged(RuntimeError):
@@ -51,22 +52,14 @@ class TrainConfig:
         self.mode = CombinationMode(self.mode)
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("Adam betas must lie strictly inside (0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-            "eval_every": self.eval_every,
-            "select_on_dev": self.select_on_dev,
-        }
+        return {**asdict(self), "mode": self.mode.value}
 
 
 class Model:
@@ -114,57 +107,22 @@ class Model:
             return tensor.constant(self._unseen_annotator_row(annotator_id))
         return tensor.gather_rows(self.bank.annotator_rows, [idx])
 
-    def annotation_embedding(self, coeff: np.ndarray) -> tensor.Node:
-        return tensor.matmul(tensor.constant(coeff), self.bank.label_rows)
-
     def test_coefficients(self, annotator_id: str) -> np.ndarray:
-        counts = self.train_counts.get(annotator_id)
-        m = len(self.label_names)
-        if counts is None or counts.sum() == 0:
-            return np.full((1, m), 1.0 / m)
-        return (counts / counts.sum()).reshape(1, -1)
+        return label_coefficients(self.train_counts.get(annotator_id), len(self.label_names))
 
     def forward(self, token_ids, annotator_id: Optional[str], en_coeff: Optional[np.ndarray],
                 training: bool = False, rng: Optional[np.random.Generator] = None,
-                mode: Optional[CombinationMode] = None, ablation: Optional[str] = None) -> tensor.Node:
-        """Logits for one annotation. en_coeff weights the label rows for E_n."""
+                mode: Optional[CombinationMode] = None, keep_text: bool = True) -> tensor.Node:
+        """Logits for one annotation. en_coeff weights the label rows for E_n;
+        keep_text=False drops the text from the combined embedding."""
         mode = self.mode if mode is None else mode
         e_t = enc.embed_tokens(token_ids, self.params)
-        e_n = self.annotation_embedding(en_coeff) if mode.uses_annotation else None
+        e_n = annotation_embedding(self.bank, en_coeff) if mode.uses_annotation else None
         e_a = self.annotator_embedding(annotator_id) if mode.uses_annotator else None
-        if ablation is None or ablation == "combination":
-            combined = combine(mode, e_t, e_n, e_a, self.bank)
-        elif ablation == "text_only":
-            combined = e_t
-        elif ablation == "embedding_only":
-            combined = self._embedding_only(e_t, e_n, e_a)
-        else:
-            raise ValueError(f"unknown ablation variant {ablation!r}")
+        combined = combine(mode, e_t, e_n, e_a, self.bank, keep_text)
         hidden = enc.encode(combined, self.params, training, rng)
         cls_repr = tensor.gather_rows(hidden, [0])
         return enc.classify(cls_repr, self.params)
-
-    def _embedding_only(self, e_t, e_n, e_a):
-        """Gated embeddings without the text: row 0 keeps only the additions,
-        remaining rows are zeroed. Gates still read the true sentence embedding."""
-        from .embedding import gate_weight, sentence_embedding
-
-        rows, cols = e_t.value.shape
-        e_sent = sentence_embedding(e_t)
-        cls_row = None
-        if self.mode.uses_annotation:
-            alpha = gate_weight(self.bank.w_sentence, self.bank.w_annotation, e_sent, e_n)
-            cls_row = tensor.scalar_mul(alpha, e_n)
-        if self.mode.uses_annotator:
-            alpha = gate_weight(self.bank.w_sentence, self.bank.w_annotator, e_sent, e_a)
-            gated = tensor.scalar_mul(alpha, e_a)
-            cls_row = gated if cls_row is None else tensor.add(cls_row, gated)
-        if cls_row is None:
-            raise ValueError("embedding_only requires an embedding-bearing mode")
-        if rows == 1:
-            return cls_row
-        zeros = tensor.constant(np.zeros((rows - 1, cols)))
-        return tensor.concat_rows(cls_row, zeros)
 
     def loss_for(self, token_ids, annotator_id, en_coeff, gold: int,
                  training: bool = False, rng=None) -> tensor.Node:
@@ -298,17 +256,7 @@ class EvalReport:
     per_class_f1: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "em_accuracy": self.em_accuracy,
-            "macro_f1": self.macro_f1,
-            "per_annotator_em": dict(sorted(self.per_annotator_em.items())),
-            "confusion": self.confusion,
-            "n_annotations": self.n_annotations,
-            "baseline_random": self.baseline_random,
-            "baseline_majority": self.baseline_majority,
-            "variant": self.variant,
-            "per_class_f1": self.per_class_f1,
-        }
+        return asdict(self)
 
     def to_text(self, label_names: Optional[list[str]] = None) -> str:
         lines = [
@@ -357,13 +305,15 @@ def classification_scores(golds, preds, n_labels: int):
 
 
 def evaluate(model: Model, dataset: Dataset, mode: Optional[CombinationMode] = None,
-             ablation: Optional[str] = None, with_baselines: bool = False) -> EvalReport:
+             keep_text: bool = True, with_baselines: bool = False) -> EvalReport:
     """Argmax prediction per annotation; EM accuracy and macro F1.
 
     Test-time annotation embeddings average the annotator's full training
     annotations; annotators unseen in training get a fresh embedding row and
     the uniform label average.
     """
+    if not dataset.examples:
+        raise ValueError("cannot evaluate an empty dataset")
     if dataset.n_labels != len(model.label_names):
         raise ValueError("dataset label schema does not match the model")
     mode = model.mode if mode is None else mode
@@ -374,7 +324,7 @@ def evaluate(model: Model, dataset: Dataset, mode: Optional[CombinationMode] = N
         ids = enc.tokenize(ex.text, model.vocab, model.encoder_config.max_len)
         coeff = model.test_coefficients(ex.annotator_id) if mode.uses_annotation else None
         logits = model.forward(ids, ex.annotator_id, coeff, training=False,
-                               mode=mode, ablation=ablation)
+                               mode=mode, keep_text=keep_text)
         pred = int(np.argmax(logits.value[0]))
         golds.append(ex.label)
         preds.append(pred)
@@ -389,7 +339,6 @@ def evaluate(model: Model, dataset: Dataset, mode: Optional[CombinationMode] = N
         per_annotator_em={a: per_ann_hit[a] / per_ann_total[a] for a in per_ann_total},
         confusion=confusion.tolist(),
         n_annotations=total,
-        variant=ablation or "combination",
         per_class_f1=per_class,
     )
     if with_baselines:
@@ -422,14 +371,22 @@ def baselines(dataset: Dataset, seed: int, majority_label: Optional[int] = None,
     return float(np.mean(rand_scores)), majority_em
 
 
+# ablation variant -> (mode, keep_text) for evaluate; None keeps the model's mode
+ABLATIONS = {
+    "embedding_only": (None, False),
+    "text_only": (CombinationMode.TEXT_ONLY, True),
+    "combination": (None, True),
+}
+
+
 def ablation_eval(model: Model, dataset: Dataset, variant: str) -> EvalReport:
-    """Evaluate embedding_only / text_only / combination variants of one model."""
-    if variant not in ("embedding_only", "text_only", "combination"):
+    """Evaluate one of the ABLATIONS variants of a model."""
+    if variant not in ABLATIONS:
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "embedding_only" and model.mode == CombinationMode.TEXT_ONLY:
-        raise ValueError("embedding_only is incompatible with a text-only model")
-    ablation = None if variant == "combination" else variant
-    return evaluate(model, dataset, ablation=ablation)
+    mode, keep_text = ABLATIONS[variant]
+    report = evaluate(model, dataset, mode=mode, keep_text=keep_text)
+    report.variant = variant
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +397,8 @@ CHECKPOINT_ARRAYS = "params.bin"
 
 
 def _all_arrays(model: Model) -> dict[str, np.ndarray]:
-    arrays = {name: node.value for name, node in model.params.named_parameters().items()}
-    arrays.update({
-        "bank.annotator_rows": model.bank.annotator_rows.value,
-        "bank.label_rows": model.bank.label_rows.value,
-        "bank.w_sentence": model.bank.w_sentence.value,
-        "bank.w_annotator": model.bank.w_annotator.value,
-        "bank.w_annotation": model.bank.w_annotation.value,
-    })
-    return arrays
+    params = model.named_parameters(CombinationMode.TEXT_PLUS_BOTH)
+    return {name: node.value for name, node in params.items()}
 
 
 def save_checkpoint(model: Model, directory) -> None:

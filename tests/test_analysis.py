@@ -314,6 +314,12 @@ def test_demographic_ties_reported_together():
     assert alignment.top_values["gender"][0] == ["female", "male"]
 
 
+@pytest.mark.parametrize("items", [[], [0]])
+def test_adjusted_rand_index_rejects_fewer_than_two_items(items):
+    with pytest.raises(ValueError, match="at least 2 items"):
+        adjusted_rand_index(items, items)
+
+
 def test_adjusted_rand_index_extremes():
     assert adjusted_rand_index([0, 0, 1, 1], [1, 1, 0, 0]) == 1.0
     rng = np.random.default_rng(11)

@@ -257,6 +257,20 @@ def test_validation_failure_exit_code(tmp_path):
     assert (out / "FAILED").exists()
 
 
+def test_eval_of_empty_dataset_exit_code(tmp_path, split_dir, train_dir):
+    # every annotation comes from an unseen annotator, so --drop-unseen empties the set
+    record = {"example_id": "t0", "text": "some words", "annotator_id": "stranger",
+              "label": json.loads((split_dir / "schema.manifest.json").read_text())
+              ["label_names"][0]}
+    data = tmp_path / "unseen.jsonl"
+    data.write_text(json.dumps(record) + "\n")
+    out = tmp_path / "eval"
+    assert _run("eval", "--checkpoint", str(train_dir / "checkpoint"), "--data", str(data),
+                "--drop-unseen", "--out", str(out)) == 2
+    assert (out / "FAILED").exists()
+    assert not (out / "report.json").exists()
+
+
 def test_out_required_without_env(tmp_path, monkeypatch):
     monkeypatch.delenv("ANNEMBED_OUT", raising=False)
     assert _run("synth", "--annotators", "3", "--texts", "5", "--labels", "2",

@@ -11,6 +11,7 @@ from annembed.embedding import (
     annotation_embedding_train,
     combine,
     gate_weight,
+    label_coefficients,
     parameter_overhead,
     sentence_embedding,
 )
@@ -93,6 +94,33 @@ def test_leave_one_out_mean_equals_test_embedding():
     ])
     test_emb = annotation_embedding_test(bank, index, "i").value
     assert np.max(np.abs(loo.mean(axis=0) - test_emb[0])) < 1e-12
+
+
+@pytest.mark.parametrize("counts, exclude, expected", [
+    ([2.0, 1.0, 1.0], 0, [1 / 3, 1 / 3, 1 / 3]),     # leave-one-out of label 0
+    ([2.0, 1.0, 1.0], 1, [2 / 3, 0.0, 1 / 3]),       # leave-one-out of label 1
+    ([2.0, 1.0, 1.0], None, [0.5, 0.25, 0.25]),      # full training average
+    ([0.0, 1.0, 0.0], 1, [1 / 3, 1 / 3, 1 / 3]),     # k <= 1: nothing left
+    (None, None, [1 / 3, 1 / 3, 1 / 3]),             # unseen annotator
+    (None, 2, [1 / 3, 1 / 3, 1 / 3]),
+    ([0.0, 0.0, 0.0], None, [1 / 3, 1 / 3, 1 / 3]),  # all-zero counts
+])
+def test_label_coefficients_table(counts, exclude, expected):
+    counts = None if counts is None else np.array(counts)
+    before = None if counts is None else counts.copy()
+    coeff = label_coefficients(counts, M, exclude)
+    assert coeff.shape == (1, M)
+    assert np.allclose(coeff[0], expected, atol=1e-15)
+    if counts is not None:
+        assert np.array_equal(counts, before)   # the caller's counts stay intact
+
+
+def test_train_coefficients_unknown_annotation_of_known_annotator():
+    index = AnnotationIndex(_dataset([("i", "k0", 0), ("i", "k1", 1)]), M)
+    with pytest.raises(KeyError):
+        index.train_coefficients("i", "never-annotated")
+    # an annotator with no training annotations at all gets the uniform row
+    assert np.allclose(index.train_coefficients("stranger", "k0"), 1.0 / M)
 
 
 def test_sentence_embedding_single_token():
@@ -190,6 +218,30 @@ def test_combine_missing_embedding_raises():
     e_t = tensor.constant(np.ones((3, H)))
     with pytest.raises(ValueError):
         combine(CombinationMode.TEXT_PLUS_ANNOTATION, e_t, None, None, bank)
+
+
+def test_combine_without_text_keeps_only_gated_terms():
+    bank = _bank()
+    rng = np.random.default_rng(4)
+    e_t = tensor.constant(rng.normal(size=(4, H)))
+    e_n = tensor.constant(rng.normal(size=(1, H)))
+    e_a = tensor.constant(rng.normal(size=(1, H)))
+    e_sent = sentence_embedding(e_t)
+    alpha_n = gate_weight(bank.w_sentence, bank.w_annotation, e_sent, e_n).value[0, 0]
+    alpha_a = gate_weight(bank.w_sentence, bank.w_annotator, e_sent, e_a).value[0, 0]
+    out = combine(CombinationMode.TEXT_PLUS_BOTH, e_t, e_n, e_a, bank, keep_text=False)
+    assert np.allclose(out.value[0], alpha_n * e_n.value[0] + alpha_a * e_a.value[0],
+                       atol=1e-15)
+    assert not np.any(out.value[1:])
+    only_a = combine(CombinationMode.TEXT_PLUS_ANNOTATOR, e_t, None, e_a, bank, keep_text=False)
+    assert np.array_equal(only_a.value[0], alpha_a * e_a.value[0])
+    assert not np.any(only_a.value[1:])
+
+
+def test_combine_without_text_rejects_text_only_mode():
+    e_t = tensor.constant(np.ones((3, H)))
+    with pytest.raises(ValueError):
+        combine(CombinationMode.TEXT_ONLY, e_t, None, None, _bank(), keep_text=False)
 
 
 def test_gradients_flow_only_into_active_banks():

@@ -8,7 +8,6 @@ from annembed.tensor import (
     constant,
     finite_difference_check,
     parameter,
-    primitive_forward,
 )
 
 
@@ -149,13 +148,6 @@ def test_scalar_mul_routes_gradient_to_both_sides():
     backward(tensor.sum_all(tensor.scalar_mul(s, x)))
     assert s.grad[0, 0] == pytest.approx(3.0)
     assert np.allclose(x.grad, [[3.0, 3.0]])
-
-
-def test_primitive_forward_dispatch():
-    out = primitive_forward("row_mean", constant([[2.0, 4.0], [6.0, 8.0]]))
-    assert np.array_equal(out.value, [[4.0, 6.0]])
-    with pytest.raises(ValueError):
-        primitive_forward("not_an_op")
 
 
 def test_finite_difference_quadratic():

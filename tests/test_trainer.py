@@ -74,6 +74,12 @@ def test_empty_train_split_rejected():
         train(split, TrainConfig(epochs=1), EncoderConfig(**FAST_ENC))
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+def test_train_config_rejects_bad_learning_rate(lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=lr)
+
+
 def test_divergence_aborts():
     # a step size this large overflows the very next forward pass
     split = _tiny_split()
@@ -150,6 +156,12 @@ def test_evaluate_order_invariant():
     assert report_a.em_accuracy == report_b.em_accuracy
     assert report_a.macro_f1 == report_b.macro_f1
     assert report_a.confusion == report_b.confusion
+
+
+def test_evaluate_rejects_empty_dataset():
+    model, _ = _trained_model(mode=CombinationMode.TEXT_ONLY, epochs=1)
+    with pytest.raises(ValueError, match="empty"):
+        evaluate(model, Dataset.from_examples([], model.label_names))
 
 
 def test_evaluate_handles_unseen_annotators():
@@ -230,6 +242,45 @@ def test_ablation_text_only_on_text_only_model():
     ablated = ablation_eval(model, split.test, "text_only")
     assert ablated.em_accuracy == plain.em_accuracy
     assert ablated.confusion == plain.confusion
+
+
+def test_ablation_text_only_on_both_model_equals_text_only_mode():
+    from annembed.trainer import ablation_eval
+
+    model, split = _trained_model(epochs=1)
+    plain = evaluate(model, split.test, mode=CombinationMode.TEXT_ONLY)
+    ablated = ablation_eval(model, split.test, "text_only")
+    assert ablated.variant == "text_only"
+    assert ablated.em_accuracy == plain.em_accuracy
+    assert ablated.confusion == plain.confusion
+
+
+def test_embedding_only_under_narrower_mode_uses_only_annotator_gate():
+    from annembed import tensor
+    from annembed.embedding import gate_weight, sentence_embedding
+    from annembed.encoder import classify, embed_tokens, encode, tokenize
+
+    model, split = _trained_model(epochs=1)
+    narrow = CombinationMode.TEXT_PLUS_ANNOTATOR
+    report = evaluate(model, split.test, mode=narrow, keep_text=False)
+    assert report.n_annotations == len(split.test)
+    for ex in split.test.examples[:5]:
+        ids = tokenize(ex.text, model.vocab, model.encoder_config.max_len)
+        e_t = embed_tokens(ids, model.params)
+        e_a = model.annotator_embedding(ex.annotator_id)
+        alpha = gate_weight(model.bank.w_sentence, model.bank.w_annotator,
+                            sentence_embedding(e_t), e_a).value[0, 0]
+        combined = np.zeros_like(e_t.value)
+        combined[0] = alpha * e_a.value[0]
+        hidden = encode(tensor.constant(combined), model.params, training=False)
+        oracle = classify(tensor.gather_rows(hidden, [0]), model.params).value
+        logits = model.forward(ids, ex.annotator_id, None, mode=narrow, keep_text=False)
+        assert np.allclose(logits.value, oracle, atol=1e-12)
+    # the annotation gate and label rows play no part
+    model.bank.w_annotation.value[...] = 1e3
+    model.bank.label_rows.value[...] = 1e3
+    again = evaluate(model, split.test, mode=narrow, keep_text=False)
+    assert again.confusion == report.confusion
 
 
 def test_ablation_embedding_only_tends_to_majority():
