@@ -295,12 +295,15 @@ def _write_matrix_csv(path, names, values):
 
 def cmd_report(args, out):
     rows = []
+    fields = [f.name for f in dataclasses.fields(trainer.EvalReport)]
     for path in args.inputs:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
+        missing = [name for name in fields if not isinstance(obj, dict) or name not in obj]
+        if missing:
+            raise CliError(f"{path}: not an eval report, missing field {missing[0]!r}")
         rows.append((path, obj))
-        report = trainer.EvalReport(**{
-            f.name: obj[f.name] for f in dataclasses.fields(trainer.EvalReport)})
+        report = trainer.EvalReport(**{name: obj[name] for name in fields})
         print(f"== {path}")
         print(report.to_text())
     if len(rows) > 1:
@@ -458,10 +461,11 @@ def main(argv=None) -> int:
             _write_run_manifest(out, args)
         try:
             args.func(args, out)
-        except Exception:
+        except Exception as err:
             if out:
                 with open(os.path.join(out, "FAILED"), "w", encoding="utf-8") as fh:
                     fh.write("run failed; outputs may be partial\n")
+                    fh.write(f"{type(err).__name__}: {err}\n")
             raise
     except (CliError, corpus.CorpusError, synthgen.SynthError, ValueError,
             FileNotFoundError, trainer.TrainingDiverged) as err:

@@ -168,8 +168,8 @@ def _attention(x: Node, block, config: EncoderConfig) -> Node:
         v = tensor.matmul(x, block["wv"][h])
         scores = tensor.scalar_scale(tensor.matmul(q, tensor.transpose(k)), scale)
         weights = tensor.row_softmax(scores)
-        head_outputs.append(tensor.transpose(tensor.matmul(weights, v)))
-    ctx = tensor.transpose(tensor.concat_rows(*head_outputs))
+        head_outputs.append(tensor.matmul(weights, v))
+    ctx = tensor.concat_cols(*head_outputs)
     return tensor.add(tensor.matmul(ctx, block["wo"]), block["bo"])
 
 

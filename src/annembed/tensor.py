@@ -3,6 +3,9 @@
 Every value is a 2-D row-major float64 array wrapped in a Node. Operations
 record a backward closure; backward() runs the closures in reverse
 topological order, accumulating gradients additively across fan-out.
+Gradients are demand-driven: a node needs one only if it is a parameter or
+depends on one, and its buffer is created when the first contribution
+arrives, so forward-only passes allocate no gradient memory.
 Randomness (dropout) always comes from an explicitly passed numpy PCG64
 generator so a 64-bit seed reproduces runs exactly on any platform.
 """
@@ -16,6 +19,9 @@ LAYER_NORM_EPS = 1e-12
 
 
 def _as_matrix(data) -> np.ndarray:
+    if (type(data) is np.ndarray and data.ndim == 2 and data.dtype == np.float64
+            and data.flags.c_contiguous):
+        return data
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
@@ -27,21 +33,47 @@ def _as_matrix(data) -> np.ndarray:
 
 
 class Node:
-    __slots__ = ("value", "grad", "parents", "requires_grad", "_backward")
+    """A value, its parents, and (after backward) its gradient.
+
+    grad is None until backward delivers a contribution. needs_grad is fixed
+    at construction: true for a parameter (requires_grad) and for anything
+    computed from one, false for constants and everything built only from
+    constants.
+    """
+
+    __slots__ = ("value", "grad", "parents", "needs_grad", "_backward")
 
     def __init__(self, value, parents=(), requires_grad=False, backward=None):
         self.value = _as_matrix(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
         self.parents = tuple(parents)
-        self.requires_grad = bool(requires_grad)
+        self.needs_grad = bool(requires_grad)
+        for parent in self.parents:   # a plain loop: any() costs a generator per node
+            if parent.needs_grad:
+                self.needs_grad = True
+                break
         self._backward = backward
+
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add a value-shaped contribution g to grad.
+
+        The first contribution is stored as a private C-ordered copy, since
+        callers may pass a view of, or the very buffer of, another node's
+        gradient; later ones are added in place.
+        """
+        if not self.needs_grad:
+            return
+        if self.grad is None:
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     @property
     def shape(self):
         return self.value.shape
 
     def __repr__(self):
-        return f"Node(shape={self.value.shape}, requires_grad={self.requires_grad})"
+        return f"Node(shape={self.value.shape}, needs_grad={self.needs_grad})"
 
 
 def constant(value) -> Node:
@@ -58,8 +90,8 @@ def matmul(a: Node, b: Node) -> Node:
     out = Node(a.value @ b.value, (a, b))
 
     def _backward():
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
+        a.accumulate(out.grad @ b.value.T)
+        b.accumulate(a.value.T @ out.grad)
 
     out._backward = _backward
     return out
@@ -71,15 +103,15 @@ def add(a: Node, b: Node) -> Node:
         out = Node(a.value + b.value, (a, b))
 
         def _backward():
-            a.grad += out.grad
-            b.grad += out.grad
+            a.accumulate(out.grad)
+            b.accumulate(out.grad)
 
     elif b.value.shape == (1, a.value.shape[1]):
         out = Node(a.value + b.value, (a, b))
 
         def _backward():
-            a.grad += out.grad
-            b.grad += out.grad.sum(axis=0, keepdims=True)
+            a.accumulate(out.grad)
+            b.accumulate(out.grad.sum(axis=0, keepdims=True))
 
     else:
         raise ValueError(f"add shape mismatch {a.value.shape} + {b.value.shape}")
@@ -93,7 +125,7 @@ def scalar_scale(a: Node, c: float) -> Node:
     out = Node(a.value * c, (a,))
 
     def _backward():
-        a.grad += out.grad * c
+        a.accumulate(out.grad * c)
 
     out._backward = _backward
     return out
@@ -106,8 +138,8 @@ def scalar_mul(s: Node, a: Node) -> Node:
     out = Node(s.value[0, 0] * a.value, (s, a))
 
     def _backward():
-        s.grad += np.array([[np.sum(out.grad * a.value)]])
-        a.grad += out.grad * s.value[0, 0]
+        s.accumulate(np.array([[np.sum(out.grad * a.value)]]))
+        a.accumulate(out.grad * s.value[0, 0])
 
     out._backward = _backward
     return out
@@ -121,7 +153,7 @@ def row_mean(a: Node) -> Node:
     out = Node(a.value.mean(axis=0, keepdims=True), (a,))
 
     def _backward():
-        a.grad += np.repeat(out.grad / rows, rows, axis=0)
+        a.accumulate(np.repeat(out.grad / rows, rows, axis=0))
 
     out._backward = _backward
     return out
@@ -131,7 +163,7 @@ def sum_all(a: Node) -> Node:
     out = Node([[a.value.sum()]], (a,))
 
     def _backward():
-        a.grad += out.grad[0, 0]
+        a.accumulate(np.broadcast_to(out.grad, a.value.shape))
 
     out._backward = _backward
     return out
@@ -145,7 +177,12 @@ def gather_rows(a: Node, indices) -> Node:
     out = Node(a.value[idx], (a,))
 
     def _backward():
-        np.add.at(a.grad, idx, out.grad)
+        # add.at straight into the buffer: summing into a temporary first and
+        # adding that would reorder the additions and move the last bits
+        if a.needs_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.value)
+            np.add.at(a.grad, idx, out.grad)
 
     out._backward = _backward
     return out
@@ -165,8 +202,8 @@ def scatter_add(base: Node, indices, rows: Node) -> Node:
     out = Node(value, (base, rows))
 
     def _backward():
-        base.grad += out.grad
-        rows.grad += out.grad[idx]
+        base.accumulate(out.grad)
+        rows.accumulate(out.grad[idx])
 
     out._backward = _backward
     return out
@@ -176,7 +213,7 @@ def transpose(a: Node) -> Node:
     out = Node(a.value.T, (a,))
 
     def _backward():
-        a.grad += out.grad.T
+        a.accumulate(out.grad.T)
 
     out._backward = _backward
     return out
@@ -192,8 +229,25 @@ def concat_rows(*nodes: Node) -> Node:
         offset = 0
         for n in nodes:
             rows = n.value.shape[0]
-            n.grad += out.grad[offset:offset + rows]
+            n.accumulate(out.grad[offset:offset + rows])
             offset += rows
+
+    out._backward = _backward
+    return out
+
+
+def concat_cols(*nodes: Node) -> Node:
+    rows = {n.value.shape[0] for n in nodes}
+    if len(rows) != 1:
+        raise ValueError("concat_cols needs equal row counts")
+    out = Node(np.concatenate([n.value for n in nodes], axis=1), nodes)
+
+    def _backward():
+        offset = 0
+        for n in nodes:
+            cols = n.value.shape[1]
+            n.accumulate(out.grad[:, offset:offset + cols])
+            offset += cols
 
     out._backward = _backward
     return out
@@ -203,20 +257,22 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = LAYER_NORM_EPS) ->
     """Per-row normalization to mean 0 / variance 1, then affine gamma, beta."""
     if gamma.value.shape != (1, x.value.shape[1]) or beta.value.shape != (1, x.value.shape[1]):
         raise ValueError("layer_norm affine shapes must be 1 x cols")
-    mu = x.value.mean(axis=1, keepdims=True)
-    var = x.value.var(axis=1, keepdims=True)
+    # sum / cols is exactly what np.mean and np.var compute, minus their overhead
+    cols = x.value.shape[1]
+    centered = x.value - x.value.sum(axis=1, keepdims=True) / cols
+    var = (centered * centered).sum(axis=1, keepdims=True) / cols
     inv = 1.0 / np.sqrt(var + eps)
-    norm = (x.value - mu) * inv
+    norm = centered * inv
     out = Node(norm * gamma.value + beta.value, (x, gamma, beta))
 
     def _backward():
         g = out.grad * gamma.value
         # d/dx of (x - mu) * inv with mu, var per row
-        m1 = g.mean(axis=1, keepdims=True)
-        m2 = (g * norm).mean(axis=1, keepdims=True)
-        x.grad += (g - m1 - norm * m2) * inv
-        gamma.grad += (out.grad * norm).sum(axis=0, keepdims=True)
-        beta.grad += out.grad.sum(axis=0, keepdims=True)
+        m1 = g.sum(axis=1, keepdims=True) / cols
+        m2 = (g * norm).sum(axis=1, keepdims=True) / cols
+        x.accumulate((g - m1 - norm * m2) * inv)
+        gamma.accumulate((out.grad * norm).sum(axis=0, keepdims=True))
+        beta.accumulate(out.grad.sum(axis=0, keepdims=True))
 
     out._backward = _backward
     return out
@@ -230,7 +286,7 @@ def dropout(x: Node, p: float, rng: np.random.Generator, training: bool) -> Node
         out = Node(x.value, (x,))
 
         def _backward():
-            x.grad += out.grad
+            x.accumulate(out.grad)
 
         out._backward = _backward
         return out
@@ -238,7 +294,7 @@ def dropout(x: Node, p: float, rng: np.random.Generator, training: bool) -> Node
     out = Node(x.value * mask, (x,))
 
     def _backward():
-        x.grad += out.grad * mask
+        x.accumulate(out.grad * mask)
 
     out._backward = _backward
     return out
@@ -251,7 +307,7 @@ def gelu(x: Node) -> Node:
 
     def _backward():
         pdf = np.exp(-0.5 * v * v) / np.sqrt(2.0 * np.pi)
-        x.grad += out.grad * (cdf + v * pdf)
+        x.accumulate(out.grad * (cdf + v * pdf))
 
     out._backward = _backward
     return out
@@ -265,7 +321,7 @@ def row_softmax(x: Node) -> Node:
 
     def _backward():
         dot = (out.grad * probs).sum(axis=1, keepdims=True)
-        x.grad += probs * (out.grad - dot)
+        x.accumulate(probs * (out.grad - dot))
 
     out._backward = _backward
     return out
@@ -288,14 +344,16 @@ def softmax_cross_entropy(logits: Node, target: int) -> Node:
     def _backward():
         d = probs.copy()
         d[target] -= 1.0
-        logits.grad += out.grad[0, 0] * d.reshape(1, -1)
+        logits.accumulate(out.grad[0, 0] * d.reshape(1, -1))
 
     out._backward = _backward
     return out
 
 
 def _topo_order(root: Node) -> list[Node]:
-    # iterative postorder; graphs can exceed the recursion limit
+    # iterative postorder over the nodes that need a gradient; graphs can
+    # exceed the recursion limit. A node that needs no gradient has no
+    # ancestor that does, so pruning it keeps the order of the rest.
     order = []
     visited = set()
     stack = [(root, False)]
@@ -304,12 +362,12 @@ def _topo_order(root: Node) -> list[Node]:
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node.parents:
-            if id(parent) not in visited:
+            if parent.needs_grad and parent not in visited:
                 stack.append((parent, False))
     return order
 
@@ -317,21 +375,24 @@ def _topo_order(root: Node) -> list[Node]:
 def backward(loss: Node) -> dict[Node, np.ndarray]:
     """Backpropagate from a scalar loss.
 
-    Gradients are zeroed across the whole graph first, then accumulated in
-    reverse topological order. Returns {leaf: gradient} for every
-    requires_grad leaf reached from the loss.
+    Gradients are cleared to None across the reached graph first, then
+    accumulated in reverse topological order; a node whose gradient never
+    arrived is skipped. Returns {leaf: gradient} for every parameter reached
+    from the loss.
     """
     if loss.value.shape != (1, 1):
         raise ValueError(f"loss must be 1x1, got {loss.value.shape}")
     order = _topo_order(loss)
     for node in order:
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     loss.grad = np.ones_like(loss.value)
     grads = {}
     for node in reversed(order):
+        if node.grad is None:
+            continue
         if node._backward is not None:
             node._backward()
-        if node.requires_grad and not node.parents:
+        if node.needs_grad and not node.parents:
             grads[node] = node.grad
     return grads
 
@@ -347,7 +408,8 @@ def finite_difference_check(f, params, eps: float = 1e-5, max_coords: int = 8,
     if rng is None:
         rng = np.random.default_rng(0)
     backward(f())
-    analytic = {name: node.grad.copy() for name, node in params.items()}
+    analytic = {name: np.zeros_like(node.value) if node.grad is None else node.grad.copy()
+                for name, node in params.items()}
     worst = 0.0
     for name, node in params.items():
         flat = node.value.reshape(-1)

@@ -143,9 +143,12 @@ class Adam:
         self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
 
     def step(self):
+        """One update from each parameter's grad, which is then cleared;
+        a parameter the loss did not reach (grad None) counts as zero."""
         self.t += 1
         for key, param in self.params.items():
-            g = param.grad
+            g = 0.0 if param.grad is None else param.grad
+            param.grad = None
             self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
             self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * (g * g)
             m_hat = self.m[key] / (1 - self.beta1 ** self.t)
@@ -207,6 +210,8 @@ def train(split: Split, cfg: TrainConfig,
         order = rng_shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
+            context = (f"at epoch {epoch} step {start // cfg.batch_size} "
+                       f"(lr={cfg.learning_rate}, batch={cfg.batch_size})")
             losses = []
             try:
                 for i in batch:
@@ -215,21 +220,19 @@ def train(split: Split, cfg: TrainConfig,
                                                  training=True, rng=rng_dropout))
             except FloatingPointError as err:
                 raise TrainingDiverged(
-                    f"non-finite activations at epoch {epoch} step {start // cfg.batch_size}: "
-                    f"{err} (lr={cfg.learning_rate}, batch={cfg.batch_size})"
-                ) from err
+                    f"non-finite activations {context}: {err}") from err
             total = losses[0]
             for extra in losses[1:]:
                 total = tensor.add(total, extra)
             mean_loss = tensor.scalar_scale(total, 1.0 / len(batch))
             step_loss = float(mean_loss.value[0, 0])
             if not np.isfinite(step_loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} step {start // cfg.batch_size}: "
-                    f"{step_loss!r} (lr={cfg.learning_rate}, batch={cfg.batch_size})"
-                )
+                raise TrainingDiverged(f"non-finite loss {context}: {step_loss!r}")
             trace.append(step_loss)
             tensor.backward(mean_loss)
+            for name, param in params.items():
+                if param.grad is not None and not np.isfinite(param.grad).all():
+                    raise TrainingDiverged(f"non-finite gradient for {name} {context}")
             optimizer.step()
         if cfg.select_on_dev and split.dev is not None and (
                 cfg.eval_every == 0 or (epoch + 1) % cfg.eval_every == 0):
@@ -430,8 +433,13 @@ def save_checkpoint(model: Model, directory) -> None:
 
 
 def load_checkpoint(directory) -> Model:
+    """Rebuild a saved model; ValueError if the manifest and params.bin do not
+    hold exactly the model's arrays with the model's shapes."""
     with open(os.path.join(directory, CHECKPOINT_MANIFEST), encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if manifest.get("format_version") != 1:
+        raise ValueError(f"{directory}: unsupported checkpoint format_version "
+                         f"{manifest.get('format_version')!r} (expected 1)")
     encoder_config = EncoderConfig(**manifest["encoder_config"])
     train_config = TrainConfig(**manifest["train_config"])
     vocab = Vocabulary(token_to_id=dict(manifest["vocabulary"]))
@@ -444,8 +452,20 @@ def load_checkpoint(directory) -> Model:
     with open(os.path.join(directory, CHECKPOINT_ARRAYS), "rb") as fh:
         blob = fh.read()
     arrays = _all_arrays(model)
-    for name, meta in manifest["arrays"].items():
-        count = meta["rows"] * meta["cols"]
-        flat = np.frombuffer(blob, dtype="<f8", count=count, offset=meta["offset"])
-        arrays[name][...] = flat.reshape(meta["rows"], meta["cols"])
+    index = manifest["arrays"]
+    missing, extra = sorted(set(arrays) - set(index)), sorted(set(index) - set(arrays))
+    if missing or extra:
+        raise ValueError(f"{directory}: checkpoint arrays do not match the model "
+                         f"(missing {missing}, unexpected {extra})")
+    for name, meta in index.items():
+        shape = (meta["rows"], meta["cols"])
+        if shape != arrays[name].shape:
+            raise ValueError(f"{directory}: array {name} has shape {shape} in the manifest, "
+                             f"the model needs {arrays[name].shape}")
+        end = meta["offset"] + arrays[name].nbytes
+        if end > len(blob):
+            raise ValueError(f"{directory}: {CHECKPOINT_ARRAYS} is truncated: array {name} "
+                             f"needs bytes {meta['offset']}..{end}, file has {len(blob)}")
+        flat = np.frombuffer(blob, dtype="<f8", count=arrays[name].size, offset=meta["offset"])
+        arrays[name][...] = flat.reshape(shape)
     return model

@@ -282,3 +282,24 @@ def test_env_output_root(tmp_path, monkeypatch):
     assert _run("synth", "--annotators", "3", "--texts", "5", "--labels", "2",
                 "--seed", "2", "--vocab", "20") == 0
     assert (tmp_path / "root" / "synth" / "corpus.jsonl").exists()
+
+
+def test_report_missing_field_exit_code(tmp_path, capsys):
+    path = tmp_path / "partial.json"
+    path.write_text('{"em_accuracy": 0.5}\n')
+    assert _run("report", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "macro_f1" in err
+
+
+def test_failed_run_records_the_error(tmp_path, split_dir, train_dir):
+    checkpoint = train_dir / "checkpoint"
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    manifest["format_version"] = 2
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "eval"
+    assert _run("eval", "--checkpoint", str(checkpoint),
+                "--data", str(split_dir / "test.jsonl"), "--out", str(out)) == 2
+    lines = (out / "FAILED").read_text().splitlines()
+    assert lines[0] == "run failed; outputs may be partial"
+    assert lines[1].startswith("ValueError: ") and "format_version" in lines[1]

@@ -168,8 +168,8 @@ def test_classify_rejects_bad_gold():
         classification_loss(logits, 3)
 
 
-def test_encoder_gradients_pass_finite_difference():
-    params = _params(hidden=8, layers=1, heads=2, dropout=0.0, n_labels=3, seed=4)
+def _encoder_gradient_error(hidden, heads):
+    params = _params(hidden=hidden, layers=1, heads=heads, dropout=0.0, n_labels=3, seed=4)
     named = params.named_parameters()
     # move off the tiny init so gradients are well conditioned
     rng = np.random.default_rng(8)
@@ -181,9 +181,17 @@ def test_encoder_gradients_pass_finite_difference():
         hidden = encode(embed_tokens(ids, params), params, training=False)
         return classification_loss(classify(tensor.gather_rows(hidden, [0]), params), 1)
 
-    err = tensor.finite_difference_check(f, named, max_coords=4,
-                                         rng=np.random.default_rng(0))
-    assert err < 1e-4
+    return tensor.finite_difference_check(f, named, max_coords=4,
+                                          rng=np.random.default_rng(0))
+
+
+def test_encoder_gradients_pass_finite_difference():
+    assert _encoder_gradient_error(hidden=8, heads=2) < 1e-4
+
+
+def test_encoder_gradients_pass_finite_difference_three_heads():
+    # three heads exercise concat_cols with more than two blocks
+    assert _encoder_gradient_error(hidden=9, heads=3) < 1e-4
 
 
 def test_encoder_config_validation():

@@ -185,6 +185,47 @@ def test_shape_mismatch_raises():
 
 
 def test_node_value_shape_contract():
-    node = Node(5.0)
+    # gradients are lazy: none before backward, value-shaped after it
+    node = Node(5.0, requires_grad=True)
     assert node.value.shape == (1, 1)
-    assert node.grad.shape == node.value.shape
+    assert node.grad is None
+    backward(tensor.sum_all(node))
+    assert np.array_equal(node.grad, np.ones(node.value.shape))
+
+
+def test_constant_operand_gets_no_gradient():
+    c = constant([[1.0, 2.0], [3.0, 4.0]])
+    w = parameter([[0.5], [-1.0]])
+    from_constants = tensor.add(c, c)
+    assert not c.needs_grad and not from_constants.needs_grad
+    grads = backward(tensor.sum_all(tensor.matmul(from_constants, w)))
+    assert c.grad is None and from_constants.grad is None
+    assert set(grads) == {w}
+    assert np.array_equal(w.grad, from_constants.value.T @ np.ones((2, 1)))
+
+
+def test_add_fanout_gradients_do_not_alias():
+    # add hands the same gradient to both operands; each must own its copy
+    a = parameter([[1.0, 2.0]])
+    b = parameter([[3.0, 4.0]])
+    backward(tensor.sum_all(tensor.add(a, b)))
+    assert a.grad is not b.grad
+    a.grad += 1.0
+    assert np.array_equal(b.grad, np.ones((1, 2)))
+
+
+def test_concat_cols_forward_and_backward():
+    a = parameter([[1.0, 2.0], [3.0, 4.0]])
+    b = parameter([[5.0], [6.0]])
+    out = tensor.concat_cols(a, b)
+    assert np.array_equal(out.value, [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
+    # the transpose / concat_rows / transpose route it replaces, bit for bit
+    via_rows = tensor.transpose(tensor.concat_rows(tensor.transpose(a), tensor.transpose(b)))
+    assert np.array_equal(out.value, via_rows.value)
+    w = constant([[1.0], [10.0], [100.0]])
+    backward(tensor.sum_all(tensor.matmul(out, w)))
+    assert np.array_equal(a.grad, [[1.0, 10.0], [1.0, 10.0]])
+    assert np.array_equal(b.grad, [[100.0], [100.0]])
+    assert a.grad.flags.c_contiguous and b.grad.flags.c_contiguous
+    with pytest.raises(ValueError):
+        tensor.concat_cols(a, parameter([[1.0]]))

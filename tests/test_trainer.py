@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from annembed import tensor, trainer
 from annembed.corpus import AnnotatedExample, Dataset, Split, make_annotation_split
 from annembed.embedding import CombinationMode
 from annembed.encoder import EncoderConfig
@@ -364,3 +367,112 @@ def test_eval_report_serialization():
     assert obj["em_accuracy"] == 0.5
     text = report.to_text(["yes", "no"])
     assert "macro_f1" in text and "yes" in text
+
+
+def test_eval_forward_allocates_no_gradient():
+    from annembed.encoder import tokenize
+
+    model, split = _trained_model(epochs=1)
+    ex = split.test.examples[0]
+    ids = tokenize(ex.text, model.vocab, model.encoder_config.max_len)
+    logits = model.forward(ids, ex.annotator_id, model.test_coefficients(ex.annotator_id))
+    seen, stack = set(), [logits]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            assert node.grad is None, node
+            stack.extend(node.parents)
+    assert len(seen) > 50
+    assert all(p.grad is None for p in model.named_parameters().values())
+    tensor.backward(model.loss_for(ids, ex.annotator_id,
+                                   model.test_coefficients(ex.annotator_id), ex.label))
+    assert model.params.head_w.grad is not None
+
+
+def test_adam_treats_unreached_parameter_as_zero_gradient():
+    p = tensor.parameter([[1.0, -2.0]])
+    q = tensor.parameter([[0.5, 3.0]])
+    opt = trainer.Adam({"p": p, "q": q}, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    tensor.backward(tensor.sum_all(tensor.add(p, q)))
+    opt.step()
+    assert p.grad is None and q.grad is None
+    m_q, v_q = opt.m["q"].copy(), opt.v["q"].copy()
+    # the second loss does not reach q: its step must use a zero gradient,
+    # not the first step's
+    tensor.backward(tensor.sum_all(p))
+    opt.step()
+    assert np.array_equal(opt.m["q"], 0.9 * m_q)
+    assert np.array_equal(opt.v["q"], 0.999 * v_q)
+
+
+def test_non_finite_gradient_raises_before_update(monkeypatch):
+    snapshots = []
+    real_step = trainer.Adam.step
+
+    def recording_step(self):
+        real_step(self)
+        snapshots.append((self.params, {k: p.value.copy() for k, p in self.params.items()}))
+
+    real_gelu = tensor.gelu
+
+    def poisoned_gelu(x):
+        out = real_gelu(x)
+        if snapshots:    # from the second step on, the backward returns NaN
+            out._backward = lambda: x.accumulate(np.full(x.value.shape, np.nan))
+        return out
+
+    monkeypatch.setattr(trainer.Adam, "step", recording_step)
+    monkeypatch.setattr(tensor, "gelu", poisoned_gelu)
+    split = _tiny_split()
+    cfg = TrainConfig(mode=CombinationMode.TEXT_ONLY, epochs=1, batch_size=4, seed=0)
+    with pytest.raises(TrainingDiverged, match=r"gradient for \S+ at epoch 0 step 1"):
+        train(split, cfg, EncoderConfig(**FAST_ENC))
+    assert len(snapshots) == 1
+    params, values = snapshots[0]
+    for key, param in params.items():
+        assert np.array_equal(param.value, values[key]), key
+
+
+def _saved_checkpoint(tmp_path):
+    model, _ = _trained_model(epochs=1)
+    directory = tmp_path / "ckpt"
+    save_checkpoint(model, directory)
+    return directory
+
+
+def _edit_manifest(directory, edit):
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def test_checkpoint_rejects_unknown_format_version(tmp_path):
+    directory = _saved_checkpoint(tmp_path)
+    _edit_manifest(directory, lambda m: m.update(format_version=2))
+    with pytest.raises(ValueError, match="format_version"):
+        load_checkpoint(directory)
+
+
+def test_checkpoint_rejects_missing_array(tmp_path):
+    directory = _saved_checkpoint(tmp_path)
+    _edit_manifest(directory, lambda m: m["arrays"].pop("head_w"))
+    with pytest.raises(ValueError, match="head_w"):
+        load_checkpoint(directory)
+
+
+def test_checkpoint_rejects_wrong_array_shape(tmp_path):
+    # a one-row word table would broadcast over every row of the model's
+    directory = _saved_checkpoint(tmp_path)
+    _edit_manifest(directory, lambda m: m["arrays"]["word"].update(rows=1))
+    with pytest.raises(ValueError, match="word"):
+        load_checkpoint(directory)
+
+
+def test_checkpoint_rejects_truncated_params(tmp_path):
+    directory = _saved_checkpoint(tmp_path)
+    blob = (directory / "params.bin").read_bytes()
+    (directory / "params.bin").write_bytes(blob[:-8])
+    with pytest.raises(ValueError, match="params.bin is truncated"):
+        load_checkpoint(directory)
