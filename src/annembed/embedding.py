@@ -61,18 +61,14 @@ class EmbeddingBank:
             hidden=hidden,
         )
 
-    def named_parameters(self, mode: CombinationMode) -> dict[str, Node]:
-        """Parameters that receive gradient updates under the given mode."""
-        params: dict[str, Node] = {}
-        if mode.uses_annotator:
-            params["bank.annotator_rows"] = self.annotator_rows
-            params["bank.w_annotator"] = self.w_annotator
-        if mode.uses_annotation:
-            params["bank.label_rows"] = self.label_rows
-            params["bank.w_annotation"] = self.w_annotation
-        if mode.uses_annotator or mode.uses_annotation:
-            params["bank.w_sentence"] = self.w_sentence
-        return params
+    def named_parameters(self) -> dict[str, Node]:
+        return {
+            "bank.annotator_rows": self.annotator_rows,
+            "bank.w_annotator": self.w_annotator,
+            "bank.label_rows": self.label_rows,
+            "bank.w_annotation": self.w_annotation,
+            "bank.w_sentence": self.w_sentence,
+        }
 
 
 def label_coefficients(counts: np.ndarray | None, n_labels: int,

@@ -1,8 +1,12 @@
 """Dense float64 matrices with reverse-mode differentiation.
 
-Every value is a 2-D row-major float64 array wrapped in a Node. Operations
-record a backward closure; backward() runs the closures in reverse
-topological order, accumulating gradients additively across fan-out.
+Every value is a 2-D row-major float64 array wrapped in a Node. Each
+operation gives its output node a backward closure of one argument, the
+gradient arriving at that node; backward() calls the closures in reverse
+topological order, accumulating gradients additively across fan-out. A
+closure refers to the node's parents and never to the node itself, so a
+graph holds no reference cycle and is freed by refcounting as soon as the
+last reference to its output is dropped.
 Gradients are demand-driven: a node needs one only if it is a parameter or
 depends on one, and its buffer is created when the first contribution
 arrives, so forward-only passes allocate no gradient memory.
@@ -35,10 +39,12 @@ def _as_matrix(data) -> np.ndarray:
 class Node:
     """A value, its parents, and (after backward) its gradient.
 
-    grad is None until backward delivers a contribution. needs_grad is fixed
-    at construction: true for a parameter (requires_grad) and for anything
-    computed from one, false for constants and everything built only from
-    constants.
+    backward, if given, is a function of the gradient arriving at this node
+    that passes contributions on to the parents; it must not refer to the
+    node it belongs to. grad is None until backward delivers a contribution.
+    needs_grad is fixed at construction: true for a parameter (requires_grad)
+    and for anything computed from one, false for constants and everything
+    built only from constants.
     """
 
     __slots__ = ("value", "grad", "parents", "needs_grad", "_backward")
@@ -87,62 +93,51 @@ def parameter(value) -> Node:
 def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[1] != b.value.shape[0]:
         raise ValueError(f"matmul shape mismatch {a.value.shape} x {b.value.shape}")
-    out = Node(a.value @ b.value, (a, b))
 
-    def _backward():
-        a.accumulate(out.grad @ b.value.T)
-        b.accumulate(a.value.T @ out.grad)
+    def _backward(g):
+        a.accumulate(g @ b.value.T)
+        b.accumulate(a.value.T @ g)
 
-    out._backward = _backward
-    return out
+    return Node(a.value @ b.value, (a, b), backward=_backward)
 
 
 def add(a: Node, b: Node) -> Node:
     """Elementwise add; a 1-row right operand broadcasts over the rows of a."""
     if a.value.shape == b.value.shape:
-        out = Node(a.value + b.value, (a, b))
-
-        def _backward():
-            a.accumulate(out.grad)
-            b.accumulate(out.grad)
+        def _backward(g):
+            a.accumulate(g)
+            b.accumulate(g)
 
     elif b.value.shape == (1, a.value.shape[1]):
-        out = Node(a.value + b.value, (a, b))
-
-        def _backward():
-            a.accumulate(out.grad)
-            b.accumulate(out.grad.sum(axis=0, keepdims=True))
+        def _backward(g):
+            a.accumulate(g)
+            b.accumulate(g.sum(axis=0, keepdims=True))
 
     else:
         raise ValueError(f"add shape mismatch {a.value.shape} + {b.value.shape}")
-    out._backward = _backward
-    return out
+    return Node(a.value + b.value, (a, b), backward=_backward)
 
 
 def scalar_scale(a: Node, c: float) -> Node:
     """Multiply by a plain Python constant."""
     c = float(c)
-    out = Node(a.value * c, (a,))
 
-    def _backward():
-        a.accumulate(out.grad * c)
+    def _backward(g):
+        a.accumulate(g * c)
 
-    out._backward = _backward
-    return out
+    return Node(a.value * c, (a,), backward=_backward)
 
 
 def scalar_mul(s: Node, a: Node) -> Node:
     """Multiply a matrix by a differentiable 1x1 scalar node."""
     if s.value.shape != (1, 1):
         raise ValueError(f"scalar operand must be 1x1, got {s.value.shape}")
-    out = Node(s.value[0, 0] * a.value, (s, a))
 
-    def _backward():
-        s.accumulate(np.array([[np.sum(out.grad * a.value)]]))
-        a.accumulate(out.grad * s.value[0, 0])
+    def _backward(g):
+        s.accumulate(np.array([[np.sum(g * a.value)]]))
+        a.accumulate(g * s.value[0, 0])
 
-    out._backward = _backward
-    return out
+    return Node(s.value[0, 0] * a.value, (s, a), backward=_backward)
 
 
 def row_mean(a: Node) -> Node:
@@ -150,23 +145,18 @@ def row_mean(a: Node) -> Node:
     rows = a.value.shape[0]
     if rows == 0:
         raise ValueError("row_mean of an empty matrix")
-    out = Node(a.value.mean(axis=0, keepdims=True), (a,))
 
-    def _backward():
-        a.accumulate(np.repeat(out.grad / rows, rows, axis=0))
+    def _backward(g):
+        a.accumulate(np.repeat(g / rows, rows, axis=0))
 
-    out._backward = _backward
-    return out
+    return Node(a.value.mean(axis=0, keepdims=True), (a,), backward=_backward)
 
 
 def sum_all(a: Node) -> Node:
-    out = Node([[a.value.sum()]], (a,))
+    def _backward(g):
+        a.accumulate(np.broadcast_to(g, a.value.shape))
 
-    def _backward():
-        a.accumulate(np.broadcast_to(out.grad, a.value.shape))
-
-    out._backward = _backward
-    return out
+    return Node([[a.value.sum()]], (a,), backward=_backward)
 
 
 def gather_rows(a: Node, indices) -> Node:
@@ -174,83 +164,53 @@ def gather_rows(a: Node, indices) -> Node:
     idx = np.asarray(indices, dtype=np.intp).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[0]):
         raise ValueError("gather_rows index out of range")
-    out = Node(a.value[idx], (a,))
 
-    def _backward():
+    def _backward(g):
         # add.at straight into the buffer: summing into a temporary first and
         # adding that would reorder the additions and move the last bits
         if a.needs_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.value)
-            np.add.at(a.grad, idx, out.grad)
+            np.add.at(a.grad, idx, g)
 
-    out._backward = _backward
-    return out
-
-
-def scatter_add(base: Node, indices, rows: Node) -> Node:
-    """Add rows into a copy of base at the given row indices."""
-    idx = np.asarray(indices, dtype=np.intp).reshape(-1)
-    if idx.size != rows.value.shape[0]:
-        raise ValueError("scatter_add needs one index per row")
-    if idx.size and (idx.min() < 0 or idx.max() >= base.value.shape[0]):
-        raise ValueError("scatter_add index out of range")
-    if base.value.shape[1] != rows.value.shape[1]:
-        raise ValueError("scatter_add column mismatch")
-    value = base.value.copy()
-    np.add.at(value, idx, rows.value)
-    out = Node(value, (base, rows))
-
-    def _backward():
-        base.accumulate(out.grad)
-        rows.accumulate(out.grad[idx])
-
-    out._backward = _backward
-    return out
+    return Node(a.value[idx], (a,), backward=_backward)
 
 
 def transpose(a: Node) -> Node:
-    out = Node(a.value.T, (a,))
+    def _backward(g):
+        a.accumulate(g.T)
 
-    def _backward():
-        a.accumulate(out.grad.T)
-
-    out._backward = _backward
-    return out
+    return Node(a.value.T, (a,), backward=_backward)
 
 
 def concat_rows(*nodes: Node) -> Node:
     cols = {n.value.shape[1] for n in nodes}
     if len(cols) != 1:
         raise ValueError("concat_rows needs equal column counts")
-    out = Node(np.concatenate([n.value for n in nodes], axis=0), nodes)
 
-    def _backward():
+    def _backward(g):
         offset = 0
         for n in nodes:
             rows = n.value.shape[0]
-            n.accumulate(out.grad[offset:offset + rows])
+            n.accumulate(g[offset:offset + rows])
             offset += rows
 
-    out._backward = _backward
-    return out
+    return Node(np.concatenate([n.value for n in nodes], axis=0), nodes, backward=_backward)
 
 
 def concat_cols(*nodes: Node) -> Node:
     rows = {n.value.shape[0] for n in nodes}
     if len(rows) != 1:
         raise ValueError("concat_cols needs equal row counts")
-    out = Node(np.concatenate([n.value for n in nodes], axis=1), nodes)
 
-    def _backward():
+    def _backward(g):
         offset = 0
         for n in nodes:
             cols = n.value.shape[1]
-            n.accumulate(out.grad[:, offset:offset + cols])
+            n.accumulate(g[:, offset:offset + cols])
             offset += cols
 
-    out._backward = _backward
-    return out
+    return Node(np.concatenate([n.value for n in nodes], axis=1), nodes, backward=_backward)
 
 
 def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = LAYER_NORM_EPS) -> Node:
@@ -263,19 +223,18 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = LAYER_NORM_EPS) ->
     var = (centered * centered).sum(axis=1, keepdims=True) / cols
     inv = 1.0 / np.sqrt(var + eps)
     norm = centered * inv
-    out = Node(norm * gamma.value + beta.value, (x, gamma, beta))
 
-    def _backward():
-        g = out.grad * gamma.value
+    def _backward(g):
+        # g stays the incoming gradient: gamma and beta need it unscaled
+        g_norm = g * gamma.value
         # d/dx of (x - mu) * inv with mu, var per row
-        m1 = g.sum(axis=1, keepdims=True) / cols
-        m2 = (g * norm).sum(axis=1, keepdims=True) / cols
-        x.accumulate((g - m1 - norm * m2) * inv)
-        gamma.accumulate((out.grad * norm).sum(axis=0, keepdims=True))
-        beta.accumulate(out.grad.sum(axis=0, keepdims=True))
+        m1 = g_norm.sum(axis=1, keepdims=True) / cols
+        m2 = (g_norm * norm).sum(axis=1, keepdims=True) / cols
+        x.accumulate((g_norm - m1 - norm * m2) * inv)
+        gamma.accumulate((g * norm).sum(axis=0, keepdims=True))
+        beta.accumulate(g.sum(axis=0, keepdims=True))
 
-    out._backward = _backward
-    return out
+    return Node(norm * gamma.value + beta.value, (x, gamma, beta), backward=_backward)
 
 
 def dropout(x: Node, p: float, rng: np.random.Generator, training: bool) -> Node:
@@ -283,48 +242,36 @@ def dropout(x: Node, p: float, rng: np.random.Generator, training: bool) -> Node
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must lie in [0, 1)")
     if not training or p == 0.0:
-        out = Node(x.value, (x,))
-
-        def _backward():
-            x.accumulate(out.grad)
-
-        out._backward = _backward
-        return out
+        return Node(x.value, (x,), backward=x.accumulate)
     mask = (rng.random(x.value.shape) >= p) / (1.0 - p)
-    out = Node(x.value * mask, (x,))
 
-    def _backward():
-        x.accumulate(out.grad * mask)
+    def _backward(g):
+        x.accumulate(g * mask)
 
-    out._backward = _backward
-    return out
+    return Node(x.value * mask, (x,), backward=_backward)
 
 
 def gelu(x: Node) -> Node:
     v = x.value
     cdf = 0.5 * (1.0 + erf(v / np.sqrt(2.0)))
-    out = Node(v * cdf, (x,))
 
-    def _backward():
+    def _backward(g):
         pdf = np.exp(-0.5 * v * v) / np.sqrt(2.0 * np.pi)
-        x.accumulate(out.grad * (cdf + v * pdf))
+        x.accumulate(g * (cdf + v * pdf))
 
-    out._backward = _backward
-    return out
+    return Node(v * cdf, (x,), backward=_backward)
 
 
 def row_softmax(x: Node) -> Node:
     z = x.value - x.value.max(axis=1, keepdims=True)
     e = np.exp(z)
     probs = e / e.sum(axis=1, keepdims=True)
-    out = Node(probs, (x,))
 
-    def _backward():
-        dot = (out.grad * probs).sum(axis=1, keepdims=True)
-        x.accumulate(probs * (out.grad - dot))
+    def _backward(g):
+        dot = (g * probs).sum(axis=1, keepdims=True)
+        x.accumulate(probs * (g - dot))
 
-    out._backward = _backward
-    return out
+    return Node(probs, (x,), backward=_backward)
 
 
 def softmax_cross_entropy(logits: Node, target: int) -> Node:
@@ -339,15 +286,13 @@ def softmax_cross_entropy(logits: Node, target: int) -> Node:
     if not np.isfinite(lse):
         raise FloatingPointError("non-finite logits in cross-entropy")
     probs = np.exp(row - lse)
-    out = Node([[lse - row[target]]], (logits,))
 
-    def _backward():
+    def _backward(g):
         d = probs.copy()
         d[target] -= 1.0
-        logits.accumulate(out.grad[0, 0] * d.reshape(1, -1))
+        logits.accumulate(g[0, 0] * d.reshape(1, -1))
 
-    out._backward = _backward
-    return out
+    return Node([[lse - row[target]]], (logits,), backward=_backward)
 
 
 def _topo_order(root: Node) -> list[Node]:
@@ -391,7 +336,7 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
         if node.grad is None:
             continue
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
         if node.needs_grad and not node.parents:
             grads[node] = node.grad
     return grads

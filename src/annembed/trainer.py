@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -88,11 +88,10 @@ class Model:
     def mode(self) -> CombinationMode:
         return self.train_config.mode
 
-    def named_parameters(self, mode: Optional[CombinationMode] = None) -> dict[str, tensor.Node]:
-        mode = self.mode if mode is None else mode
-        params = self.params.named_parameters()
-        params.update(self.bank.named_parameters(mode))
-        return params
+    def named_parameters(self) -> dict[str, tensor.Node]:
+        """Every parameter of the model, whatever the mode; one the mode's loss
+        never reaches keeps grad None, so Adam leaves its value unchanged."""
+        return {**self.params.named_parameters(), **self.bank.named_parameters()}
 
     def _unseen_annotator_row(self, annotator_id: str) -> np.ndarray:
         # fresh untrained row, deterministic per (model seed, annotator id)
@@ -397,11 +396,13 @@ def ablation_eval(model: Model, dataset: Dataset, variant: str) -> EvalReport:
 
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_ARRAYS = "params.bin"
+MANIFEST_KEYS = ("format_version", "encoder_config", "train_config", "label_names",
+                 "annotator_ids", "vocabulary", "seed", "train_counts", "train_label_totals",
+                 "arrays")
 
 
 def _all_arrays(model: Model) -> dict[str, np.ndarray]:
-    params = model.named_parameters(CombinationMode.TEXT_PLUS_BOTH)
-    return {name: node.value for name, node in params.items()}
+    return {name: node.value for name, node in model.named_parameters().items()}
 
 
 def save_checkpoint(model: Model, directory) -> None:
@@ -432,16 +433,30 @@ def save_checkpoint(model: Model, directory) -> None:
         fh.write("\n")
 
 
+def _config_from_manifest(directory, manifest: dict, key: str, cls):
+    section = manifest[key]
+    names = {f.name for f in fields(cls)}
+    missing, extra = sorted(names - set(section)), sorted(set(section) - names)
+    if missing or extra:
+        raise ValueError(f"{directory}: {CHECKPOINT_MANIFEST} {key} does not match "
+                         f"{cls.__name__} (missing {missing}, unexpected {extra})")
+    return cls(**section)
+
+
 def load_checkpoint(directory) -> Model:
-    """Rebuild a saved model; ValueError if the manifest and params.bin do not
-    hold exactly the model's arrays with the model's shapes."""
+    """Rebuild a saved model; ValueError if the manifest lacks a key, a config
+    in it has a missing or unknown field, or the manifest and params.bin do
+    not hold exactly the model's arrays with the model's shapes."""
     with open(os.path.join(directory, CHECKPOINT_MANIFEST), encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("format_version") != 1:
         raise ValueError(f"{directory}: unsupported checkpoint format_version "
                          f"{manifest.get('format_version')!r} (expected 1)")
-    encoder_config = EncoderConfig(**manifest["encoder_config"])
-    train_config = TrainConfig(**manifest["train_config"])
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise ValueError(f"{directory}: {CHECKPOINT_MANIFEST} lacks {missing}")
+    encoder_config = _config_from_manifest(directory, manifest, "encoder_config", EncoderConfig)
+    train_config = _config_from_manifest(directory, manifest, "train_config", TrainConfig)
     vocab = Vocabulary(token_to_id=dict(manifest["vocabulary"]))
     model = Model(encoder_config, train_config, vocab, manifest["label_names"],
                   manifest["annotator_ids"], manifest["seed"])

@@ -303,3 +303,15 @@ def test_failed_run_records_the_error(tmp_path, split_dir, train_dir):
     lines = (out / "FAILED").read_text().splitlines()
     assert lines[0] == "run failed; outputs may be partial"
     assert lines[1].startswith("ValueError: ") and "format_version" in lines[1]
+
+
+def test_eval_of_checkpoint_missing_manifest_key_exit_code(tmp_path, split_dir, train_dir,
+                                                           capsys):
+    checkpoint = train_dir / "checkpoint"
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    del manifest["train_counts"]
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    assert _run("eval", "--checkpoint", str(checkpoint),
+                "--data", str(split_dir / "test.jsonl"), "--out", str(tmp_path / "eval")) == 2
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and "train_counts" in err

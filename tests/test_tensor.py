@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -93,16 +95,6 @@ def test_gather_rows_repeats_accumulate():
     expected[1] = 2.0
     expected[3] = 1.0
     assert np.array_equal(table.grad, expected)
-
-
-def test_scatter_add_forward_and_backward():
-    base = parameter(np.zeros((3, 2)))
-    rows = parameter(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    out = tensor.scatter_add(base, [0, 2, 0], rows)
-    assert np.array_equal(out.value, [[6.0, 8.0], [0.0, 0.0], [3.0, 4.0]])
-    backward(tensor.sum_all(out))
-    assert np.array_equal(base.grad, np.ones((3, 2)))
-    assert np.array_equal(rows.grad, np.ones((3, 2)))
 
 
 def test_dropout_eval_is_identity():
@@ -229,3 +221,25 @@ def test_concat_cols_forward_and_backward():
     assert a.grad.flags.c_contiguous and b.grad.flags.c_contiguous
     with pytest.raises(ValueError):
         tensor.concat_cols(a, parameter([[1.0]]))
+
+
+def test_dropped_graph_needs_no_cyclic_gc():
+    # no closure refers to its own node, so refcounting alone frees a graph
+    rng = np.random.default_rng(0)
+    x = parameter(rng.normal(size=(3, 4)))
+    w = parameter(rng.normal(size=(4, 4)))
+    gamma = parameter(np.ones((1, 4)))
+    beta = parameter(np.zeros((1, 4)))
+    head = parameter(rng.normal(size=(8, 3)))
+    gc.collect()
+    gc.disable()
+    try:
+        h = tensor.gelu(tensor.layer_norm(tensor.matmul(x, w), gamma, beta))
+        wide = tensor.concat_cols(h, tensor.gather_rows(x, [2, 0, 1]))
+        stacked = tensor.concat_rows(wide, tensor.gather_rows(wide, [0]))
+        loss = tensor.softmax_cross_entropy(tensor.matmul(tensor.row_mean(stacked), head), 1)
+        backward(loss)
+        del h, wide, stacked, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -210,8 +210,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     report_before = evaluate(model, split.test)
     save_checkpoint(model, tmp_path / "ckpt")
     reloaded = load_checkpoint(tmp_path / "ckpt")
-    for name, node in model.named_parameters(CombinationMode.TEXT_PLUS_BOTH).items():
-        other = reloaded.named_parameters(CombinationMode.TEXT_PLUS_BOTH)[name]
+    for name, node in model.named_parameters().items():
+        other = reloaded.named_parameters()[name]
         assert np.array_equal(node.value, other.value), name
     report_after = evaluate(reloaded, split.test)
     assert report_before.em_accuracy == report_after.em_accuracy
@@ -419,7 +419,7 @@ def test_non_finite_gradient_raises_before_update(monkeypatch):
     def poisoned_gelu(x):
         out = real_gelu(x)
         if snapshots:    # from the second step on, the backward returns NaN
-            out._backward = lambda: x.accumulate(np.full(x.value.shape, np.nan))
+            out._backward = lambda g: x.accumulate(np.full(x.value.shape, np.nan))
         return out
 
     monkeypatch.setattr(trainer.Adam, "step", recording_step)
@@ -475,4 +475,22 @@ def test_checkpoint_rejects_truncated_params(tmp_path):
     blob = (directory / "params.bin").read_bytes()
     (directory / "params.bin").write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="params.bin is truncated"):
+        load_checkpoint(directory)
+
+
+def test_checkpoint_rejects_missing_manifest_key(tmp_path):
+    directory = _saved_checkpoint(tmp_path)
+    _edit_manifest(directory, lambda m: m.pop("train_counts"))
+    with pytest.raises(ValueError, match=r"ckpt: manifest.json lacks \['train_counts'\]"):
+        load_checkpoint(directory)
+
+
+@pytest.mark.parametrize("section, edit, key", [
+    ("encoder_config", lambda c: c.update(width=8), "width"),
+    ("train_config", lambda c: c.pop("seed"), "seed"),
+])
+def test_checkpoint_rejects_config_field_mismatch(tmp_path, section, edit, key):
+    directory = _saved_checkpoint(tmp_path)
+    _edit_manifest(directory, lambda m: edit(m[section]))
+    with pytest.raises(ValueError, match=rf"ckpt: manifest.json {section} .*'{key}'"):
         load_checkpoint(directory)
