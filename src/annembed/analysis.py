@@ -67,7 +67,8 @@ def cohen_kappa_matrix(dataset: Dataset, min_overlap: int = 10) -> KappaMatrix:
         if co_counts[i, i] >= 1:
             values[i, i] = 1.0
         for j in range(i + 1, n):
-            common = sorted(set(by_ann[ids[i]]) & set(by_ann[ids[j]]))
+            # kappa depends only on label counts, so the common examples need no order
+            common = by_ann[ids[i]].keys() & by_ann[ids[j]].keys()
             co_counts[i, j] = co_counts[j, i] = len(common)
             if len(common) < min_overlap:
                 continue

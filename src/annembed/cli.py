@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -22,16 +21,11 @@ from .embedding import CombinationMode, parameter_overhead
 from .encoder import EncoderConfig
 
 OUT_ROOT_ENV = "ANNEMBED_OUT"
+ANALYSES = ("stats", "kappa", "correlation", "cluster", "project", "alignment")
 
 
 class CliError(RuntimeError):
     pass
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
 
 
 def _resolve_out(args) -> str:
@@ -50,8 +44,8 @@ def _write_run_manifest(out, args) -> None:
         k: v for k, v in vars(args).items()
         if k not in ("command", "func", "config")
     }
-    _write_json(os.path.join(out, "manifest.json"),
-                {"command": args.command, "options": options})
+    corpus.write_json(os.path.join(out, "manifest.json"),
+                      {"command": args.command, "options": options})
 
 
 def _manifest_for(data_path: str, override: str | None) -> dict:
@@ -87,7 +81,7 @@ def cmd_synth(args, out):
     dataset, truth = synthgen.generate_population(cfg)
     corpus.write_dataset(dataset, os.path.join(out, "corpus.jsonl"))
     corpus.write_manifest(dataset, os.path.join(out, "corpus.manifest.json"))
-    truth.save(os.path.join(out, "truth.json"))
+    corpus.write_json(os.path.join(out, "truth.json"), truth.to_dict())
     print(f"wrote {len(dataset)} annotations "
           f"({dataset.n_annotators} annotators, {dataset.n_labels} labels) to {out}")
 
@@ -104,7 +98,7 @@ def cmd_split(args, out):
     if split.dev is not None:
         corpus.write_dataset(split.dev, os.path.join(out, "dev.jsonl"))
     corpus.write_manifest(dataset, os.path.join(out, "schema.manifest.json"))
-    _write_json(os.path.join(out, "split_manifest.json"), {
+    corpus.write_json(os.path.join(out, "split_manifest.json"), {
         "kind": split.kind,
         "seed": split.seed,
         "train_frac": args.train_frac,
@@ -122,14 +116,20 @@ def cmd_split(args, out):
 
 def _load_split(split_dir: str) -> corpus.Split:
     schema = corpus.read_manifest(os.path.join(split_dir, "schema.manifest.json"))
-    with open(os.path.join(split_dir, "split_manifest.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = corpus.read_json(os.path.join(split_dir, "split_manifest.json"),
+                            required=("kind", "seed"))
     labels = schema["label_names"]
     train = corpus.load_dataset(os.path.join(split_dir, "train.jsonl"), labels, name="train")
     test = corpus.load_dataset(os.path.join(split_dir, "test.jsonl"), labels, name="test")
     dev_path = os.path.join(split_dir, "dev.jsonl")
     dev = corpus.load_dataset(dev_path, labels, name="dev") if os.path.exists(dev_path) else None
     return corpus.Split(train=train, test=test, dev=dev, kind=meta["kind"], seed=meta["seed"])
+
+
+def _write_report(out, report, label_names) -> None:
+    corpus.write_json(os.path.join(out, "report.json"), report.to_dict())
+    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
+        fh.write(report.to_text(label_names) + "\n")
 
 
 def _train_one(split, args, seed, out):
@@ -149,17 +149,15 @@ def _train_one(split, args, seed, out):
     os.makedirs(out, exist_ok=True)
     trainer.save_checkpoint(model, os.path.join(out, "checkpoint"))
     report = trainer.evaluate(model, split.test, with_baselines=True)
-    _write_json(os.path.join(out, "report.json"), report.to_dict())
-    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_text(model.label_names) + "\n")
-    _write_json(os.path.join(out, "run_log.json"),
-                {"seed": seed, "loss_trace": trace, "steps": len(trace)})
+    _write_report(out, report, model.label_names)
+    corpus.write_json(os.path.join(out, "run_log.json"),
+                      {"seed": seed, "loss_trace": trace, "steps": len(trace)})
     overhead = parameter_overhead(
         len(model.annotator_ids), len(model.label_names),
         model.encoder_config.hidden, model.mode,
         base_parameters=sum(p.value.size for p in model.params.named_parameters().values()),
     )
-    _write_json(os.path.join(out, "overhead.json"), overhead.to_dict())
+    corpus.write_json(os.path.join(out, "overhead.json"), overhead.to_dict())
     return report
 
 
@@ -186,7 +184,7 @@ def cmd_train(args, out):
         "per_run_em": [float(e) for e in ems],
         "per_run_macro_f1": [float(f) for f in f1s],
     }
-    _write_json(os.path.join(out, "summary.json"), summary)
+    corpus.write_json(os.path.join(out, "summary.json"), summary)
     print(f"em {summary['em_mean'] * 100:.2f} {{{summary['em_std'] * 100:.2f}}}  "
           f"macro_f1 {summary['macro_f1_mean'] * 100:.2f} {{{summary['macro_f1_std'] * 100:.2f}}}")
 
@@ -199,9 +197,7 @@ def cmd_eval(args, out):
         dataset = corpus.drop_unseen_annotators(dataset, model.annotator_ids)
         print(f"dropped {before - len(dataset)} annotations from unseen annotators")
     report = trainer.evaluate(model, dataset, with_baselines=True)
-    _write_json(os.path.join(out, "report.json"), report.to_dict())
-    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_text(model.label_names) + "\n")
+    _write_report(out, report, model.label_names)
     print(report.to_text(model.label_names))
 
 
@@ -214,7 +210,7 @@ def cmd_baselines(args, out):
                              minlength=dataset.n_labels)
         majority = int(np.argmax(counts))
     random_em, majority_em = trainer.baselines(dataset, args.seed, majority_label=majority)
-    _write_json(os.path.join(out, "baselines.json"), {
+    corpus.write_json(os.path.join(out, "baselines.json"), {
         "random_em": random_em,
         "majority_em": majority_em,
         "majority_label": dataset.label_names[majority] if majority is not None else None,
@@ -229,29 +225,36 @@ def cmd_ablate(args, out):
     variants = list(trainer.ABLATIONS) if args.variant == "all" else [args.variant]
     results = {}
     for variant in variants:
+        _, keep_text = trainer.ABLATIONS[variant]
+        if args.variant == "all" and not keep_text and model.mode == CombinationMode.TEXT_ONLY:
+            print(f"{variant:15s} skipped: a text_only model has no embedding to keep")
+            continue
         report = trainer.ablation_eval(model, dataset, variant)
         results[variant] = report.to_dict()
         print(f"{variant:15s} em {report.em_accuracy:.4f} macro_f1 {report.macro_f1:.4f}")
-    _write_json(os.path.join(out, "ablation.json"), results)
+    corpus.write_json(os.path.join(out, "ablation.json"), results)
 
 
 def cmd_analyze(args, out):
-    dataset = _load_data(args)
     what = set(args.what.split(","))
+    unknown = sorted(what - {"all", *ANALYSES})
+    if unknown:
+        raise CliError(f"unknown --what {unknown}; choose from all,{','.join(ANALYSES)}")
     if "all" in what:
-        what = {"stats", "kappa", "correlation", "cluster", "project", "alignment"}
+        what = set(ANALYSES)
+    dataset = _load_data(args)
     model = trainer.load_checkpoint(args.checkpoint) if args.checkpoint else None
 
     if "stats" in what:
-        _write_json(os.path.join(out, "stats.json"),
-                    corpus.dataset_statistics(dataset).to_dict())
+        corpus.write_json(os.path.join(out, "stats.json"),
+                          corpus.dataset_statistics(dataset).to_dict())
     if "kappa" in what:
         kappa = analysis.cohen_kappa_matrix(dataset, min_overlap=args.min_overlap)
-        _write_json(os.path.join(out, "kappa.json"), kappa.to_dict())
+        corpus.write_json(os.path.join(out, "kappa.json"), kappa.to_dict())
         _write_matrix_csv(os.path.join(out, "kappa.csv"), kappa.annotator_ids, kappa.values)
     if "correlation" in what:
         corr = analysis.label_pearson(dataset, min_examples=args.min_examples)
-        _write_json(os.path.join(out, "label_correlation.json"), corr.to_dict())
+        corpus.write_json(os.path.join(out, "label_correlation.json"), corr.to_dict())
         _write_matrix_csv(os.path.join(out, "label_correlation.csv"),
                           corr.label_names, corr.values)
 
@@ -267,21 +270,21 @@ def cmd_analyze(args, out):
     if "cluster" in what or "alignment" in what:
         clusters = analysis.kmeans(points, k=args.k, seed=args.seed, ids=ids)
         if "cluster" in what:
-            _write_json(os.path.join(out, "clusters.json"), clusters.to_dict())
+            corpus.write_json(os.path.join(out, "clusters.json"), clusters.to_dict())
     if "project" in what:
         projection = analysis.pca_project(points, dims=2)
         with open(os.path.join(out, "projection.csv"), "w", encoding="utf-8") as fh:
             fh.write("annotator_id,x,y\n")
             for ann, (x, y) in zip(ids, projection.coordinates):
                 fh.write(f"{ann},{x!r},{y!r}\n")
-        _write_json(os.path.join(out, "projection.json"), projection.to_dict())
+        corpus.write_json(os.path.join(out, "projection.json"), projection.to_dict())
     if "alignment" in what:
         try:
             alignment = analysis.demographic_alignment(clusters, dataset)
         except ValueError as err:
             print(f"alignment skipped: {err}")
         else:
-            _write_json(os.path.join(out, "alignment.json"), alignment.to_dict())
+            corpus.write_json(os.path.join(out, "alignment.json"), alignment.to_dict())
     print(f"analysis outputs written to {out}")
 
 
@@ -294,26 +297,20 @@ def _write_matrix_csv(path, names, values):
 
 
 def cmd_report(args, out):
-    rows = []
+    reports = []
     fields = [f.name for f in dataclasses.fields(trainer.EvalReport)]
     for path in args.inputs:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        missing = [name for name in fields if not isinstance(obj, dict) or name not in obj]
-        if missing:
-            raise CliError(f"{path}: not an eval report, missing field {missing[0]!r}")
-        rows.append((path, obj))
-        report = trainer.EvalReport(**{name: obj[name] for name in fields})
+        obj = corpus.read_json(path, required=fields)
+        reports.append(trainer.EvalReport(**{name: obj[name] for name in fields}))
         print(f"== {path}")
-        print(report.to_text())
-    if len(rows) > 1:
-        ems = np.array([obj["em_accuracy"] for _, obj in rows])
-        f1s = np.array([obj["macro_f1"] for _, obj in rows])
+        print(reports[-1].to_text())
+    if len(reports) > 1:
+        ems = np.array([r.em_accuracy for r in reports])
+        f1s = np.array([r.macro_f1 for r in reports])
         print(f"mean em {ems.mean() * 100:.2f} {{{ems.std() * 100:.2f}}}  "
               f"mean macro_f1 {f1s.mean() * 100:.2f} {{{f1s.std() * 100:.2f}}}")
     if out:
-        _write_json(os.path.join(out, "report_summary.json"),
-                    {"inputs": [p for p, _ in rows]})
+        corpus.write_json(os.path.join(out, "report_summary.json"), {"inputs": args.inputs})
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--what", default="all",
-                   help="comma list of stats,kappa,correlation,cluster,project,alignment")
+                   help=f"comma list of {','.join(ANALYSES)}, or all")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--min-overlap", type=int, default=10)
     p.add_argument("--min-examples", type=int, default=50)
@@ -432,9 +429,10 @@ def _apply_config(parser, argv):
     """Parse twice so --config supplies defaults that explicit flags override."""
     args = parser.parse_args(argv)
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = corpus.read_json(args.config)
         options = manifest.get("options", manifest)
+        if not isinstance(options, dict):
+            raise CliError(f"{args.config}: options must be a JSON object")
         command = manifest.get("command", args.command)
         if command != args.command:
             raise CliError(

@@ -1,4 +1,5 @@
-"""Loading, validation, splitting, and statistics for multi-annotator datasets.
+"""Loading, validation, splitting, and statistics for multi-annotator datasets,
+plus the package's one JSON file reader and writer.
 
 A dataset is a flat list of annotations: each record pairs one text with one
 annotator's label. The on-disk format is JSON Lines (one annotation per line,
@@ -40,8 +41,7 @@ class Dataset:
     def __post_init__(self):
         seen_pairs = set()
         known = set(self.annotator_ids)
-        appearing = []
-        appearing_set = set()
+        appearing = set()
         for ex in self.examples:
             if not 0 <= ex.label < len(self.label_names):
                 raise CorpusError(
@@ -53,10 +53,8 @@ class Dataset:
             if key in seen_pairs:
                 raise CorpusError(f"duplicate annotation {key}")
             seen_pairs.add(key)
-            if ex.annotator_id not in appearing_set:
-                appearing_set.add(ex.annotator_id)
-                appearing.append(ex.annotator_id)
-        if appearing_set != known:
+            appearing.add(ex.annotator_id)
+        if appearing != known:
             raise CorpusError("annotator registry does not match annotators in examples")
 
     @classmethod
@@ -163,24 +161,36 @@ def write_dataset(dataset: Dataset, path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def write_manifest(dataset: Dataset, path) -> None:
+def write_json(path, obj) -> None:
+    """Write obj as JSON with sorted keys, 2-space indent, non-ASCII kept and a
+    trailing newline; every JSON file the package writes goes through here."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"name": dataset.name, "label_names": dataset.label_names},
-            fh,
-            ensure_ascii=False,
-            sort_keys=True,
-            indent=2,
-        )
+        json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def read_manifest(path) -> dict:
+def read_json(path, required=()) -> dict:
+    """Read a JSON file that must hold an object with every key in required;
+    CorpusError names the file and every missing key."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if "label_names" not in obj:
-        raise CorpusError(f"manifest {path} lacks label_names")
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise CorpusError(f"{path}: malformed JSON ({err})") from err
+    if not isinstance(obj, dict):
+        raise CorpusError(f"{path}: expected a JSON object, found {type(obj).__name__}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise CorpusError(f"{path} lacks {missing}")
     return obj
+
+
+def write_manifest(dataset: Dataset, path) -> None:
+    write_json(path, {"name": dataset.name, "label_names": dataset.label_names})
+
+
+def read_manifest(path) -> dict:
+    return read_json(path, required=("label_names",))
 
 
 def _positions_by_annotator(dataset: Dataset) -> dict[str, list[int]]:

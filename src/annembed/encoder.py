@@ -73,6 +73,8 @@ class EncoderConfig:
     vocab_size: int = 0
 
     def __post_init__(self):
+        if min(self.hidden, self.heads, self.ffn_mult) < 1 or self.layers < 0:
+            raise ValueError("hidden, heads and ffn_mult must be at least 1, layers at least 0")
         if self.hidden % self.heads != 0:
             raise ValueError("hidden size must be divisible by the head count")
         if self.max_len < 2:

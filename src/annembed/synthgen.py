@@ -9,7 +9,6 @@ base label to a random target label, so 0 gives unanimous clean labels and
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,11 +65,6 @@ class GroundTruth:
             "group_ids": self.group_ids,
             "config": self.config.to_dict() if self.config else None,
         }
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def _bias_matrix(n_labels: int, strength: float, rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,6 @@ annotator/label registries; checkpoints round-trip all of it bit-exactly.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import tensor
-from .corpus import Dataset, Split
+from .corpus import Dataset, Split, read_json, write_json
 from .embedding import (
     AnnotationIndex,
     CombinationMode,
@@ -155,19 +154,18 @@ class Adam:
             param.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _prepare(dataset: Dataset, model: Model, index: Optional[AnnotationIndex],
-             train_time: bool):
-    """Tokenize once and precompute the E_n label-row coefficients."""
+def _prepare(dataset: Dataset, model: Model, mode: CombinationMode,
+             index: Optional[AnnotationIndex] = None):
+    """Tokenize once and precompute the E_n label-row coefficients a mode
+    needs: leave-one-out from the training index when one is given, else the
+    model's test-time ones."""
     items = []
-    uses_annotation = model.mode.uses_annotation
     for ex in dataset.examples:
         ids = enc.tokenize(ex.text, model.vocab, model.encoder_config.max_len)
         coeff = None
-        if uses_annotation:
-            if train_time:
-                coeff = index.train_coefficients(ex.annotator_id, ex.example_id)
-            else:
-                coeff = model.test_coefficients(ex.annotator_id)
+        if mode.uses_annotation:
+            coeff = (model.test_coefficients(ex.annotator_id) if index is None
+                     else index.train_coefficients(ex.annotator_id, ex.example_id))
         items.append((ids, ex.annotator_id, coeff, ex.label))
     return items
 
@@ -197,7 +195,7 @@ def train(split: Split, cfg: TrainConfig,
     rng_shuffle = np.random.default_rng(streams[2])
     rng_dropout = np.random.default_rng(streams[3])
 
-    items = _prepare(split.train, model, index, train_time=True)
+    items = _prepare(split.train, model, cfg.mode, index)
     params = model.named_parameters()
     optimizer = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
 
@@ -322,16 +320,14 @@ def evaluate(model: Model, dataset: Dataset, mode: Optional[CombinationMode] = N
     golds, preds = [], []
     per_ann_hit: dict[str, int] = {}
     per_ann_total: dict[str, int] = {}
-    for ex in dataset.examples:
-        ids = enc.tokenize(ex.text, model.vocab, model.encoder_config.max_len)
-        coeff = model.test_coefficients(ex.annotator_id) if mode.uses_annotation else None
-        logits = model.forward(ids, ex.annotator_id, coeff, training=False,
+    for ids, annotator_id, coeff, gold in _prepare(dataset, model, mode):
+        logits = model.forward(ids, annotator_id, coeff, training=False,
                                mode=mode, keep_text=keep_text)
         pred = int(np.argmax(logits.value[0]))
-        golds.append(ex.label)
+        golds.append(gold)
         preds.append(pred)
-        per_ann_total[ex.annotator_id] = per_ann_total.get(ex.annotator_id, 0) + 1
-        per_ann_hit[ex.annotator_id] = per_ann_hit.get(ex.annotator_id, 0) + (pred == ex.label)
+        per_ann_total[annotator_id] = per_ann_total.get(annotator_id, 0) + 1
+        per_ann_hit[annotator_id] = per_ann_hit.get(annotator_id, 0) + (pred == gold)
     em, macro, per_class, confusion = classification_scores(
         golds, preds, len(model.label_names))
     total = int(confusion.sum())
@@ -401,22 +397,26 @@ MANIFEST_KEYS = ("format_version", "encoder_config", "train_config", "label_name
                  "arrays")
 
 
-def _all_arrays(model: Model) -> dict[str, np.ndarray]:
-    return {name: node.value for name, node in model.named_parameters().items()}
+def checkpoint_layout(model: Model) -> dict[str, dict[str, int]]:
+    """Where each parameter array sits in params.bin: {name: {"offset",
+    "rows", "cols"}} in sorted-name order, packed back to back as float64."""
+    layout = {}
+    offset = 0
+    for name, node in sorted(model.named_parameters().items()):
+        rows, cols = node.value.shape
+        layout[name] = {"offset": offset, "rows": rows, "cols": cols}
+        offset += rows * cols * 8
+    return layout
 
 
 def save_checkpoint(model: Model, directory) -> None:
     os.makedirs(directory, exist_ok=True)
-    arrays = _all_arrays(model)
-    index = {}
-    offset = 0
+    params = model.named_parameters()
+    layout = checkpoint_layout(model)
     with open(os.path.join(directory, CHECKPOINT_ARRAYS), "wb") as fh:
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-            fh.write(arr.tobytes())
-            index[name] = {"offset": offset, "rows": arr.shape[0], "cols": arr.shape[1]}
-            offset += arr.nbytes
-    manifest = {
+        for name in layout:
+            fh.write(np.ascontiguousarray(params[name].value, dtype="<f8").tobytes())
+    write_json(os.path.join(directory, CHECKPOINT_MANIFEST), {
         "format_version": 1,
         "encoder_config": model.encoder_config.to_dict(),
         "train_config": model.train_config.to_dict(),
@@ -426,11 +426,8 @@ def save_checkpoint(model: Model, directory) -> None:
         "seed": model.seed,
         "train_counts": {a: c.tolist() for a, c in sorted(model.train_counts.items())},
         "train_label_totals": model.train_label_totals.tolist(),
-        "arrays": index,
-    }
-    with open(os.path.join(directory, CHECKPOINT_MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
+        "arrays": layout,
+    })
 
 
 def _config_from_manifest(directory, manifest: dict, key: str, cls):
@@ -445,16 +442,12 @@ def _config_from_manifest(directory, manifest: dict, key: str, cls):
 
 def load_checkpoint(directory) -> Model:
     """Rebuild a saved model; ValueError if the manifest lacks a key, a config
-    in it has a missing or unknown field, or the manifest and params.bin do
-    not hold exactly the model's arrays with the model's shapes."""
-    with open(os.path.join(directory, CHECKPOINT_MANIFEST), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format_version") != 1:
+    in it has a missing or unknown field, its array index differs from the
+    model's checkpoint_layout, or params.bin is not exactly that long."""
+    manifest = read_json(os.path.join(directory, CHECKPOINT_MANIFEST), required=MANIFEST_KEYS)
+    if manifest["format_version"] != 1:
         raise ValueError(f"{directory}: unsupported checkpoint format_version "
-                         f"{manifest.get('format_version')!r} (expected 1)")
-    missing = [key for key in MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise ValueError(f"{directory}: {CHECKPOINT_MANIFEST} lacks {missing}")
+                         f"{manifest['format_version']!r} (expected 1)")
     encoder_config = _config_from_manifest(directory, manifest, "encoder_config", EncoderConfig)
     train_config = _config_from_manifest(directory, manifest, "train_config", TrainConfig)
     vocab = Vocabulary(token_to_id=dict(manifest["vocabulary"]))
@@ -464,23 +457,24 @@ def load_checkpoint(directory) -> Model:
         a: np.asarray(c, dtype=np.float64) for a, c in manifest["train_counts"].items()
     }
     model.train_label_totals = np.asarray(manifest["train_label_totals"], dtype=np.float64)
+    layout = checkpoint_layout(model)
+    stored = manifest["arrays"] if isinstance(manifest["arrays"], dict) else {}
+    wrong = [f"{name}: manifest has {stored.get(name, 'nothing')}, the model needs "
+             f"{layout.get(name, 'nothing')}" for name in sorted(set(layout) | set(stored))
+             if stored.get(name) != layout.get(name)]
+    if wrong:
+        raise ValueError(f"{directory}: checkpoint arrays do not match the model: "
+                         + "; ".join(wrong))
     with open(os.path.join(directory, CHECKPOINT_ARRAYS), "rb") as fh:
         blob = fh.read()
-    arrays = _all_arrays(model)
-    index = manifest["arrays"]
-    missing, extra = sorted(set(arrays) - set(index)), sorted(set(index) - set(arrays))
-    if missing or extra:
-        raise ValueError(f"{directory}: checkpoint arrays do not match the model "
-                         f"(missing {missing}, unexpected {extra})")
-    for name, meta in index.items():
-        shape = (meta["rows"], meta["cols"])
-        if shape != arrays[name].shape:
-            raise ValueError(f"{directory}: array {name} has shape {shape} in the manifest, "
-                             f"the model needs {arrays[name].shape}")
-        end = meta["offset"] + arrays[name].nbytes
-        if end > len(blob):
-            raise ValueError(f"{directory}: {CHECKPOINT_ARRAYS} is truncated: array {name} "
-                             f"needs bytes {meta['offset']}..{end}, file has {len(blob)}")
-        flat = np.frombuffer(blob, dtype="<f8", count=arrays[name].size, offset=meta["offset"])
-        arrays[name][...] = flat.reshape(shape)
+    params = model.named_parameters()
+    size = sum(node.value.nbytes for node in params.values())
+    if len(blob) != size:
+        state = "truncated" if len(blob) < size else "too long"
+        raise ValueError(f"{directory}: {CHECKPOINT_ARRAYS} is {state}: it has {len(blob)} "
+                         f"bytes, the arrays need {size}")
+    flat = np.frombuffer(blob, dtype="<f8")
+    for name, node in params.items():
+        start = layout[name]["offset"] // 8
+        node.value[...] = flat[start:start + node.value.size].reshape(node.value.shape)
     return model

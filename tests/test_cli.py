@@ -315,3 +315,72 @@ def test_eval_of_checkpoint_missing_manifest_key_exit_code(tmp_path, split_dir, 
                 "--data", str(split_dir / "test.jsonl"), "--out", str(tmp_path / "eval")) == 2
     err = capsys.readouterr().err
     assert str(checkpoint) in err and "train_counts" in err
+
+
+def test_ablate_all_on_text_only_skips_embedding_only(tmp_path, split_dir, capsys):
+    train = tmp_path / "text_only"
+    assert _run("train", "--data", str(split_dir), "--mode", "text_only",
+                "--seed", "2", "--out", str(train), *FAST_TRAIN) == 0
+    checkpoint, data = str(train / "checkpoint"), str(split_dir / "test.jsonl")
+    out = tmp_path / "ablate"
+    capsys.readouterr()
+    assert _run("ablate", "--checkpoint", checkpoint, "--data", data,
+                "--variant", "all", "--out", str(out)) == 0
+    assert "embedding_only  skipped" in capsys.readouterr().out
+    assert set(json.loads((out / "ablation.json").read_text())) == {"text_only", "combination"}
+    assert _run("ablate", "--checkpoint", checkpoint, "--data", data,
+                "--variant", "embedding_only", "--out", str(tmp_path / "explicit")) == 2
+
+
+def test_train_on_split_manifest_without_kind_exit_code(tmp_path, split_dir, capsys):
+    path = split_dir / "split_manifest.json"
+    meta = json.loads(path.read_text())
+    del meta["kind"]
+    path.write_text(json.dumps(meta))
+    assert _run("train", "--data", str(split_dir), "--out", str(tmp_path / "t"),
+                *FAST_TRAIN) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "kind" in err
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '{"options": "x"}'])
+def test_config_that_is_not_an_object_exit_code(tmp_path, content, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(content)
+    assert _run("synth", "--config", str(config), "--out", str(tmp_path / "s")) == 2
+    assert str(config) in capsys.readouterr().err
+
+
+def test_analyze_unknown_what_exit_code(tmp_path, corpus_dir, capsys):
+    out = tmp_path / "analysis"
+    assert _run("analyze", "--data", str(corpus_dir / "corpus.jsonl"),
+                "--what", "stats,kapa", "--out", str(out)) == 2
+    assert "kapa" in capsys.readouterr().err
+    assert not (out / "stats.json").exists()
+
+
+def test_train_with_zero_heads_exit_code(tmp_path, split_dir, capsys):
+    assert _run("train", "--data", str(split_dir), "--out", str(tmp_path / "t"),
+                *FAST_TRAIN, "--heads", "0") == 2
+    assert "heads" in capsys.readouterr().err
+
+
+def test_every_json_output_is_in_the_shared_format(tmp_path, corpus_dir, split_dir, train_dir):
+    from annembed.corpus import write_json
+
+    assert _run("eval", "--checkpoint", str(train_dir / "checkpoint"),
+                "--data", str(split_dir / "test.jsonl"), "--out", str(tmp_path / "eval")) == 0
+    assert _run("ablate", "--checkpoint", str(train_dir / "checkpoint"),
+                "--data", str(split_dir / "test.jsonl"), "--out", str(tmp_path / "ablate")) == 0
+    assert _run("analyze", "--data", str(corpus_dir / "corpus.jsonl"),
+                "--checkpoint", str(train_dir / "checkpoint"), "--k", "2",
+                "--min-overlap", "1", "--min-examples", "1",
+                "--out", str(tmp_path / "analyze")) == 0
+    written = sorted(p for p in tmp_path.rglob("*.json") if p.parent != tmp_path)
+    names = {p.name for p in written}
+    assert {"truth.json", "split_manifest.json", "report.json", "ablation.json",
+            "kappa.json", "clusters.json"} <= names
+    for path in written:
+        again = tmp_path / "again.json"
+        write_json(again, json.loads(path.read_text(encoding="utf-8")))
+        assert path.read_bytes() == again.read_bytes(), path

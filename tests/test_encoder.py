@@ -199,3 +199,10 @@ def test_encoder_config_validation():
         EncoderConfig(hidden=10, heads=3)
     with pytest.raises(ValueError):
         EncoderConfig(max_len=1)
+
+
+@pytest.mark.parametrize("size", [dict(hidden=0), dict(heads=0), dict(ffn_mult=0),
+                                  dict(layers=-1)])
+def test_encoder_config_rejects_bad_sizes(size):
+    with pytest.raises(ValueError, match="at least"):
+        EncoderConfig(**size)

@@ -478,10 +478,37 @@ def test_checkpoint_rejects_truncated_params(tmp_path):
         load_checkpoint(directory)
 
 
+def test_checkpoint_rejects_wrong_array_offset(tmp_path):
+    # offset 0 lies inside params.bin, so only the layout can tell it is wrong
+    directory = _saved_checkpoint(tmp_path)
+    _edit_manifest(directory, lambda m: m["arrays"]["head_b"].update(offset=0))
+    with pytest.raises(ValueError, match="head_b"):
+        load_checkpoint(directory)
+
+
+def test_checkpoint_rejects_trailing_params_bytes(tmp_path):
+    directory = _saved_checkpoint(tmp_path)
+    with open(directory / "params.bin", "ab") as fh:
+        fh.write(bytes(8))
+    with pytest.raises(ValueError, match="params.bin is too long"):
+        load_checkpoint(directory)
+
+
+def test_checkpoint_layout_is_the_stored_index(tmp_path):
+    directory = _saved_checkpoint(tmp_path)
+    model = load_checkpoint(directory)
+    stored = json.loads((directory / "manifest.json").read_text())["arrays"]
+    layout = trainer.checkpoint_layout(model)
+    assert list(layout) == sorted(layout) and layout == stored
+    last = layout[list(layout)[-1]]
+    end = last["offset"] + 8 * last["rows"] * last["cols"]
+    assert end == (directory / "params.bin").stat().st_size
+
+
 def test_checkpoint_rejects_missing_manifest_key(tmp_path):
     directory = _saved_checkpoint(tmp_path)
     _edit_manifest(directory, lambda m: m.pop("train_counts"))
-    with pytest.raises(ValueError, match=r"ckpt: manifest.json lacks \['train_counts'\]"):
+    with pytest.raises(ValueError, match=r"ckpt/manifest.json lacks \['train_counts'\]"):
         load_checkpoint(directory)
 
 
