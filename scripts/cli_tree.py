@@ -1,0 +1,99 @@
+"""Run every annembed command on tiny synthetic corpora and keep all outputs.
+
+    python scripts/cli_tree.py <new dir>
+
+Each command runs as `python -m annembed.cli` against this checkout's own
+`src/`, with the new directory as working directory and relative paths inside
+it, so that trees made from two checkouts can be compared with `diff -r`. The
+stdout, stderr and exit code of each command go to `_log/<step>.out`, `.err`
+and `.code`. The bad inputs at the end are expected to exit 2.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+MODES = ("text_only", "text_plus_annotation", "text_plus_annotator", "text_plus_both")
+TINY = ["--epochs", "1", "--batch-size", "16", "--lr", "3e-3", "--hidden", "8",
+        "--layers", "1", "--heads", "2", "--max-len", "12", "--ffn-mult", "2",
+        "--dropout", "0.1"]
+# 12 labels and k=11 make histogram and cluster keys reach two digits, where
+# string and integer key order differ
+SYNTH = ["--annotators", "12", "--texts", "60", "--labels", "12", "--vocab", "60",
+         "--bias", "0.8", "--per-text", "8", "--seed", "3"]
+
+
+def steps():
+    yield "synth", ["synth", *SYNTH, "--groups", "2", "--out", "synth"]
+    yield "synth_wide", ["synth", "--annotators", "16", "--texts", "30", "--labels", "12",
+                         "--vocab", "60", "--bias", "1.0", "--seed", "5", "--out", "synth_wide"]
+    data = ["--data", "synth/corpus.jsonl"]
+    yield "split_a", ["split", *data, "--seed", "1", "--out", "split_a"]
+    yield "split_dev", ["split", *data, "--seed", "1", "--dev-frac", "0.2", "--out", "split_dev"]
+    yield "split_u", ["split", *data, "--kind", "annotator", "--seed", "1", "--out", "split_u"]
+    for mode in MODES:
+        yield f"train_{mode}", ["train", "--data", "split_a", "--mode", mode, *TINY,
+                                "--seed", "2", "--out", f"train_{mode}"]
+    yield "train_runs", ["train", "--data", "split_dev", *TINY, "--runs", "2",
+                         "--select-on-dev", "--seed", "4", "--out", "train_runs"]
+    yield "train_replay", ["train", "--config", "train_text_plus_both/manifest.json",
+                           "--out", "train_replay"]
+    yield "train_u", ["train", "--data", "split_u", *TINY, "--seed", "2", "--out", "train_u"]
+    yield "eval_seen", ["eval", "--checkpoint", "train_text_plus_both/checkpoint",
+                        "--data", "split_a/test.jsonl", "--out", "eval_seen"]
+    yield "eval_unseen", ["eval", "--checkpoint", "train_u/checkpoint",
+                          "--data", "split_u/test.jsonl", "--out", "eval_unseen"]
+    yield "eval_drop_unseen", ["eval", "--checkpoint", "train_u/checkpoint",
+                               *data, "--drop-unseen", "--out", "eval_drop_unseen"]
+    for mode in MODES:
+        yield f"ablate_{mode}", ["ablate", "--checkpoint", f"train_{mode}/checkpoint",
+                                 "--data", "split_a/test.jsonl", "--variant", "all",
+                                 "--out", f"ablate_{mode}"]
+    # the annotation run leaves some kappas undefined (overlap below 25); the
+    # annotator run keeps the defaults, under which no annotator qualifies
+    # for label correlation
+    model = ["--checkpoint", "train_text_plus_both/checkpoint", "--what", "all", "--k", "11"]
+    yield "analyze_annotation", ["analyze", *data, *model, "--embedding", "annotation",
+                                 "--min-overlap", "25", "--min-examples", "10",
+                                 "--out", "analyze_annotation"]
+    yield "analyze_annotator", ["analyze", *data, *model, "--embedding", "annotator",
+                                "--out", "analyze_annotator"]
+    yield "analyze_wide", ["analyze", "--data", "synth_wide/corpus.jsonl",
+                           "--what", "stats,kappa,correlation", "--min-examples", "10",
+                           "--out", "analyze_wide"]
+    yield "baselines", ["baselines", "--data", "split_a/test.jsonl",
+                        "--manifest", "split_a/schema.manifest.json",
+                        "--majority-from", "split_a/train.jsonl", "--out", "baselines"]
+    yield "report", ["report", "train_text_plus_both/report.json", "eval_seen/report.json",
+                     "--out", "report"]
+    yield "bad_what", ["analyze", *data, "--what", "stats,kapa", "--out", "bad_what"]
+    yield "bad_heads", ["train", "--data", "split_a", *TINY, "--heads", "0",
+                        "--out", "bad_heads"]
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    tree = argv[1]
+    os.makedirs(os.path.join(tree, "_log"))
+    env = {key: value for key, value in os.environ.items() if key != "ANNEMBED_OUT"}
+    env.update(PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    for name, args in steps():
+        done = subprocess.run([sys.executable, "-m", "annembed.cli", *args], cwd=tree,
+                              env=env, capture_output=True, text=True)
+        log = os.path.join(tree, "_log", name)
+        for suffix, text in ((".out", done.stdout), (".err", done.stderr),
+                             (".code", f"{done.returncode}\n")):
+            with open(log + suffix, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        print(f"{name:24s} exit {done.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -26,14 +26,6 @@ class KappaMatrix:
     def defined(self) -> np.ndarray:
         return ~np.isnan(self.values)
 
-    def to_dict(self) -> dict:
-        return {
-            "annotator_ids": self.annotator_ids,
-            "values": [[None if np.isnan(v) else v for v in row] for row in self.values],
-            "co_counts": self.co_counts.tolist(),
-            "min_overlap": self.min_overlap,
-        }
-
 
 def _pair_kappa(labels_a, labels_b, n_labels: int) -> float:
     n = len(labels_a)
@@ -86,14 +78,6 @@ class LabelCorrelation:
     annotators_used: int
     min_examples: int
 
-    def to_dict(self) -> dict:
-        return {
-            "label_names": self.label_names,
-            "values": [[None if np.isnan(v) else v for v in row] for row in self.values],
-            "annotators_used": self.annotators_used,
-            "min_examples": self.min_examples,
-        }
-
 
 def label_pearson(dataset: Dataset, min_examples: int = 50) -> LabelCorrelation:
     """Pearson correlation between label-usage frequencies across annotators.
@@ -137,16 +121,6 @@ class ClusterResult:
     seed: int
     sse_trace: list[float] = field(default_factory=list)
     n_iterations: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "assignments": dict(sorted(self.assignments.items())),
-            "centroids": self.centroids.tolist(),
-            "sse": self.sse,
-            "seed": self.seed,
-            "sse_trace": self.sse_trace,
-            "n_iterations": self.n_iterations,
-        }
 
 
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -216,13 +190,6 @@ class PcaResult:
     explained_variance: np.ndarray
     rank_deficient: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "coordinates": self.coordinates.tolist(),
-            "explained_variance": self.explained_variance.tolist(),
-            "rank_deficient": self.rank_deficient,
-        }
-
 
 def pca_project(points: np.ndarray, dims: int = 2) -> PcaResult:
     """Mean-centered projection onto the top principal directions.
@@ -266,16 +233,6 @@ class DemographicAlignment:
     top_values: dict[str, dict[int, list[str]]]
     excluded: dict[str, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "tables": self.tables,
-            "top_values": {
-                dim: {str(c): vals for c, vals in sorted(clusters.items())}
-                for dim, clusters in self.top_values.items()
-            },
-            "excluded": self.excluded,
-        }
-
 
 def demographic_alignment(clusters: ClusterResult, dataset: Dataset) -> DemographicAlignment:
     """Inverse-frequency weighted demographic profiles per cluster.
@@ -308,7 +265,7 @@ def demographic_alignment(clusters: ClusterResult, dataset: Dataset) -> Demograp
             value = demo_by_ann[a][dim]
             counts[value] = counts.get(value, 0) + 1
         table: dict[str, dict] = {}
-        for value, count in sorted(counts.items()):
+        for value, count in counts.items():
             alpha = n / count
             per_cluster = {c: 0.0 for c in cluster_ids}
             for a in have:

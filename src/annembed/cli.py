@@ -81,7 +81,7 @@ def cmd_synth(args, out):
     dataset, truth = synthgen.generate_population(cfg)
     corpus.write_dataset(dataset, os.path.join(out, "corpus.jsonl"))
     corpus.write_manifest(dataset, os.path.join(out, "corpus.manifest.json"))
-    corpus.write_json(os.path.join(out, "truth.json"), truth.to_dict())
+    corpus.write_json(os.path.join(out, "truth.json"), truth)
     print(f"wrote {len(dataset)} annotations "
           f"({dataset.n_annotators} annotators, {dataset.n_labels} labels) to {out}")
 
@@ -127,7 +127,7 @@ def _load_split(split_dir: str) -> corpus.Split:
 
 
 def _write_report(out, report, label_names) -> None:
-    corpus.write_json(os.path.join(out, "report.json"), report.to_dict())
+    corpus.write_json(os.path.join(out, "report.json"), report)
     with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(report.to_text(label_names) + "\n")
 
@@ -157,7 +157,7 @@ def _train_one(split, args, seed, out):
         model.encoder_config.hidden, model.mode,
         base_parameters=sum(p.value.size for p in model.params.named_parameters().values()),
     )
-    corpus.write_json(os.path.join(out, "overhead.json"), overhead.to_dict())
+    corpus.write_json(os.path.join(out, "overhead.json"), overhead)
     return report
 
 
@@ -230,7 +230,7 @@ def cmd_ablate(args, out):
             print(f"{variant:15s} skipped: a text_only model has no embedding to keep")
             continue
         report = trainer.ablation_eval(model, dataset, variant)
-        results[variant] = report.to_dict()
+        results[variant] = report
         print(f"{variant:15s} em {report.em_accuracy:.4f} macro_f1 {report.macro_f1:.4f}")
     corpus.write_json(os.path.join(out, "ablation.json"), results)
 
@@ -247,14 +247,14 @@ def cmd_analyze(args, out):
 
     if "stats" in what:
         corpus.write_json(os.path.join(out, "stats.json"),
-                          corpus.dataset_statistics(dataset).to_dict())
+                          corpus.dataset_statistics(dataset))
     if "kappa" in what:
         kappa = analysis.cohen_kappa_matrix(dataset, min_overlap=args.min_overlap)
-        corpus.write_json(os.path.join(out, "kappa.json"), kappa.to_dict())
+        corpus.write_json(os.path.join(out, "kappa.json"), kappa)
         _write_matrix_csv(os.path.join(out, "kappa.csv"), kappa.annotator_ids, kappa.values)
     if "correlation" in what:
         corr = analysis.label_pearson(dataset, min_examples=args.min_examples)
-        corpus.write_json(os.path.join(out, "label_correlation.json"), corr.to_dict())
+        corpus.write_json(os.path.join(out, "label_correlation.json"), corr)
         _write_matrix_csv(os.path.join(out, "label_correlation.csv"),
                           corr.label_names, corr.values)
 
@@ -270,21 +270,25 @@ def cmd_analyze(args, out):
     if "cluster" in what or "alignment" in what:
         clusters = analysis.kmeans(points, k=args.k, seed=args.seed, ids=ids)
         if "cluster" in what:
-            corpus.write_json(os.path.join(out, "clusters.json"), clusters.to_dict())
+            corpus.write_json(os.path.join(out, "clusters.json"), clusters)
     if "project" in what:
         projection = analysis.pca_project(points, dims=2)
         with open(os.path.join(out, "projection.csv"), "w", encoding="utf-8") as fh:
             fh.write("annotator_id,x,y\n")
             for ann, (x, y) in zip(ids, projection.coordinates):
                 fh.write(f"{ann},{x!r},{y!r}\n")
-        corpus.write_json(os.path.join(out, "projection.json"), projection.to_dict())
+        corpus.write_json(os.path.join(out, "projection.json"), {
+            "coordinates": projection.coordinates,
+            "explained_variance": projection.explained_variance,
+            "rank_deficient": projection.rank_deficient,
+        })
     if "alignment" in what:
         try:
             alignment = analysis.demographic_alignment(clusters, dataset)
         except ValueError as err:
             print(f"alignment skipped: {err}")
         else:
-            corpus.write_json(os.path.join(out, "alignment.json"), alignment.to_dict())
+            corpus.write_json(os.path.join(out, "alignment.json"), alignment)
     print(f"analysis outputs written to {out}")
 
 

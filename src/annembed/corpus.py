@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -161,20 +163,54 @@ def write_dataset(dataset: Dataset, path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def _plain(value):
+    """value as plain JSON values: a dataclass as {field name: value}, an
+    ndarray as nested lists, dict keys through str(), an Enum as its value,
+    and NaN, the undefined value, as None."""
+    if isinstance(value, dict):
+        return {str(key): _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isnan(value).any():
+            return np.where(np.isnan(value), None, value).tolist()
+        return value.tolist()
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
 def write_json(path, obj) -> None:
     """Write obj as JSON with sorted keys, 2-space indent, non-ASCII kept and a
-    trailing newline; every JSON file the package writes goes through here."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+    trailing newline; every JSON file the package writes goes through here.
+    Dataclasses, arrays and enums are encoded by _plain, NaN becomes null,
+    and an infinity raises CorpusError naming the file, which is not left
+    behind."""
+    plain = _plain(obj)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(plain, fh, ensure_ascii=False, sort_keys=True, indent=2,
+                      allow_nan=False)
+            fh.write("\n")
+    except ValueError as err:
+        os.remove(path)
+        raise CorpusError(f"{path}: {err}") from err
 
 
 def read_json(path, required=()) -> dict:
     """Read a JSON file that must hold an object with every key in required;
-    CorpusError names the file and every missing key."""
+    CorpusError names the file and every missing key, and rejects the
+    non-standard NaN and Infinity literals."""
+    def reject(literal):
+        raise CorpusError(f"{path}: {literal} is not a JSON value")
+
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as err:
             raise CorpusError(f"{path}: malformed JSON ({err})") from err
     if not isinstance(obj, dict):
@@ -290,22 +326,10 @@ class StatisticsReport:
     """Per-annotator volumes and the distinct-label disagreement histogram."""
 
     annotations_per_annotator: dict[str, int]
-    distinct_labels_per_example: dict[str, int]
     disagreement_histogram: dict[int, int]
     label_usage: dict[str, int]
     n_examples: int = field(default=0)
     n_annotations: int = field(default=0)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_examples": self.n_examples,
-            "n_annotations": self.n_annotations,
-            "annotations_per_annotator": dict(sorted(self.annotations_per_annotator.items())),
-            "disagreement_histogram": {
-                str(k): v for k, v in sorted(self.disagreement_histogram.items())
-            },
-            "label_usage": self.label_usage,
-        }
 
 
 def dataset_statistics(dataset: Dataset) -> StatisticsReport:
@@ -319,15 +343,13 @@ def dataset_statistics(dataset: Dataset) -> StatisticsReport:
         per_ann[ex.annotator_id] += 1
         labels_by_example.setdefault(ex.example_id, set()).add(ex.label)
         label_usage[dataset.label_names[ex.label]] += 1
-    distinct = {eid: len(labels) for eid, labels in labels_by_example.items()}
     histogram: dict[int, int] = {}
-    for count in distinct.values():
-        histogram[count] = histogram.get(count, 0) + 1
+    for labels in labels_by_example.values():
+        histogram[len(labels)] = histogram.get(len(labels), 0) + 1
     return StatisticsReport(
         annotations_per_annotator=per_ann,
-        distinct_labels_per_example=distinct,
         disagreement_histogram=histogram,
         label_usage=label_usage,
-        n_examples=len(distinct),
+        n_examples=len(labels_by_example),
         n_annotations=len(dataset.examples),
     )

@@ -10,7 +10,7 @@ token embedding matrix.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -192,9 +192,6 @@ class OverheadReport:
     ratio: float | None
     budget: int
     over_budget: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def parameter_overhead(n_annotators: int, n_labels: int, hidden: int,

@@ -9,7 +9,7 @@ encoder blocks.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,9 +81,6 @@ class EncoderConfig:
             raise ValueError("max_len must allow [CLS] and [SEP]")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class EncoderParams:

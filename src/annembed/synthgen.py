@@ -9,7 +9,7 @@ base label to a random target label, so 0 gives unanimous clean labels and
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class PopulationConfig:
         if not 1 <= self.annotations_per_text <= self.n_annotators:
             raise SynthError("annotations_per_text must lie in [1, n_annotators]")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class GroundTruth:
@@ -57,14 +54,6 @@ class GroundTruth:
     bias_matrices: dict[str, np.ndarray]
     group_ids: dict[str, int]
     config: PopulationConfig = field(repr=False, default=None)
-
-    def to_dict(self) -> dict:
-        return {
-            "base_labels": self.base_labels,
-            "bias_matrices": {a: m.tolist() for a, m in self.bias_matrices.items()},
-            "group_ids": self.group_ids,
-            "config": self.config.to_dict() if self.config else None,
-        }
 
 
 def _bias_matrix(n_labels: int, strength: float, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -56,9 +56,6 @@ class TrainConfig:
                 f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("Adam betas must lie strictly inside (0, 1)")
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "mode": self.mode.value}
 
 
 class Model:
@@ -255,9 +252,6 @@ class EvalReport:
     variant: str = "combination"
     per_class_f1: list[float] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_text(self, label_names: Optional[list[str]] = None) -> str:
         lines = [
             f"annotations     {self.n_annotations}",
@@ -418,45 +412,82 @@ def save_checkpoint(model: Model, directory) -> None:
             fh.write(np.ascontiguousarray(params[name].value, dtype="<f8").tobytes())
     write_json(os.path.join(directory, CHECKPOINT_MANIFEST), {
         "format_version": 1,
-        "encoder_config": model.encoder_config.to_dict(),
-        "train_config": model.train_config.to_dict(),
+        "encoder_config": model.encoder_config,
+        "train_config": model.train_config,
         "label_names": model.label_names,
         "annotator_ids": model.annotator_ids,
         "vocabulary": model.vocab.token_to_id,
         "seed": model.seed,
-        "train_counts": {a: c.tolist() for a, c in sorted(model.train_counts.items())},
-        "train_label_totals": model.train_label_totals.tolist(),
+        "train_counts": model.train_counts,
+        "train_label_totals": model.train_label_totals,
         "arrays": layout,
     })
 
 
+def _manifest_error(directory, key: str, problem: str) -> ValueError:
+    return ValueError(f"{directory}: {CHECKPOINT_MANIFEST} {key} {problem}")
+
+
+def _unique_strings(directory, manifest: dict, key: str) -> list[str]:
+    names = manifest[key]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and len(set(names)) == len(names)):
+        raise _manifest_error(directory, key, "must be a list of unique strings")
+    return names
+
+
+def _label_counts(directory, key: str, row, n_labels: int) -> np.ndarray:
+    if isinstance(row, list) and len(row) == n_labels and all(
+            isinstance(c, (int, float)) for c in row):
+        counts = np.asarray(row, dtype=np.float64)
+        if np.isfinite(counts).all() and (counts >= 0).all():
+            return counts
+    raise _manifest_error(directory, key,
+                          f"must be {n_labels} finite, non-negative numbers, found {row!r}")
+
+
 def _config_from_manifest(directory, manifest: dict, key: str, cls):
     section = manifest[key]
+    if not isinstance(section, dict):
+        raise _manifest_error(directory, key, "must be an object")
     names = {f.name for f in fields(cls)}
     missing, extra = sorted(names - set(section)), sorted(set(section) - names)
     if missing or extra:
-        raise ValueError(f"{directory}: {CHECKPOINT_MANIFEST} {key} does not match "
-                         f"{cls.__name__} (missing {missing}, unexpected {extra})")
+        raise _manifest_error(directory, key, f"does not match {cls.__name__} "
+                              f"(missing {missing}, unexpected {extra})")
     return cls(**section)
 
 
 def load_checkpoint(directory) -> Model:
     """Rebuild a saved model; ValueError if the manifest lacks a key, a config
-    in it has a missing or unknown field, its array index differs from the
-    model's checkpoint_layout, or params.bin is not exactly that long."""
+    in it has a missing or unknown field, a registry, the vocabulary or the
+    label counts have the wrong type or size, its array index differs from
+    the model's checkpoint_layout, or params.bin is not exactly that long."""
     manifest = read_json(os.path.join(directory, CHECKPOINT_MANIFEST), required=MANIFEST_KEYS)
     if manifest["format_version"] != 1:
         raise ValueError(f"{directory}: unsupported checkpoint format_version "
                          f"{manifest['format_version']!r} (expected 1)")
     encoder_config = _config_from_manifest(directory, manifest, "encoder_config", EncoderConfig)
     train_config = _config_from_manifest(directory, manifest, "train_config", TrainConfig)
-    vocab = Vocabulary(token_to_id=dict(manifest["vocabulary"]))
-    model = Model(encoder_config, train_config, vocab, manifest["label_names"],
-                  manifest["annotator_ids"], manifest["seed"])
-    model.train_counts = {
-        a: np.asarray(c, dtype=np.float64) for a, c in manifest["train_counts"].items()
-    }
-    model.train_label_totals = np.asarray(manifest["train_label_totals"], dtype=np.float64)
+    label_names = _unique_strings(directory, manifest, "label_names")
+    annotator_ids = _unique_strings(directory, manifest, "annotator_ids")
+    vocabulary = manifest["vocabulary"]
+    if not (isinstance(vocabulary, dict) and all(type(i) is int for i in vocabulary.values())
+            and sorted(vocabulary.values()) == list(range(encoder_config.vocab_size))):
+        raise _manifest_error(directory, "vocabulary", "ids must be 0 to vocab_size - 1, each "
+                              f"once (encoder_config vocab_size {encoder_config.vocab_size})")
+    if type(manifest["seed"]) is not int:
+        raise _manifest_error(directory, "seed", "must be an integer")
+    train_counts = manifest["train_counts"]
+    if not isinstance(train_counts, dict):
+        raise _manifest_error(directory, "train_counts", "must be an object")
+    m = len(label_names)
+    model = Model(encoder_config, train_config, Vocabulary(token_to_id=vocabulary),
+                  label_names, annotator_ids, manifest["seed"])
+    model.train_counts = {a: _label_counts(directory, f"train_counts[{a!r}]", row, m)
+                          for a, row in train_counts.items()}
+    model.train_label_totals = _label_counts(directory, "train_label_totals",
+                                             manifest["train_label_totals"], m)
     layout = checkpoint_layout(model)
     stored = manifest["arrays"] if isinstance(manifest["arrays"], dict) else {}
     wrong = [f"{name}: manifest has {stored.get(name, 'nothing')}, the model needs "

@@ -317,6 +317,22 @@ def test_eval_of_checkpoint_missing_manifest_key_exit_code(tmp_path, split_dir, 
     assert str(checkpoint) in err and "train_counts" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m["train_label_totals"].__setitem__(0, float("nan")), "NaN"),
+    (lambda m: m.update(train_counts=[1, 2]), "train_counts"),
+], ids=["nan_literal", "list_train_counts"])
+def test_eval_of_checkpoint_with_malformed_manifest_exit_code(tmp_path, split_dir, train_dir,
+                                                              capsys, edit, message):
+    checkpoint = train_dir / "checkpoint"
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    edit(manifest)
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    assert _run("eval", "--checkpoint", str(checkpoint),
+                "--data", str(split_dir / "test.jsonl"), "--out", str(tmp_path / "eval")) == 2
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and message in err
+
+
 def test_ablate_all_on_text_only_skips_embedding_only(tmp_path, split_dir, capsys):
     train = tmp_path / "text_only"
     assert _run("train", "--data", str(split_dir), "--mode", "text_only",

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from annembed.analysis import KappaMatrix
 from annembed.corpus import (
     AnnotatedExample,
     CorpusError,
@@ -13,8 +16,12 @@ from annembed.corpus import (
     load_dataset,
     make_annotation_split,
     make_annotator_split,
+    read_json,
     write_dataset,
+    write_json,
 )
+from annembed.embedding import CombinationMode
+from annembed.trainer import TrainConfig
 
 
 def _write_lines(path, records):
@@ -251,3 +258,87 @@ def test_drop_unseen_annotators():
     kept = drop_unseen_annotators(ds, ["a", "c"])
     assert set(kept.annotator_ids) == {"a", "c"}
     assert all(ex.annotator_id != "b" for ex in kept.examples)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(obj=st.dictionaries(st.text(), JSON_VALUES, max_size=5))
+def test_write_json_round_trips_plain_values(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("json") / "value.json"
+    write_json(path, obj)
+    assert read_json(path) == obj
+
+
+def test_write_json_encodes_dataclasses_arrays_and_enums(tmp_path):
+    kappa = KappaMatrix(["a", "b"], np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                        np.array([[3, 0], [0, 2]]), min_overlap=1)
+    config = TrainConfig(mode=CombinationMode.TEXT_ONLY, epochs=2, batch_size=4)
+    path = tmp_path / "out.json"
+    write_json(path, {"kappa": kappa, "histogram": {2: 5, 10: 1}, "config": config})
+    assert path.read_text(encoding="utf-8") == """{
+  "config": {
+    "adam_eps": 1e-08,
+    "batch_size": 4,
+    "beta1": 0.9,
+    "beta2": 0.999,
+    "epochs": 2,
+    "eval_every": 0,
+    "learning_rate": 0.0002,
+    "mode": "text_only",
+    "seed": 0,
+    "select_on_dev": false
+  },
+  "histogram": {
+    "10": 1,
+    "2": 5
+  },
+  "kappa": {
+    "annotator_ids": [
+      "a",
+      "b"
+    ],
+    "co_counts": [
+      [
+        3,
+        0
+      ],
+      [
+        0,
+        2
+      ]
+    ],
+    "min_overlap": 1,
+    "values": [
+      [
+        1.0,
+        null
+      ],
+      [
+        null,
+        1.0
+      ]
+    ]
+  }
+}
+"""
+
+
+def test_write_json_rejects_infinity(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(CorpusError, match="out.json"):
+        write_json(path, {"loss": [0.5, math.inf]})
+    assert not path.exists()
+
+
+def test_read_json_rejects_nan_literal(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"a": NaN}', encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"nan\.json: NaN"):
+        read_json(path)

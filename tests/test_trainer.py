@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from annembed import tensor, trainer
-from annembed.corpus import AnnotatedExample, Dataset, Split, make_annotation_split
+from annembed.corpus import (
+    AnnotatedExample,
+    Dataset,
+    Split,
+    make_annotation_split,
+    read_json,
+    write_json,
+)
 from annembed.embedding import CombinationMode
 from annembed.encoder import EncoderConfig
 from annembed.synthgen import PopulationConfig, generate_population
@@ -360,11 +367,11 @@ def test_annotator_permutation_equivariance():
     assert losses_before == losses_after
 
 
-def test_eval_report_serialization():
+def test_eval_report_serialization(tmp_path):
     report = EvalReport(em_accuracy=0.5, macro_f1=0.4, per_annotator_em={"a": 0.5},
                         confusion=[[1, 1], [0, 2]], n_annotations=4)
-    obj = report.to_dict()
-    assert obj["em_accuracy"] == 0.5
+    write_json(tmp_path / "report.json", report)
+    assert EvalReport(**read_json(tmp_path / "report.json")) == report
     text = report.to_text(["yes", "no"])
     assert "macro_f1" in text and "yes" in text
 
@@ -520,4 +527,24 @@ def test_checkpoint_rejects_config_field_mismatch(tmp_path, section, edit, key):
     directory = _saved_checkpoint(tmp_path)
     _edit_manifest(directory, lambda m: edit(m[section]))
     with pytest.raises(ValueError, match=rf"ckpt: manifest.json {section} .*'{key}'"):
+        load_checkpoint(directory)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.update(train_counts=[1, 2]), r"train_counts must be an object"),
+    (lambda m: m["train_counts"]["a000"].pop(), r"train_counts\['a000'\] must be 3 finite"),
+    (lambda m: m["train_counts"]["a001"].__setitem__(0, -1.0), r"train_counts\['a001'\]"),
+    (lambda m: m["train_label_totals"].append(0.0), r"train_label_totals must be 3 finite"),
+    (lambda m: m["annotator_ids"].__setitem__(1, "a000"), r"annotator_ids must be a list of un"),
+    (lambda m: m["label_names"].__setitem__(0, 7), r"label_names must be a list of unique"),
+    (lambda m: m["vocabulary"].update(extra=len(m["vocabulary"])), r"vocabulary ids"),
+    (lambda m: m.update(encoder_config=5), r"encoder_config must be an object"),
+    (lambda m: m.update(seed="x"), r"seed must be an integer"),
+], ids=["list_train_counts", "short_row", "negative_count", "long_totals",
+        "duplicate_annotator", "non_string_label", "vocabulary_size", "number_config",
+        "string_seed"])
+def test_checkpoint_rejects_manifest_of_wrong_type_or_size(tmp_path, edit, message):
+    directory = _saved_checkpoint(tmp_path)
+    _edit_manifest(directory, edit)
+    with pytest.raises(ValueError, match=r"ckpt: manifest.json " + message):
         load_checkpoint(directory)
