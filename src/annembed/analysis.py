@@ -23,9 +23,6 @@ class KappaMatrix:
     co_counts: np.ndarray   # N x N overlap sizes
     min_overlap: int
 
-    def defined(self) -> np.ndarray:
-        return ~np.isnan(self.values)
-
 
 def _pair_kappa(labels_a, labels_b, n_labels: int) -> float:
     n = len(labels_a)
@@ -87,18 +84,13 @@ def label_pearson(dataset: Dataset, min_examples: int = 50) -> LabelCorrelation:
     columns of that matrix.
     """
     m = dataset.n_labels
-    counts: dict[str, np.ndarray] = {}
-    for ex in dataset.examples:
-        counts.setdefault(ex.annotator_id, np.zeros(m))[ex.label] += 1.0
-    rows = []
-    for ann in dataset.annotator_ids:
-        c = counts.get(ann)
-        if c is not None and c.sum() >= min_examples:
-            rows.append(c / c.sum())
-    used = len(rows)
+    counts = dataset.label_counts()
+    totals = counts.sum(axis=1)
+    qualifying = totals >= min_examples
+    freq = counts[qualifying] / totals[qualifying, None]
+    used = freq.shape[0]
     values = np.full((m, m), np.nan)
     if used >= 2:
-        freq = np.array(rows)
         centered = freq - freq.mean(axis=0)
         std = centered.std(axis=0)
         for a in range(m):
@@ -128,9 +120,12 @@ def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkh,nkh->nk", diff, diff)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100,
+KMEANS_MAX_ITER = 100
+
+
+def kmeans(points: np.ndarray, k: int, seed: int = 0,
            ids: Optional[list[str]] = None) -> ClusterResult:
-    """Seeded Lloyd iterations with farthest-point initialization.
+    """Seeded Lloyd iterations, at most KMEANS_MAX_ITER, with farthest-point initialization.
 
     The first centroid is a seeded random point; each further centroid is
     the point farthest from its nearest chosen centroid. An emptied cluster
@@ -153,8 +148,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100,
 
     assignments = np.full(n, -1, dtype=np.int64)
     sse_trace: list[float] = []
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, KMEANS_MAX_ITER + 1):
         d = _squared_distances(points, centroids)
         new_assignments = d.argmin(axis=1)
         point_err = d[np.arange(n), new_assignments]
@@ -172,11 +166,10 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100,
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-    sse = float(_squared_distances(points, centroids)[np.arange(n), assignments].sum())
     return ClusterResult(
         assignments={ids[i]: int(assignments[i]) for i in range(n)},
         centroids=centroids,
-        sse=sse,
+        sse=sse_trace[-1],
         seed=seed,
         sse_trace=sse_trace,
         n_iterations=iteration,

@@ -206,9 +206,7 @@ def cmd_baselines(args, out):
     majority = None
     if args.majority_from:
         train = corpus.load_dataset(args.majority_from, dataset.label_names)
-        counts = np.bincount([ex.label for ex in train.examples],
-                             minlength=dataset.n_labels)
-        majority = int(np.argmax(counts))
+        majority = int(np.argmax(train.label_counts().sum(axis=0)))
     random_em, majority_em = trainer.baselines(dataset, args.seed, majority_label=majority)
     corpus.write_json(os.path.join(out, "baselines.json"), {
         "random_em": random_em,

@@ -35,40 +35,43 @@ class AnnotatedExample:
 
 @dataclass
 class Dataset:
+    """Annotations under a label schema; annotator_ids is derived, in first-appearance order."""
+
     examples: list[AnnotatedExample]
     label_names: list[str]
-    annotator_ids: list[str]
     name: str = "dataset"
+    annotator_ids: list[str] = field(init=False)
 
     def __post_init__(self):
+        if len(set(self.label_names)) != len(self.label_names):
+            raise CorpusError(f"duplicate label names in {self.label_names}")
         seen_pairs = set()
-        known = set(self.annotator_ids)
-        appearing = set()
+        registry: dict[str, None] = {}
         for ex in self.examples:
             if not 0 <= ex.label < len(self.label_names):
                 raise CorpusError(
                     f"label index {ex.label} out of range for {len(self.label_names)} labels"
                 )
-            if ex.annotator_id not in known:
-                raise CorpusError(f"annotator {ex.annotator_id!r} missing from registry")
             key = (ex.example_id, ex.annotator_id)
             if key in seen_pairs:
                 raise CorpusError(f"duplicate annotation {key}")
             seen_pairs.add(key)
-            appearing.add(ex.annotator_id)
-        if appearing != known:
-            raise CorpusError("annotator registry does not match annotators in examples")
+            registry[ex.annotator_id] = None
+        self.annotator_ids = list(registry)
 
     @classmethod
     def from_examples(cls, examples, label_names, name="dataset"):
-        """Build a dataset with the annotator registry in first-appearance order."""
-        ids = []
-        seen = set()
-        for ex in examples:
-            if ex.annotator_id not in seen:
-                seen.add(ex.annotator_id)
-                ids.append(ex.annotator_id)
-        return cls(list(examples), list(label_names), ids, name)
+        """A dataset over copies of the examples and label_names lists."""
+        return cls(list(examples), list(label_names), name)
+
+    def label_counts(self) -> np.ndarray:
+        """A fresh N x M int64 table: row i counts each label among the
+        annotations of annotator_ids[i]."""
+        n, m = self.n_annotators, self.n_labels
+        row_start = {a: i * m for i, a in enumerate(self.annotator_ids)}
+        cells = np.array([row_start[ex.annotator_id] + ex.label for ex in self.examples],
+                         dtype=np.int64)
+        return np.bincount(cells, minlength=n * m).reshape(n, m)
 
     @property
     def n_annotators(self) -> int:
@@ -101,12 +104,23 @@ class Split:
             raise CorpusError("annotator split: train and test annotators must be disjoint")
 
 
+def _reject_constant(literal):
+    raise CorpusError(f"{literal} is not a JSON value")
+
+
+# built once: json.loads(line, parse_constant=...) would build a decoder per line
+_LINE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _parse_record(obj, label_names, line_no):
     if not isinstance(obj, dict):
         raise CorpusError(f"line {line_no}: record is not an object")
     for key in ("example_id", "text", "annotator_id", "label"):
         if key not in obj:
             raise CorpusError(f"line {line_no}: missing field {key!r}")
+    for key in ("example_id", "text", "annotator_id"):
+        if not isinstance(obj[key], str):
+            raise CorpusError(f"line {line_no}: {key} must be a string, found {obj[key]!r}")
     label = obj["label"]
     if label not in label_names:
         raise CorpusError(f"line {line_no}: unknown label {label!r}")
@@ -117,9 +131,9 @@ def _parse_record(obj, label_names, line_no):
         ):
             raise CorpusError(f"line {line_no}: demographics must map strings to strings")
     return AnnotatedExample(
-        example_id=str(obj["example_id"]),
-        text=str(obj["text"]),
-        annotator_id=str(obj["annotator_id"]),
+        example_id=obj["example_id"],
+        text=obj["text"],
+        annotator_id=obj["annotator_id"],
         label=label_names.index(label),
         demographics=demo,
     )
@@ -129,7 +143,9 @@ def load_dataset(path, label_names, name=None) -> Dataset:
     """Load a JSONL annotation file against a declared label schema.
 
     Registries come out in first-appearance order so that row indices into
-    the embedding matrices are reproducible across runs.
+    the embedding matrices are reproducible across runs. Each line is parsed
+    by read_json's rule, NaN and Infinity rejected, and example_id, text and
+    annotator_id must be strings; CorpusError names the line.
     """
     label_names = list(label_names)
     examples = []
@@ -139,9 +155,11 @@ def load_dataset(path, label_names, name=None) -> Dataset:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _LINE_DECODER.decode(line)
             except json.JSONDecodeError as err:
                 raise CorpusError(f"line {line_no}: malformed JSON ({err.msg})") from err
+            except CorpusError as err:
+                raise CorpusError(f"line {line_no}: {err}") from err
             examples.append(_parse_record(obj, label_names, line_no))
     if name is None:
         name = str(path)
@@ -205,14 +223,13 @@ def read_json(path, required=()) -> dict:
     """Read a JSON file that must hold an object with every key in required;
     CorpusError names the file and every missing key, and rejects the
     non-standard NaN and Infinity literals."""
-    def reject(literal):
-        raise CorpusError(f"{path}: {literal} is not a JSON value")
-
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh, parse_constant=reject)
+            obj = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as err:
             raise CorpusError(f"{path}: malformed JSON ({err})") from err
+        except CorpusError as err:
+            raise CorpusError(f"{path}: {err}") from err
     if not isinstance(obj, dict):
         raise CorpusError(f"{path}: expected a JSON object, found {type(obj).__name__}")
     missing = [key for key in required if key not in obj]
@@ -336,20 +353,17 @@ def dataset_statistics(dataset: Dataset) -> StatisticsReport:
     """Count annotations per annotator and distinct labels per example."""
     if not dataset.examples:
         raise CorpusError("empty dataset")
-    per_ann: dict[str, int] = {a: 0 for a in dataset.annotator_ids}
+    counts = dataset.label_counts()
     labels_by_example: dict[str, set[int]] = {}
-    label_usage = {name: 0 for name in dataset.label_names}
     for ex in dataset.examples:
-        per_ann[ex.annotator_id] += 1
         labels_by_example.setdefault(ex.example_id, set()).add(ex.label)
-        label_usage[dataset.label_names[ex.label]] += 1
     histogram: dict[int, int] = {}
     for labels in labels_by_example.values():
         histogram[len(labels)] = histogram.get(len(labels), 0) + 1
     return StatisticsReport(
-        annotations_per_annotator=per_ann,
+        annotations_per_annotator=dict(zip(dataset.annotator_ids, counts.sum(axis=1).tolist())),
         disagreement_histogram=histogram,
-        label_usage=label_usage,
+        label_usage=dict(zip(dataset.label_names, counts.sum(axis=0).tolist())),
         n_examples=len(labels_by_example),
         n_annotations=len(dataset.examples),
     )

@@ -44,7 +44,6 @@ class EmbeddingBank:
     w_sentence: Node       # H x H
     w_annotator: Node      # H x H
     w_annotation: Node     # H x H
-    hidden: int
 
     @classmethod
     def init(cls, n_annotators: int, n_labels: int, hidden: int,
@@ -58,7 +57,6 @@ class EmbeddingBank:
             w_sentence=normal(hidden, hidden),
             w_annotator=normal(hidden, hidden),
             w_annotation=normal(hidden, hidden),
-            hidden=hidden,
         )
 
     def named_parameters(self) -> dict[str, Node]:
@@ -93,17 +91,14 @@ def label_coefficients(counts: np.ndarray | None, n_labels: int,
 class AnnotationIndex:
     """Per-annotator training annotations: ordered ids, labels, and counts."""
 
-    def __init__(self, dataset, n_labels: int):
-        self.n_labels = n_labels
+    def __init__(self, dataset):
+        self.n_labels = dataset.n_labels
         self.examples: dict[str, list[tuple[str, int]]] = {}
-        self.counts: dict[str, np.ndarray] = {}
         self._label_of: dict[tuple[str, str], int] = {}
         for ex in dataset.examples:
             self.examples.setdefault(ex.annotator_id, []).append((ex.example_id, ex.label))
-            if ex.annotator_id not in self.counts:
-                self.counts[ex.annotator_id] = np.zeros(n_labels)
-            self.counts[ex.annotator_id][ex.label] += 1.0
             self._label_of[(ex.annotator_id, ex.example_id)] = ex.label
+        self.counts = dict(zip(dataset.annotator_ids, dataset.label_counts().astype(np.float64)))
 
     def train_coefficients(self, annotator_id: str, example_id: str) -> np.ndarray:
         """Leave-one-out label-row weights; KeyError for an unindexed annotation

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -178,13 +178,11 @@ def train(split: Split, cfg: TrainConfig,
     if not split.train.examples:
         raise ValueError("empty train split")
     vocab = Vocabulary.build(ex.text for ex in split.train.examples)
-    if encoder_config is None:
-        encoder_config = EncoderConfig()
-    encoder_config.vocab_size = vocab.size
+    encoder_config = replace(encoder_config or EncoderConfig(), vocab_size=vocab.size)
 
     model = Model(encoder_config, cfg, vocab, split.train.label_names,
                   split.train.annotator_ids, cfg.seed)
-    index = AnnotationIndex(split.train, split.train.n_labels)
+    index = AnnotationIndex(split.train)
     model.train_counts = {a: c.copy() for a, c in index.counts.items()}
     model.train_label_totals = sum(index.counts.values())
 
@@ -308,8 +306,9 @@ def evaluate(model: Model, dataset: Dataset, mode: Optional[CombinationMode] = N
     """
     if not dataset.examples:
         raise ValueError("cannot evaluate an empty dataset")
-    if dataset.n_labels != len(model.label_names):
-        raise ValueError("dataset label schema does not match the model")
+    if dataset.label_names != model.label_names:
+        raise ValueError(f"dataset labels {dataset.label_names} do not match the "
+                         f"model's {model.label_names}")
     mode = model.mode if mode is None else mode
     golds, preds = [], []
     per_ann_hit: dict[str, int] = {}
@@ -357,8 +356,7 @@ def baselines(dataset: Dataset, seed: int, majority_label: Optional[int] = None,
         float(np.mean(rng.integers(m, size=golds.size) == golds)) for _ in range(draws)
     ]
     if majority_label is None:
-        counts = np.bincount(golds, minlength=m)
-        majority_label = int(np.argmax(counts))
+        majority_label = int(np.argmax(dataset.label_counts().sum(axis=0)))
     majority_em = float(np.mean(golds == majority_label))
     return float(np.mean(rand_scores)), majority_em
 

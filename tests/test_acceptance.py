@@ -53,7 +53,7 @@ def test_criterion_1_algebraic_identities():
                            bias_strength=0.6, seed=17, vocab_size=40)
     dataset, _ = generate_population(pop)
     split = make_annotation_split(dataset, 0.7, seed=17)
-    index = AnnotationIndex(split.train, 4)
+    index = AnnotationIndex(split.train)
     bank = EmbeddingBank.init(50, 4, 16, np.random.default_rng(1))
 
     # leave-one-out means reproduce the test-time embedding, per annotator
@@ -120,7 +120,7 @@ def test_criterion_2_gradient_acceptance():
     cfg = TrainConfig(mode=CombinationMode.TEXT_PLUS_BOTH, epochs=1, batch_size=4, seed=7)
     model = Model(enc_cfg, cfg, vocab, dataset.label_names,
                   split.train.annotator_ids, seed=7)
-    index = AnnotationIndex(split.train, 3)
+    index = AnnotationIndex(split.train)
     model.train_counts = dict(index.counts)
 
     # evaluate the check away from the tiny init, where gradients are not

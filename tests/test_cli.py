@@ -257,6 +257,14 @@ def test_validation_failure_exit_code(tmp_path):
     assert (out / "FAILED").exists()
 
 
+def test_corpus_with_nan_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"example_id": NaN, "text": "x", "annotator_id": "a", "label": "A"}\n')
+    (tmp_path / "bad.manifest.json").write_text('{"name": "bad", "label_names": ["A", "B"]}\n')
+    assert _run("split", "--data", str(bad), "--out", str(tmp_path / "out")) == 2
+    assert "line 1: NaN is not a JSON value" in capsys.readouterr().err
+
+
 def test_eval_of_empty_dataset_exit_code(tmp_path, split_dir, train_dir):
     # every annotation comes from an unseen annotator, so --drop-unseen empties the set
     record = {"example_id": "t0", "text": "some words", "annotator_id": "stranger",

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annembed.analysis import KappaMatrix
@@ -85,6 +85,26 @@ def test_load_rejects_duplicate_annotation(tmp_path):
     _write_lines(path, [_record("e1", "alice", "A"), _record("e1", "alice", "B")])
     with pytest.raises(CorpusError, match="duplicate"):
         load_dataset(path, ["A", "B"])
+
+
+@pytest.mark.parametrize("line, problem", [
+    ('{"example_id": NaN, "text": "x", "annotator_id": "a", "label": "A"}', "NaN"),
+    ('{"example_id": "e", "text": "x", "annotator_id": "a", "label": "A", "w": -Infinity}',
+     "-Infinity"),
+    ('{"example_id": 7, "text": "x", "annotator_id": "a", "label": "A"}', "example_id"),
+    ('{"example_id": "e", "text": null, "annotator_id": "a", "label": "A"}', "text"),
+    ('{"example_id": "e", "text": "x", "annotator_id": ["a"], "label": "A"}', "annotator_id"),
+], ids=["nan", "infinity", "integer_id", "null_text", "list_annotator"])
+def test_load_rejects_json_constants_and_fields_that_are_not_strings(tmp_path, line, problem):
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(_record("e0", "a", "A")) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=rf"line 2: {problem}"):
+        load_dataset(path, ["A", "B"])
+
+
+def test_dataset_rejects_duplicate_label_names():
+    with pytest.raises(CorpusError, match="duplicate label names"):
+        Dataset.from_examples([AnnotatedExample("e", "x", "a", 0)], ["A", "B", "A"])
 
 
 def test_load_full_coverage_shape(tmp_path):
@@ -342,3 +362,59 @@ def test_read_json_rejects_nan_literal(tmp_path):
     path.write_text('{"a": NaN}', encoding="utf-8")
     with pytest.raises(CorpusError, match=r"nan\.json: NaN"):
         read_json(path)
+
+
+# (annotator, text number, label) triples, at most one per annotator and text
+ANNOTATIONS = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.integers(0, 9), st.integers(0, 2)),
+    max_size=30, unique_by=lambda t: t[:2],
+)
+
+
+def _annotated(annotations):
+    examples = [AnnotatedExample(f"t{t}", "text", ann, label) for ann, t, label in annotations]
+    return Dataset.from_examples(examples, ["L0", "L1", "L2"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(annotations=ANNOTATIONS)
+def test_annotator_ids_in_first_appearance_order(annotations):
+    first_seen = []
+    for ann, _, _ in annotations:
+        if ann not in first_seen:
+            first_seen.append(ann)
+    assert _annotated(annotations).annotator_ids == first_seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(annotations=ANNOTATIONS)
+def test_label_counts_equal_a_recount(annotations):
+    ds = _annotated(annotations)
+    counts = ds.label_counts()
+    assert counts.dtype == np.int64 and counts.shape == (ds.n_annotators, 3)
+    for i, ann in enumerate(ds.annotator_ids):
+        for label in range(3):
+            assert counts[i, label] == sum(a == ann and lab == label for a, _, lab in annotations)
+        assert counts[i].sum() == sum(a == ann for a, _, _ in annotations)
+    counts[...] = -1
+    assert (ds.label_counts() >= 0).all()   # every call builds a fresh table
+
+
+RECORDS = st.lists(
+    st.tuples(st.text(max_size=8), st.text(max_size=12), st.text(max_size=8),
+              st.integers(0, 2),
+              st.none() | st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=2)),
+    max_size=8, unique_by=lambda r: (r[0], r[2]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=RECORDS)
+@example(records=[("é1", "naïve café ✓ 日本語\n", "ann ü", 1, {"région": "Île-de-France"})])
+def test_write_then_load_returns_the_same_records(tmp_path_factory, records):
+    labels = ["nein", "ja ✓", "vielleicht"]
+    examples = [AnnotatedExample(eid, text, ann, label, demo)
+                for eid, text, ann, label, demo in records]
+    path = tmp_path_factory.mktemp("corpus") / "data.jsonl"
+    write_dataset(Dataset.from_examples(examples, labels), path)
+    assert load_dataset(path, labels).examples == examples

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annembed import tensor
 from annembed.corpus import AnnotatedExample, Dataset
@@ -34,7 +36,7 @@ def _dataset(pairs, n_labels=M):
 
 def test_train_embedding_two_annotations():
     ds = _dataset([("i", "k0", 0), ("i", "k1", 1)])
-    index = AnnotationIndex(ds, M)
+    index = AnnotationIndex(ds)
     bank = _bank()
     out = annotation_embedding_train(bank, index, "i", "k1")
     assert np.allclose(out.value, bank.label_rows.value[0:1], atol=1e-12)
@@ -42,7 +44,7 @@ def test_train_embedding_two_annotations():
 
 def test_train_embedding_three_other_labels():
     ds = _dataset([("i", "k0", 0), ("i", "k1", 0), ("i", "k2", 1), ("i", "kx", 2)])
-    index = AnnotationIndex(ds, M)
+    index = AnnotationIndex(ds)
     bank = _bank()
     out = annotation_embedding_train(bank, index, "i", "kx")
     rows = bank.label_rows.value
@@ -52,7 +54,7 @@ def test_train_embedding_three_other_labels():
 
 def test_train_embedding_constant_labels():
     ds = _dataset([("i", "k0", 2), ("i", "k1", 2), ("i", "k2", 2), ("i", "kx", 0)])
-    index = AnnotationIndex(ds, M)
+    index = AnnotationIndex(ds)
     bank = _bank()
     out = annotation_embedding_train(bank, index, "i", "kx")
     assert np.allclose(out.value[0], bank.label_rows.value[2], atol=1e-12)
@@ -60,7 +62,7 @@ def test_train_embedding_constant_labels():
 
 def test_train_embedding_single_annotation_falls_back_to_uniform():
     ds = _dataset([("i", "k0", 1), ("j", "k0", 0), ("j", "k1", 2)])
-    index = AnnotationIndex(ds, M)
+    index = AnnotationIndex(ds)
     bank = _bank()
     out = annotation_embedding_train(bank, index, "i", "k0")
     assert np.allclose(out.value[0], bank.label_rows.value.mean(axis=0), atol=1e-12)
@@ -68,7 +70,7 @@ def test_train_embedding_single_annotation_falls_back_to_uniform():
 
 def test_test_embedding_two_label_mean():
     ds = _dataset([("i", "k0", 0), ("i", "k1", 1)], n_labels=2)
-    index = AnnotationIndex(ds, 2)
+    index = AnnotationIndex(ds)
     bank = _bank(n_labels=2)
     out = annotation_embedding_test(bank, index, "i")
     expected = 0.5 * (bank.label_rows.value[0] + bank.label_rows.value[1])
@@ -77,7 +79,7 @@ def test_test_embedding_two_label_mean():
 
 def test_test_embedding_unseen_annotator_uniform_prior():
     ds = _dataset([("i", "k0", 0), ("i", "k1", 1)])
-    index = AnnotationIndex(ds, M)
+    index = AnnotationIndex(ds)
     bank = _bank()
     out = annotation_embedding_test(bank, index, "stranger")
     assert np.allclose(out.value[0], bank.label_rows.value.mean(axis=0), atol=1e-12)
@@ -87,7 +89,7 @@ def test_leave_one_out_mean_equals_test_embedding():
     rng = np.random.default_rng(3)
     pairs = [("i", f"k{n}", int(rng.integers(M))) for n in range(17)]
     ds = _dataset(pairs)
-    index = AnnotationIndex(ds, M)
+    index = AnnotationIndex(ds)
     bank = _bank()
     loo = np.vstack([
         annotation_embedding_train(bank, index, "i", eid).value for _, eid, _ in pairs
@@ -115,8 +117,21 @@ def test_label_coefficients_table(counts, exclude, expected):
         assert np.array_equal(counts, before)   # the caller's counts stay intact
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(),
+       counts=st.none() | st.lists(st.integers(0, 20), min_size=M, max_size=M))
+def test_label_coefficients_row_is_a_distribution(data, counts):
+    # the excluded label is one the counts hold, as for a training annotation
+    held = range(M) if counts is None else [lab for lab in range(M) if counts[lab] > 0]
+    exclude = data.draw(st.none() | st.sampled_from(held)) if held else None
+    coeff = label_coefficients(None if counts is None else np.array(counts), M, exclude)
+    assert coeff.shape == (1, M)
+    assert (coeff >= 0.0).all()
+    assert abs(coeff.sum() - 1.0) <= 1e-12
+
+
 def test_train_coefficients_unknown_annotation_of_known_annotator():
-    index = AnnotationIndex(_dataset([("i", "k0", 0), ("i", "k1", 1)]), M)
+    index = AnnotationIndex(_dataset([("i", "k0", 0), ("i", "k1", 1)]))
     with pytest.raises(KeyError):
         index.train_coefficients("i", "never-annotated")
     # an annotator with no training annotations at all gets the uniform row
@@ -246,7 +261,7 @@ def test_combine_without_text_rejects_text_only_mode():
 
 def test_gradients_flow_only_into_active_banks():
     ds = _dataset([("i", "k0", 0), ("i", "k1", 1), ("j", "k0", 2), ("j", "k1", 0)])
-    index = AnnotationIndex(ds, M)
+    index = AnnotationIndex(ds)
     bank = _bank()
     e_t = tensor.parameter(np.random.default_rng(2).normal(size=(3, H)))
 

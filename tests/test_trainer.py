@@ -174,6 +174,30 @@ def test_evaluate_rejects_empty_dataset():
         evaluate(model, Dataset.from_examples([], model.label_names))
 
 
+def test_evaluate_rejects_reordered_label_schema():
+    model, split = _trained_model(mode=CombinationMode.TEXT_ONLY, epochs=1)
+    reordered = Dataset.from_examples(split.test.examples, ["L1", "L0", "L2"])
+    with pytest.raises(ValueError, match=r"\['L1', 'L0', 'L2'\].*\['L0', 'L1', 'L2'\]"):
+        evaluate(model, reordered)
+
+
+def test_train_leaves_the_callers_encoder_config_alone(tmp_path):
+    def corpus(texts):
+        ds = Dataset.from_examples(
+            [AnnotatedExample(f"t{i}", text, "a", i % 2) for i, text in enumerate(texts)],
+            ["L0", "L1"])
+        return Split(train=ds, test=ds, kind="annotation", seed=0)
+
+    enc_cfg = EncoderConfig(**FAST_ENC)
+    cfg = TrainConfig(mode=CombinationMode.TEXT_ONLY, epochs=1, batch_size=2, seed=0)
+    first, _ = train(corpus(["alpha beta", "beta gamma"]), cfg, enc_cfg)
+    second, _ = train(corpus(["one two three", "four five six", "seven eight"]), cfg, enc_cfg)
+    assert enc_cfg.vocab_size == 0
+    assert first.encoder_config.vocab_size == first.vocab.size < second.vocab.size
+    save_checkpoint(first, tmp_path / "first")
+    assert load_checkpoint(tmp_path / "first").vocab.token_to_id == first.vocab.token_to_id
+
+
 def test_evaluate_handles_unseen_annotators():
     model, split = _trained_model(epochs=1)
     examples = [AnnotatedExample("t0", "novel words", "never-seen", 0),
@@ -345,7 +369,7 @@ def test_annotator_permutation_equivariance():
     from annembed.encoder import tokenize
 
     model, split = _trained_model(epochs=1)
-    index = AnnotationIndex(split.train, len(model.label_names))
+    index = AnnotationIndex(split.train)
     perm = list(reversed(range(len(model.annotator_ids))))
     permuted_rows = model.bank.annotator_rows.value[perm].copy()
 
