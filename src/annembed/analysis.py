@@ -24,16 +24,11 @@ class KappaMatrix:
     min_overlap: int
 
 
-def _pair_kappa(labels_a, labels_b, n_labels: int) -> float:
-    n = len(labels_a)
-    p_o = float(np.mean(labels_a == labels_b))
-    freq_a = np.bincount(labels_a, minlength=n_labels) / n
-    freq_b = np.bincount(labels_b, minlength=n_labels) / n
-    p_e = float(freq_a @ freq_b)
-    if p_e >= 1.0:
-        # both marginals are the same point mass, so observed agreement is total
-        return 1.0
-    return (p_o - p_e) / (1.0 - p_e)
+# A float32 sum of 0/1 products is an exact integer below 2**24 terms, so each
+# block of texts is multiplied in float32 and the blocks are accumulated in
+# float64. The block width also bounds the indicator temporaries at
+# 4 * n_annotators * width bytes each.
+_KAPPA_TEXT_BLOCK = 4096
 
 
 def cohen_kappa_matrix(dataset: Dataset, min_overlap: int = 10) -> KappaMatrix:
@@ -41,30 +36,53 @@ def cohen_kappa_matrix(dataset: Dataset, min_overlap: int = 10) -> KappaMatrix:
 
     Pairs whose overlap is below min_overlap come back as NaN. The diagonal
     is 1 for every annotator with at least one annotation.
+
+    Every count comes from matrix products of the annotator x text label
+    indicators: co-counts mask.mask^T, agreements sum_l I_l.I_l^T and each
+    pair's marginal label counts I_l.mask^T.
     """
     if min_overlap < 1:
         raise ValueError("min_overlap must be at least 1")
     ids = dataset.annotator_ids
-    n = len(ids)
-    by_ann: dict[str, dict[str, int]] = {a: {} for a in ids}
+    n, m = len(ids), dataset.n_labels
+    row_of = {a: i for i, a in enumerate(ids)}
+    col_of: dict[str, int] = {}
+    rows, cols, labels = [], [], []
     for ex in dataset.examples:
-        by_ann[ex.annotator_id][ex.example_id] = ex.label
+        rows.append(row_of[ex.annotator_id])
+        cols.append(col_of.setdefault(ex.example_id, len(col_of)))
+        labels.append(ex.label)
+    # the smallest signed type that holds -1 and every label index
+    table = np.full((n, len(col_of)), -1, dtype=np.min_scalar_type(-max(m, 1)))
+    table[rows, cols] = labels
+
+    co = np.zeros((n, n))
+    agree = np.zeros((n, n))
+    marginal = np.zeros((n, n, m))   # [i, j, l]: i's label l on the texts j labeled too
+    for start in range(0, table.shape[1], _KAPPA_TEXT_BLOCK):
+        block = table[:, start:start + _KAPPA_TEXT_BLOCK]
+        mask = (block >= 0).astype(np.float32)
+        co += mask @ mask.T
+        for label in range(m):
+            ind = (block == label).astype(np.float32)
+            agree += ind @ ind.T
+            marginal[:, :, label] += ind @ mask.T
+    co_counts = co.astype(np.int64)
+
     values = np.full((n, n), np.nan)
-    co_counts = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        co_counts[i, i] = len(by_ann[ids[i]])
-        if co_counts[i, i] >= 1:
-            values[i, i] = 1.0
-        for j in range(i + 1, n):
-            # kappa depends only on label counts, so the common examples need no order
-            common = by_ann[ids[i]].keys() & by_ann[ids[j]].keys()
-            co_counts[i, j] = co_counts[j, i] = len(common)
-            if len(common) < min_overlap:
-                continue
-            labels_i = np.array([by_ann[ids[i]][e] for e in common])
-            labels_j = np.array([by_ann[ids[j]][e] for e in common])
-            kappa = _pair_kappa(labels_i, labels_j, dataset.n_labels)
-            values[i, j] = values[j, i] = kappa
+    np.fill_diagonal(values, 1.0)   # the registry holds only annotators with annotations
+    i, j = np.nonzero(np.triu(co_counts >= min_overlap, k=1))
+    count = co[i, j]
+    p_o = agree[i, j] / count
+    freq_i = marginal[i, j] / count[:, None]
+    freq_j = marginal[j, i] / count[:, None]
+    # contiguous rows: the same length-M BLAS dot per pair as a 1-D freq_i @ freq_j
+    p_e = np.vecdot(freq_i, freq_j)
+    # p_e >= 1: both marginals are the same point mass, so agreement is total
+    kappa = np.ones_like(p_e)
+    chance = p_e < 1.0
+    kappa[chance] = (p_o[chance] - p_e[chance]) / (1.0 - p_e[chance])
+    values[i, j] = values[j, i] = kappa
     return KappaMatrix(list(ids), values, co_counts, min_overlap)
 
 
@@ -250,22 +268,22 @@ def demographic_alignment(clusters: ClusterResult, dataset: Dataset) -> Demograp
     excluded: dict[str, int] = {}
     cluster_ids = sorted(set(clusters.assignments.values()))
     for dim in dimensions:
-        have = [a for a in members if dim in demo_by_ann.get(a, {})]
+        have = [(demo_by_ann[a][dim], clusters.assignments[a])
+                for a in members if dim in demo_by_ann.get(a, {})]
         excluded[dim] = len(members) - len(have)
         n = len(have)
         counts: dict[str, int] = {}
-        for a in have:
-            value = demo_by_ann[a][dim]
+        for value, _ in have:
             counts[value] = counts.get(value, 0) + 1
-        table: dict[str, dict] = {}
-        for value, count in counts.items():
-            alpha = n / count
-            per_cluster = {c: 0.0 for c in cluster_ids}
-            for a in have:
-                if demo_by_ann[a][dim] == value:
-                    per_cluster[clusters.assignments[a]] += alpha
-            table[value] = {"multiplier": alpha,
-                            "clusters": {str(c): per_cluster[c] for c in cluster_ids}}
+        alpha = {value: n / count for value, count in counts.items()}
+        per_cluster = {value: {c: 0.0 for c in cluster_ids} for value in counts}
+        # every (value, cluster) sum adds its terms in member order
+        for value, c in have:
+            per_cluster[value][c] += alpha[value]
+        table: dict[str, dict] = {
+            value: {"multiplier": alpha[value],
+                    "clusters": {str(c): per_cluster[value][c] for c in cluster_ids}}
+            for value in counts}
         tables[dim] = table
         top: dict[int, list[str]] = {}
         for c in cluster_ids:
@@ -303,12 +321,11 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     n = a.size
     if n < 2:
         raise ValueError(f"adjusted Rand index needs at least 2 items, got {n}")
-    values_a = np.unique(a)
-    values_b = np.unique(b)
-    table = np.zeros((values_a.size, values_b.size), dtype=np.int64)
-    for i, va in enumerate(values_a):
-        for j, vb in enumerate(values_b):
-            table[i, j] = int(np.sum((a == va) & (b == vb)))
+    values_a, index_a = np.unique(a, return_inverse=True)
+    values_b, index_b = np.unique(b, return_inverse=True)
+    cells = index_a.ravel() * values_b.size + index_b.ravel()
+    table = np.bincount(cells, minlength=values_a.size * values_b.size).reshape(
+        values_a.size, values_b.size)
 
     def comb2(x):
         return x * (x - 1) / 2.0

@@ -293,8 +293,8 @@ def cmd_analyze(args, out):
 def _write_matrix_csv(path, names, values):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("," + ",".join(names) + "\n")
-        for name, row in zip(names, values):
-            cells = ["" if np.isnan(v) else repr(float(v)) for v in row]
+        for name, row in zip(names, values.tolist()):
+            cells = ["" if v != v else repr(v) for v in row]   # v != v: NaN, undefined
             fh.write(name + "," + ",".join(cells) + "\n")
 
 

@@ -108,11 +108,16 @@ def _reject_constant(literal):
     raise CorpusError(f"{literal} is not a JSON value")
 
 
-# built once: json.loads(line, parse_constant=...) would build a decoder per line
+# built once: json.loads(line, parse_constant=...) and json.dumps(record, ...)
+# would build a decoder or an encoder per line
 _LINE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
-def _parse_record(obj, label_names, line_no):
+def _parse_record(obj, label_index, shared, line_no):
+    """The record of one parsed line. label_index maps each label name to its
+    index; shared maps each string and each demographics key already seen in
+    this file to the one object every record holds for it."""
     if not isinstance(obj, dict):
         raise CorpusError(f"line {line_no}: record is not an object")
     for key in ("example_id", "text", "annotator_id", "label"):
@@ -122,19 +127,22 @@ def _parse_record(obj, label_names, line_no):
         if not isinstance(obj[key], str):
             raise CorpusError(f"line {line_no}: {key} must be a string, found {obj[key]!r}")
     label = obj["label"]
-    if label not in label_names:
-        raise CorpusError(f"line {line_no}: unknown label {label!r}")
+    try:
+        index = label_index[label]
+    except (KeyError, TypeError):   # TypeError: a list or object is no label name
+        raise CorpusError(f"line {line_no}: unknown label {label!r}") from None
     demo = obj.get("demographics")
     if demo is not None:
         if not isinstance(demo, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in demo.items()
         ):
             raise CorpusError(f"line {line_no}: demographics must map strings to strings")
+        demo = shared.setdefault(tuple(demo.items()), demo)
     return AnnotatedExample(
-        example_id=obj["example_id"],
-        text=obj["text"],
-        annotator_id=obj["annotator_id"],
-        label=label_names.index(label),
+        example_id=shared.setdefault(obj["example_id"], obj["example_id"]),
+        text=shared.setdefault(obj["text"], obj["text"]),
+        annotator_id=shared.setdefault(obj["annotator_id"], obj["annotator_id"]),
+        label=index,
         demographics=demo,
     )
 
@@ -145,9 +153,12 @@ def load_dataset(path, label_names, name=None) -> Dataset:
     Registries come out in first-appearance order so that row indices into
     the embedding matrices are reproducible across runs. Each line is parsed
     by read_json's rule, NaN and Infinity rejected, and example_id, text and
-    annotator_id must be strings; CorpusError names the line.
+    annotator_id must be strings; CorpusError names the line. Records that
+    repeat a text, an id or a demographics dict share one object for it.
     """
     label_names = list(label_names)
+    label_index = {name: i for i, name in enumerate(label_names)}
+    shared: dict = {}
     examples = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -160,7 +171,7 @@ def load_dataset(path, label_names, name=None) -> Dataset:
                 raise CorpusError(f"line {line_no}: malformed JSON ({err.msg})") from err
             except CorpusError as err:
                 raise CorpusError(f"line {line_no}: {err}") from err
-            examples.append(_parse_record(obj, label_names, line_no))
+            examples.append(_parse_record(obj, label_index, shared, line_no))
     if name is None:
         name = str(path)
     return Dataset.from_examples(examples, label_names, name)
@@ -178,7 +189,7 @@ def write_dataset(dataset: Dataset, path) -> None:
             }
             if ex.demographics is not None:
                 record["demographics"] = ex.demographics
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(_LINE_ENCODER.encode(record) + "\n")
 
 
 def _plain(value):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from annembed import analysis
 from annembed.analysis import (
     adjusted_rand_index,
     cohen_kappa_matrix,
@@ -73,6 +76,132 @@ def test_kappa_symmetric_unit_diagonal():
     assert np.all(np.diag(kappa.values) == 1.0)
     defined = kappa.values[~np.isnan(kappa.values)]
     assert np.all(defined >= -1.0 - 1e-12) and np.all(defined <= 1.0 + 1e-12)
+
+
+def _reference_pair_kappa(labels_a, labels_b, n_labels):
+    """Cohen's kappa of one pair of aligned label arrays, computed on its own."""
+    n = len(labels_a)
+    p_o = float(np.mean(labels_a == labels_b))
+    freq_a = np.bincount(labels_a, minlength=n_labels) / n
+    freq_b = np.bincount(labels_b, minlength=n_labels) / n
+    p_e = float(freq_a @ freq_b)
+    if p_e >= 1.0:
+        return 1.0
+    return (p_o - p_e) / (1.0 - p_e)
+
+
+def _reference_kappa_matrix(ds, min_overlap):
+    """values and co_counts pair by pair, the way cohen_kappa_matrix defines them."""
+    ids = ds.annotator_ids
+    n = len(ids)
+    by_ann = {a: {} for a in ids}
+    for ex in ds.examples:
+        by_ann[ex.annotator_id][ex.example_id] = ex.label
+    values = np.full((n, n), np.nan)
+    co_counts = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        co_counts[i, i] = len(by_ann[ids[i]])
+        values[i, i] = 1.0
+        for j in range(i + 1, n):
+            common = [e for e in by_ann[ids[i]] if e in by_ann[ids[j]]]
+            co_counts[i, j] = co_counts[j, i] = len(common)
+            if len(common) >= min_overlap:
+                labels_i = np.array([by_ann[ids[i]][e] for e in common])
+                labels_j = np.array([by_ann[ids[j]][e] for e in common])
+                values[i, j] = values[j, i] = _reference_pair_kappa(
+                    labels_i, labels_j, ds.n_labels)
+    return values, co_counts
+
+
+def _assert_kappa_matches_reference(ds, min_overlap):
+    kappa = cohen_kappa_matrix(ds, min_overlap=min_overlap)
+    values, co_counts = _reference_kappa_matrix(ds, min_overlap)
+    assert np.array_equal(kappa.values, values, equal_nan=True)
+    assert np.array_equal(kappa.co_counts, co_counts) and kappa.co_counts.dtype == np.int64
+    assert np.array_equal(kappa.values, kappa.values.T, equal_nan=True)
+    assert np.all(np.diag(kappa.values) == 1.0)
+    return kappa
+
+
+# (annotator, text number, label) triples, at most one per annotator and text
+KAPPA_ANNOTATIONS = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 14), st.integers(0, 3)),
+    min_size=1, max_size=60, unique_by=lambda t: t[:2],
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(annotations=KAPPA_ANNOTATIONS, n_labels=st.integers(1, 4),
+       min_overlap=st.integers(1, 4))
+def test_kappa_matrix_equals_the_pairwise_reference(annotations, n_labels, min_overlap):
+    examples = [AnnotatedExample(f"t{t}", f"text {t}", f"ann{a}", label % n_labels)
+                for a, t, label in annotations]
+    ds = Dataset.from_examples(examples, [f"L{i}" for i in range(n_labels)])
+    _assert_kappa_matches_reference(ds, min_overlap)
+
+
+def test_kappa_point_mass_pair_among_chance_pairs():
+    # a and b give every shared text label 1 (p_e = 1); c disagrees with both
+    examples = []
+    for t, label_c in enumerate([0, 1, 2, 1, 0, 2]):
+        for ann, label in (("a", 1), ("b", 1), ("c", label_c)):
+            examples.append(AnnotatedExample(f"t{t}", "text", ann, label))
+    ds = Dataset.from_examples(examples, ["L0", "L1", "L2"])
+    kappa = _assert_kappa_matches_reference(ds, min_overlap=1)
+    assert kappa.values[0, 1] == 1.0
+    assert kappa.values[0, 2] == 0.0
+
+
+def test_kappa_pairs_below_min_overlap_are_nan_with_their_counts():
+    rng = np.random.default_rng(7)
+    examples = [AnnotatedExample(f"t{t}", "text", ann, int(rng.integers(3)))
+                for ann, texts in (("a", range(0, 12)), ("b", range(0, 12)),
+                                   ("c", range(9, 20)), ("d", range(30, 34)))
+                for t in texts]
+    ds = Dataset.from_examples(examples, ["L0", "L1", "L2"])
+    kappa = _assert_kappa_matches_reference(ds, min_overlap=5)
+    assert not np.isnan(kappa.values[0, 1])
+    assert np.isnan(kappa.values[0, 2]) and kappa.co_counts[0, 2] == 3
+    assert np.isnan(kappa.values[0, 3]) and kappa.co_counts[0, 3] == 0
+    assert kappa.co_counts[3, 3] == 4
+
+
+def test_kappa_with_a_label_nobody_used():
+    rng = np.random.default_rng(8)
+    examples = [AnnotatedExample(f"t{t}", "text", f"ann{a}", int(rng.integers(2)))
+                for t in range(25) for a in range(3)]
+    ds = Dataset.from_examples(examples, ["L0", "L1", "never"])
+    _assert_kappa_matches_reference(ds, min_overlap=10)
+
+
+def test_kappa_over_more_texts_than_one_block():
+    rng = np.random.default_rng(9)
+    n_texts = 2 * analysis._KAPPA_TEXT_BLOCK + 100
+    examples = [AnnotatedExample(f"t{t}", "text", f"ann{a}", int(rng.integers(3)))
+                for t in range(n_texts) for a in range(3) if (t + a) % 4]
+    ds = Dataset.from_examples(examples, ["L0", "L1", "L2"])
+    kappa = _assert_kappa_matches_reference(ds, min_overlap=10)
+    assert kappa.co_counts[0, 0] > analysis._KAPPA_TEXT_BLOCK
+
+
+def test_kappa_of_one_annotator():
+    ds = Dataset.from_examples([AnnotatedExample(f"t{t}", "text", "solo", t % 2)
+                                for t in range(5)], ["L0", "L1"])
+    kappa = _assert_kappa_matches_reference(ds, min_overlap=10)
+    assert kappa.values.tolist() == [[1.0]]
+    assert kappa.co_counts.tolist() == [[5]]
+
+
+def test_kappa_min_overlap_one_on_single_shared_texts():
+    # every pair shares exactly one text: kappa is 1 on a shared label, else 0
+    examples = [AnnotatedExample("t0", "text", "a", 0), AnnotatedExample("t0", "text", "b", 0),
+                AnnotatedExample("t1", "text", "a", 1), AnnotatedExample("t1", "text", "c", 0),
+                AnnotatedExample("t2", "text", "b", 1), AnnotatedExample("t2", "text", "c", 1)]
+    ds = Dataset.from_examples(examples, ["L0", "L1"])
+    kappa = _assert_kappa_matches_reference(ds, min_overlap=1)
+    assert kappa.values[0, 1] == 1.0 and kappa.values[1, 2] == 1.0
+    assert kappa.values[0, 2] == 0.0
+    assert np.all(kappa.co_counts[np.triu_indices(3, k=1)] == 1)
 
 
 def _usage_dataset(usage_rows, per_annotator=60):
@@ -326,3 +455,34 @@ def test_adjusted_rand_index_extremes():
     a = rng.integers(3, size=3000)
     b = rng.integers(3, size=3000)
     assert abs(adjusted_rand_index(a, b)) < 0.05
+
+
+def _reference_adjusted_rand_index(labels_a, labels_b):
+    """ARI with the contingency table filled cell by cell."""
+    a, b = np.asarray(labels_a), np.asarray(labels_b)
+    values_a, values_b = np.unique(a), np.unique(b)
+    table = np.zeros((values_a.size, values_b.size), dtype=np.int64)
+    for i, va in enumerate(values_a):
+        for j, vb in enumerate(values_b):
+            table[i, j] = int(np.sum((a == va) & (b == vb)))
+
+    def comb2(x):
+        return x * (x - 1) / 2.0
+
+    sum_ij = comb2(table).sum()
+    sum_a = comb2(table.sum(axis=1)).sum()
+    sum_b = comb2(table.sum(axis=0)).sum()
+    expected = sum_a * sum_b / comb2(a.size)
+    max_index = (sum_a + sum_b) / 2.0
+    if max_index == expected:
+        return 1.0
+    return float((sum_ij - expected) / (max_index - expected))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(-2, 4), st.sampled_from("xyz")),
+                      min_size=2, max_size=40))
+def test_adjusted_rand_index_equals_the_cellwise_reference(pairs):
+    a = [p for p, _ in pairs]
+    b = [q for _, q in pairs]
+    assert adjusted_rand_index(a, b) == _reference_adjusted_rand_index(a, b)

@@ -71,6 +71,30 @@ def test_load_rejects_unknown_label(tmp_path):
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("label", [["A"], {"A": 1}, 0, None])
+def test_load_rejects_a_label_that_is_not_a_name(tmp_path, label):
+    path = tmp_path / "data.jsonl"
+    _write_lines(path, [_record("e1", "alice", "A"), _record("e2", "alice", label)])
+    with pytest.raises(CorpusError) as err:
+        load_dataset(path, ["A", "B"])
+    assert str(err.value) == f"line 2: unknown label {label!r}"
+
+
+def test_load_shares_repeated_texts_ids_and_demographics(tmp_path):
+    examples = [AnnotatedExample(f"t{t}", f"text number {t}", f"ann{a}", (t + a) % 3,
+                                 {"cohort": f"c{a % 2}"})
+                for t in range(6) for a in range(4)]
+    original = Dataset.from_examples(examples, ["L0", "L1", "L2"])
+    path = tmp_path / "data.jsonl"
+    write_dataset(original, path)
+    loaded = load_dataset(path, original.label_names).examples
+    assert loaded == examples
+    assert len({id(ex.text) for ex in loaded}) == 6
+    assert len({id(ex.example_id) for ex in loaded}) == 6
+    assert len({id(ex.annotator_id) for ex in loaded}) == 4
+    assert len({id(ex.demographics) for ex in loaded}) == 2
+
+
 def test_load_rejects_malformed_line(tmp_path):
     path = tmp_path / "data.jsonl"
     with open(path, "w") as fh:
