@@ -300,7 +300,7 @@ def demographic_alignment(clusters: ClusterResult, dataset: Dataset) -> Demograp
     return DemographicAlignment(tables=tables, top_values=top_values, excluded=excluded)
 
 
-def annotation_embedding_points(model, train_dataset: Dataset) -> tuple[np.ndarray, list[str]]:
+def annotation_embedding_points(model) -> tuple[np.ndarray, list[str]]:
     """Per-annotator test-time annotation embeddings, the stable representations
     used for clustering and projection."""
     ids = model.annotator_ids

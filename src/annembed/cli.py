@@ -261,7 +261,7 @@ def cmd_analyze(args, out):
         if model is None:
             raise CliError("cluster/project/alignment need --checkpoint")
         if args.embedding == "annotation":
-            points, ids = analysis.annotation_embedding_points(model, dataset)
+            points, ids = analysis.annotation_embedding_points(model)
         else:
             points, ids = analysis.annotator_embedding_points(model)
     clusters = None

@@ -133,11 +133,16 @@ def _parse_record(obj, label_index, shared, line_no):
         raise CorpusError(f"line {line_no}: unknown label {label!r}") from None
     demo = obj.get("demographics")
     if demo is not None:
-        if not isinstance(demo, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in demo.items()
-        ):
-            raise CorpusError(f"line {line_no}: demographics must map strings to strings")
-        demo = shared.setdefault(tuple(demo.items()), demo)
+        # a file repeats one dict per annotator: check only a dict not seen before
+        try:
+            demo = shared[tuple(demo.items())]
+        except (AttributeError, KeyError, TypeError):   # no dict, unseen, or unhashable
+            if not isinstance(demo, dict) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in demo.items()
+            ):
+                raise CorpusError(
+                    f"line {line_no}: demographics must map strings to strings") from None
+            shared[tuple(demo.items())] = demo
     return AnnotatedExample(
         example_id=shared.setdefault(obj["example_id"], obj["example_id"]),
         text=shared.setdefault(obj["text"], obj["text"]),
@@ -275,9 +280,9 @@ def make_annotation_split(dataset: Dataset, train_frac: float, seed: int,
     """Split each annotator's annotations, keeping every annotator on both sides.
 
     Per annotator the examples are shuffled with one seeded generator
-    (annotators visited in registry order) and the first ceil(train_frac * K)
-    go to train. dev_frac, if nonzero, carves a dev set out of the train
-    portion per annotator.
+    (annotators visited in registry order) and the first ceil(train_frac * K),
+    at most K - 1, go to train. dev_frac, if nonzero, carves a dev set out of
+    the train portion per annotator.
     """
     if not 0.0 < train_frac < 1.0:
         raise CorpusError("train_frac must lie strictly between 0 and 1")
@@ -295,7 +300,7 @@ def make_annotation_split(dataset: Dataset, train_frac: float, seed: int,
         positions = by_ann[ann]
         order = rng.permutation(len(positions))
         shuffled = [positions[i] for i in order]
-        n_train = math.ceil(train_frac * len(positions))
+        n_train = min(math.ceil(train_frac * len(positions)), len(positions) - 1)
         head, tail = shuffled[:n_train], shuffled[n_train:]
         n_dev = int(dev_frac * len(head))
         if n_dev >= len(head):

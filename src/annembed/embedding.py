@@ -1,11 +1,11 @@
 """Annotator and annotation embeddings with bilinear scalar gating.
 
 Each annotator owns a learnable row; each label owns a learnable row. An
-annotator's annotation embedding is the average of the label rows for their
-other training annotations (leave-one-out during training, full training
-average at test time). Both embeddings are scaled by bilinear gate weights
-against the sentence embedding and added to the first ([CLS]) row of the
-token embedding matrix.
+annotator's annotation embedding averages the label rows over their training
+label counts: all of them at test time, and in training all but the current
+annotation, whose own label is the one left out. Both embeddings are scaled
+by bilinear gate weights against the sentence embedding and added to the
+first ([CLS]) row of the token embedding matrix.
 """
 
 from __future__ import annotations
@@ -74,13 +74,16 @@ def label_coefficients(counts: np.ndarray | None, n_labels: int,
     """Label-row weights of an annotation embedding, as a 1 x M row.
 
     counts holds an annotator's training label counts. exclude_label drops
-    one annotation with that label, which gives the leave-one-out average
-    used in training. With no counts, or no annotation left after the
-    exclusion, the weights fall back to the uniform label average.
+    one annotation with that label (ValueError if they hold none), which gives
+    the leave-one-out average used in training. With no counts, or none left
+    after the exclusion, the weights fall back to the uniform label average.
     """
     if counts is not None:
         coeff = np.array(counts, dtype=np.float64)
         if exclude_label is not None:
+            if coeff[exclude_label] <= 0:
+                raise ValueError(f"cannot leave out label {exclude_label}: "
+                                 f"the counts {coeff.tolist()} hold none")
             coeff[exclude_label] -= 1.0
         total = coeff.sum()
         if total > 0:
@@ -89,41 +92,21 @@ def label_coefficients(counts: np.ndarray | None, n_labels: int,
 
 
 class AnnotationIndex:
-    """Per-annotator training annotations: ordered ids, labels, and counts."""
+    """Per-annotator training label counts, the one source of E_n's weights."""
 
     def __init__(self, dataset):
         self.n_labels = dataset.n_labels
-        self.examples: dict[str, list[tuple[str, int]]] = {}
-        self._label_of: dict[tuple[str, str], int] = {}
-        for ex in dataset.examples:
-            self.examples.setdefault(ex.annotator_id, []).append((ex.example_id, ex.label))
-            self._label_of[(ex.annotator_id, ex.example_id)] = ex.label
         self.counts = dict(zip(dataset.annotator_ids, dataset.label_counts().astype(np.float64)))
 
-    def train_coefficients(self, annotator_id: str, example_id: str) -> np.ndarray:
-        """Leave-one-out label-row weights; KeyError for an unindexed annotation
-        of a known annotator."""
-        counts = self.counts.get(annotator_id)
-        exclude = None if counts is None else self._label_of[(annotator_id, example_id)]
-        return label_coefficients(counts, self.n_labels, exclude)
+    def train_coefficients(self, annotator_id: str, label: int) -> np.ndarray:
+        """Leave-one-out label-row weights of a training annotation with this
+        label; an annotator with no training annotations gets the uniform row."""
+        return label_coefficients(self.counts.get(annotator_id), self.n_labels, label)
 
 
 def annotation_embedding(bank: EmbeddingBank, coeff: np.ndarray) -> Node:
     """The label rows weighted by a 1 x M coefficient row."""
     return tensor.matmul(tensor.constant(coeff), bank.label_rows)
-
-
-def annotation_embedding_train(bank: EmbeddingBank, index: AnnotationIndex,
-                               annotator_id: str, example_id: str) -> Node:
-    """Mean of the label rows for the annotator's other training annotations."""
-    return annotation_embedding(bank, index.train_coefficients(annotator_id, example_id))
-
-
-def annotation_embedding_test(bank: EmbeddingBank, index: AnnotationIndex,
-                              annotator_id: str) -> Node:
-    """Mean of the label rows over all of the annotator's training annotations."""
-    coeff = label_coefficients(index.counts.get(annotator_id), index.n_labels)
-    return annotation_embedding(bank, coeff)
 
 
 def sentence_embedding(token_embeddings: Node) -> Node:

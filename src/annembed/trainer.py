@@ -76,9 +76,8 @@ class Model:
                                     np.random.default_rng(streams[0]))
         self.bank = EmbeddingBank.init(len(self.annotator_ids), len(self.label_names),
                                        encoder_config.hidden, np.random.default_rng(streams[1]))
-        # per-annotator training label counts, filled in by train()
+        # training label counts keyed by annotator_ids, filled in by train()
         self.train_counts: dict[str, np.ndarray] = {}
-        self.train_label_totals = np.zeros(len(self.label_names))
 
     @property
     def mode(self) -> CombinationMode:
@@ -101,6 +100,11 @@ class Model:
         if idx is None:
             return tensor.constant(self._unseen_annotator_row(annotator_id))
         return tensor.gather_rows(self.bank.annotator_rows, [idx])
+
+    def label_totals(self) -> np.ndarray:
+        """Training label counts summed over annotators, in annotator_ids order."""
+        return sum((self.train_counts[a] for a in self.annotator_ids),
+                   np.zeros(len(self.label_names)))
 
     def test_coefficients(self, annotator_id: str) -> np.ndarray:
         return label_coefficients(self.train_counts.get(annotator_id), len(self.label_names))
@@ -162,7 +166,7 @@ def _prepare(dataset: Dataset, model: Model, mode: CombinationMode,
         coeff = None
         if mode.uses_annotation:
             coeff = (model.test_coefficients(ex.annotator_id) if index is None
-                     else index.train_coefficients(ex.annotator_id, ex.example_id))
+                     else index.train_coefficients(ex.annotator_id, ex.label))
         items.append((ids, ex.annotator_id, coeff, ex.label))
     return items
 
@@ -183,8 +187,7 @@ def train(split: Split, cfg: TrainConfig,
     model = Model(encoder_config, cfg, vocab, split.train.label_names,
                   split.train.annotator_ids, cfg.seed)
     index = AnnotationIndex(split.train)
-    model.train_counts = {a: c.copy() for a, c in index.counts.items()}
-    model.train_label_totals = sum(index.counts.values())
+    model.train_counts = index.counts
 
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     rng_shuffle = np.random.default_rng(streams[2])
@@ -333,7 +336,7 @@ def evaluate(model: Model, dataset: Dataset, mode: Optional[CombinationMode] = N
         per_class_f1=per_class,
     )
     if with_baselines:
-        majority = int(np.argmax(model.train_label_totals))
+        majority = int(np.argmax(model.label_totals()))
         rand_em, maj_em = baselines(dataset, seed=model.seed, majority_label=majority)
         report.baseline_random = rand_em
         report.baseline_majority = maj_em
@@ -417,7 +420,7 @@ def save_checkpoint(model: Model, directory) -> None:
         "vocabulary": model.vocab.token_to_id,
         "seed": model.seed,
         "train_counts": model.train_counts,
-        "train_label_totals": model.train_label_totals,
+        "train_label_totals": model.label_totals(),
         "arrays": layout,
     })
 
@@ -458,9 +461,9 @@ def _config_from_manifest(directory, manifest: dict, key: str, cls):
 
 def load_checkpoint(directory) -> Model:
     """Rebuild a saved model; ValueError if the manifest lacks a key, a config
-    in it has a missing or unknown field, a registry, the vocabulary or the
-    label counts have the wrong type or size, its array index differs from
-    the model's checkpoint_layout, or params.bin is not exactly that long."""
+    field, a registry, the vocabulary or the label counts fail their checks
+    (train_counts keyed by annotator_ids, train_label_totals their column sums),
+    its array index is not checkpoint_layout's, or params.bin not that long."""
     manifest = read_json(os.path.join(directory, CHECKPOINT_MANIFEST), required=MANIFEST_KEYS)
     if manifest["format_version"] != 1:
         raise ValueError(f"{directory}: unsupported checkpoint format_version "
@@ -479,13 +482,20 @@ def load_checkpoint(directory) -> Model:
     train_counts = manifest["train_counts"]
     if not isinstance(train_counts, dict):
         raise _manifest_error(directory, "train_counts", "must be an object")
+    missing = sorted(set(annotator_ids) - set(train_counts))
+    extra = sorted(set(train_counts) - set(annotator_ids))
+    if missing or extra:
+        raise _manifest_error(directory, "train_counts", "keys do not match annotator_ids "
+                              f"(missing {missing}, unexpected {extra})")
     m = len(label_names)
     model = Model(encoder_config, train_config, Vocabulary(token_to_id=vocabulary),
                   label_names, annotator_ids, manifest["seed"])
-    model.train_counts = {a: _label_counts(directory, f"train_counts[{a!r}]", row, m)
-                          for a, row in train_counts.items()}
-    model.train_label_totals = _label_counts(directory, "train_label_totals",
-                                             manifest["train_label_totals"], m)
+    model.train_counts = {a: _label_counts(directory, f"train_counts[{a!r}]", train_counts[a], m)
+                          for a in annotator_ids}
+    totals = _label_counts(directory, "train_label_totals", manifest["train_label_totals"], m)
+    if not np.array_equal(totals, model.label_totals()):
+        raise _manifest_error(directory, "train_label_totals", f"{totals.tolist()} differs from "
+                              f"the column sums of train_counts, {model.label_totals().tolist()}")
     layout = checkpoint_layout(model)
     stored = manifest["arrays"] if isinstance(manifest["arrays"], dict) else {}
     wrong = [f"{name}: manifest has {stored.get(name, 'nothing')}, the model needs "

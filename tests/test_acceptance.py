@@ -25,9 +25,9 @@ from annembed.embedding import (
     AnnotationIndex,
     CombinationMode,
     EmbeddingBank,
-    annotation_embedding_test,
-    annotation_embedding_train,
+    annotation_embedding,
     gate_weight,
+    label_coefficients,
     parameter_overhead,
 )
 from annembed.encoder import EncoderConfig, Vocabulary, classify, embed_tokens, encode, tokenize
@@ -56,15 +56,16 @@ def test_criterion_1_algebraic_identities():
     index = AnnotationIndex(split.train)
     bank = EmbeddingBank.init(50, 4, 16, np.random.default_rng(1))
 
-    # leave-one-out means reproduce the test-time embedding, per annotator
-    for annotator in split.train.annotator_ids:
-        entries = index.examples[annotator]
-        loo = np.vstack([
-            annotation_embedding_train(bank, index, annotator, eid).value
-            for eid, _ in entries
-        ])
-        test_emb = annotation_embedding_test(bank, index, annotator).value[0]
-        assert np.max(np.abs(loo.mean(axis=0) - test_emb)) < 1e-12
+    # leave-one-out means over every training annotation reproduce the
+    # test-time embedding, per annotator
+    loo: dict[str, list[np.ndarray]] = {}
+    for ex in split.train.examples:
+        coeff = index.train_coefficients(ex.annotator_id, ex.label)
+        loo.setdefault(ex.annotator_id, []).append(annotation_embedding(bank, coeff).value[0])
+    assert list(loo) == split.train.annotator_ids
+    for annotator, rows in loo.items():
+        test_emb = annotation_embedding(bank, label_coefficients(index.counts[annotator], 4))
+        assert np.max(np.abs(np.mean(rows, axis=0) - test_emb.value[0])) < 1e-12
 
     # gate weight is bilinear in the gated embedding
     rng = np.random.default_rng(2)
@@ -133,7 +134,7 @@ def test_criterion_2_gradient_acceptance():
     batch = split.train.examples[:4]
     items = [
         (tokenize(ex.text, vocab, 16), ex.annotator_id,
-         index.train_coefficients(ex.annotator_id, ex.example_id), ex.label)
+         index.train_coefficients(ex.annotator_id, ex.label), ex.label)
         for ex in batch
     ]
 
@@ -191,7 +192,7 @@ def test_criterion_3_mechanism_direction():
         _, em_text = _train_em(CombinationMode.TEXT_ONLY, split, seed)
         model, em_annotation = _train_em(CombinationMode.TEXT_PLUS_ANNOTATION, split, seed)
         group_gaps.append(em_annotation - em_text)
-        points, ids = annotation_embedding_points(model, split.train)
+        points, ids = annotation_embedding_points(model)
         clusters = kmeans(points, k=3, seed=seed, ids=ids)
         aris.append(adjusted_rand_index(
             [clusters.assignments[a] for a in ids],

@@ -296,6 +296,18 @@ def test_kmeans_sse_monotone_and_consistent():
     assert result.sse == pytest.approx(recomputed, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), dims=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_kmeans_sse_never_rises_on_random_clouds(data, n, dims, seed):
+    rng = np.random.default_rng(seed)
+    # coarse integer grids make duplicate points and ties common
+    points = rng.integers(-3, 4, size=(n, dims)) * data.draw(st.sampled_from([1.0, 0.1, 1e3]))
+    result = kmeans(points, k=data.draw(st.integers(1, n)), seed=seed)
+    trace = result.sse_trace
+    assert trace and all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(trace, trace[1:]))
+
+
 def test_kmeans_deterministic():
     rng = np.random.default_rng(4)
     points = rng.normal(size=(30, 4))

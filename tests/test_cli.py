@@ -328,7 +328,11 @@ def test_eval_of_checkpoint_missing_manifest_key_exit_code(tmp_path, split_dir, 
 @pytest.mark.parametrize("edit, message", [
     (lambda m: m["train_label_totals"].__setitem__(0, float("nan")), "NaN"),
     (lambda m: m.update(train_counts=[1, 2]), "train_counts"),
-], ids=["nan_literal", "list_train_counts"])
+    (lambda m: m["train_counts"].__setitem__("zzz", m["train_counts"].pop("a000")),
+     "(missing ['a000'], unexpected ['zzz'])"),
+    (lambda m: m.update(train_label_totals=[0.0, 0.0, 1e6]),
+     "train_label_totals [0.0, 0.0, 1000000.0] differs from the column sums"),
+], ids=["nan_literal", "list_train_counts", "renamed_annotator", "wrong_totals"])
 def test_eval_of_checkpoint_with_malformed_manifest_exit_code(tmp_path, split_dir, train_dir,
                                                               capsys, edit, message):
     checkpoint = train_dir / "checkpoint"

@@ -95,6 +95,20 @@ def test_load_shares_repeated_texts_ids_and_demographics(tmp_path):
     assert len({id(ex.demographics) for ex in loaded}) == 2
 
 
+@pytest.mark.parametrize("demographics", [
+    {"cohort": ["c0"]}, {"cohort": {"c": "0"}}, {"cohort": 0}, ["cohort", "c0"], "c0",
+], ids=["list_value", "object_value", "integer_value", "list", "string"])
+def test_load_rejects_demographics_that_are_not_string_to_string(tmp_path, demographics):
+    # the first line's valid dict is remembered; the bad one must still be checked
+    path = tmp_path / "data.jsonl"
+    _write_lines(path, [_record("e1", "alice", "A", demographics={"cohort": "c0"}),
+                        _record("e2", "alice", "A", demographics={"cohort": "c0"}),
+                        _record("e3", "alice", "A", demographics=demographics)])
+    with pytest.raises(CorpusError) as err:
+        load_dataset(path, ["A", "B"])
+    assert str(err.value) == "line 3: demographics must map strings to strings"
+
+
 def test_load_rejects_malformed_line(tmp_path):
     path = tmp_path / "data.jsonl"
     with open(path, "w") as fh:
@@ -253,6 +267,49 @@ def test_annotator_split_keeps_each_annotator_whole():
         for ann in side.annotator_ids:
             got = sum(1 for ex in side.examples if ex.annotator_id == ann)
             assert got == counts[ann]
+
+
+@st.composite
+def _crowds(draw, min_per_annotator):
+    """A random dataset: each annotator labels a distinct subset of the texts,
+    of at least min_per_annotator of them, in a shuffled record order."""
+    n_texts = draw(st.integers(min_per_annotator, 8))
+    texts = st.lists(st.integers(0, n_texts - 1), min_size=min_per_annotator, unique=True)
+    examples = [AnnotatedExample(f"t{t}", f"text {t}", f"a{a}", draw(st.integers(0, 2)))
+                for a in range(draw(st.integers(2, 6))) for t in draw(texts)]
+    return Dataset.from_examples(draw(st.permutations(examples)), ["L0", "L1", "L2"])
+
+
+def _assert_partition(dataset, split):
+    parts = [split.train, split.test] + ([split.dev] if split.dev is not None else [])
+    key = lambda ex: (ex.example_id, ex.annotator_id)
+    assert sorted((ex for part in parts for ex in part.examples), key=key) == \
+        sorted(dataset.examples, key=key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dataset=_crowds(min_per_annotator=2), train_frac=st.floats(0.01, 0.99),
+       dev_frac=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
+@example(dataset=Dataset.from_examples(
+    [AnnotatedExample(f"t{t}", f"text {t}", a, t % 2) for a in ("a", "b") for t in range(2)],
+    ["L0", "L1", "L2"]), train_frac=0.7, dev_frac=0.0, seed=0)   # ceil(0.7 * 2) == 2
+def test_annotation_split_keeps_every_annotator_on_both_sides(dataset, train_frac,
+                                                              dev_frac, seed):
+    split = make_annotation_split(dataset, train_frac, seed, dev_frac=dev_frac)
+    assert set(split.train.annotator_ids) == set(dataset.annotator_ids)
+    assert set(split.test.annotator_ids) == set(dataset.annotator_ids)
+    _assert_partition(dataset, split)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dataset=_crowds(min_per_annotator=1), train_frac=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2**32 - 1))
+def test_annotator_split_has_disjoint_annotator_sets(dataset, train_frac, seed):
+    split = make_annotator_split(dataset, train_frac, seed)
+    train_ann, test_ann = set(split.train.annotator_ids), set(split.test.annotator_ids)
+    assert train_ann and test_ann and not train_ann & test_ann
+    assert train_ann | test_ann == set(dataset.annotator_ids)
+    _assert_partition(dataset, split)
 
 
 def test_statistics_disagreement_buckets():

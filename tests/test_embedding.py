@@ -9,8 +9,7 @@ from annembed.embedding import (
     AnnotationIndex,
     CombinationMode,
     EmbeddingBank,
-    annotation_embedding_test,
-    annotation_embedding_train,
+    annotation_embedding,
     combine,
     gate_weight,
     label_coefficients,
@@ -38,7 +37,7 @@ def test_train_embedding_two_annotations():
     ds = _dataset([("i", "k0", 0), ("i", "k1", 1)])
     index = AnnotationIndex(ds)
     bank = _bank()
-    out = annotation_embedding_train(bank, index, "i", "k1")
+    out = annotation_embedding(bank, index.train_coefficients("i", 1))   # leaves out k1
     assert np.allclose(out.value, bank.label_rows.value[0:1], atol=1e-12)
 
 
@@ -46,7 +45,7 @@ def test_train_embedding_three_other_labels():
     ds = _dataset([("i", "k0", 0), ("i", "k1", 0), ("i", "k2", 1), ("i", "kx", 2)])
     index = AnnotationIndex(ds)
     bank = _bank()
-    out = annotation_embedding_train(bank, index, "i", "kx")
+    out = annotation_embedding(bank, index.train_coefficients("i", 2))   # leaves out kx
     rows = bank.label_rows.value
     expected = (2.0 * rows[0] + rows[1]) / 3.0
     assert np.allclose(out.value[0], expected, atol=1e-12)
@@ -56,7 +55,7 @@ def test_train_embedding_constant_labels():
     ds = _dataset([("i", "k0", 2), ("i", "k1", 2), ("i", "k2", 2), ("i", "kx", 0)])
     index = AnnotationIndex(ds)
     bank = _bank()
-    out = annotation_embedding_train(bank, index, "i", "kx")
+    out = annotation_embedding(bank, index.train_coefficients("i", 0))   # leaves out kx
     assert np.allclose(out.value[0], bank.label_rows.value[2], atol=1e-12)
 
 
@@ -64,7 +63,7 @@ def test_train_embedding_single_annotation_falls_back_to_uniform():
     ds = _dataset([("i", "k0", 1), ("j", "k0", 0), ("j", "k1", 2)])
     index = AnnotationIndex(ds)
     bank = _bank()
-    out = annotation_embedding_train(bank, index, "i", "k0")
+    out = annotation_embedding(bank, index.train_coefficients("i", 1))   # leaves out k0
     assert np.allclose(out.value[0], bank.label_rows.value.mean(axis=0), atol=1e-12)
 
 
@@ -72,7 +71,7 @@ def test_test_embedding_two_label_mean():
     ds = _dataset([("i", "k0", 0), ("i", "k1", 1)], n_labels=2)
     index = AnnotationIndex(ds)
     bank = _bank(n_labels=2)
-    out = annotation_embedding_test(bank, index, "i")
+    out = annotation_embedding(bank, label_coefficients(index.counts["i"], 2))
     expected = 0.5 * (bank.label_rows.value[0] + bank.label_rows.value[1])
     assert np.allclose(out.value[0], expected, atol=1e-12)
 
@@ -81,7 +80,7 @@ def test_test_embedding_unseen_annotator_uniform_prior():
     ds = _dataset([("i", "k0", 0), ("i", "k1", 1)])
     index = AnnotationIndex(ds)
     bank = _bank()
-    out = annotation_embedding_test(bank, index, "stranger")
+    out = annotation_embedding(bank, label_coefficients(index.counts.get("stranger"), M))
     assert np.allclose(out.value[0], bank.label_rows.value.mean(axis=0), atol=1e-12)
 
 
@@ -92,9 +91,10 @@ def test_leave_one_out_mean_equals_test_embedding():
     index = AnnotationIndex(ds)
     bank = _bank()
     loo = np.vstack([
-        annotation_embedding_train(bank, index, "i", eid).value for _, eid, _ in pairs
+        annotation_embedding(bank, index.train_coefficients("i", label)).value
+        for _, _, label in pairs
     ])
-    test_emb = annotation_embedding_test(bank, index, "i").value
+    test_emb = annotation_embedding(bank, label_coefficients(index.counts["i"], M)).value
     assert np.max(np.abs(loo.mean(axis=0) - test_emb[0])) < 1e-12
 
 
@@ -106,13 +106,19 @@ def test_leave_one_out_mean_equals_test_embedding():
     (None, None, [1 / 3, 1 / 3, 1 / 3]),             # unseen annotator
     (None, 2, [1 / 3, 1 / 3, 1 / 3]),
     ([0.0, 0.0, 0.0], None, [1 / 3, 1 / 3, 1 / 3]),  # all-zero counts
+    ([2.0, 0.0, 1.0], 1, ValueError),                # no label-1 annotation to leave out
 ])
 def test_label_coefficients_table(counts, exclude, expected):
     counts = None if counts is None else np.array(counts)
     before = None if counts is None else counts.copy()
-    coeff = label_coefficients(counts, M, exclude)
-    assert coeff.shape == (1, M)
-    assert np.allclose(coeff[0], expected, atol=1e-15)
+    if expected is ValueError:
+        with pytest.raises(ValueError, match=r"cannot leave out label 1: the counts "
+                                             r"\[2.0, 0.0, 1.0\] hold none"):
+            label_coefficients(counts, M, exclude)
+    else:
+        coeff = label_coefficients(counts, M, exclude)
+        assert coeff.shape == (1, M)
+        assert np.allclose(coeff[0], expected, atol=1e-15)
     if counts is not None:
         assert np.array_equal(counts, before)   # the caller's counts stay intact
 
@@ -132,10 +138,11 @@ def test_label_coefficients_row_is_a_distribution(data, counts):
 
 def test_train_coefficients_unknown_annotation_of_known_annotator():
     index = AnnotationIndex(_dataset([("i", "k0", 0), ("i", "k1", 1)]))
-    with pytest.raises(KeyError):
-        index.train_coefficients("i", "never-annotated")
+    # "i" has no training annotation with label 2, so none can be left out
+    with pytest.raises(ValueError, match="cannot leave out label 2"):
+        index.train_coefficients("i", 2)
     # an annotator with no training annotations at all gets the uniform row
-    assert np.allclose(index.train_coefficients("stranger", "k0"), 1.0 / M)
+    assert np.allclose(index.train_coefficients("stranger", 0), 1.0 / M)
 
 
 def test_sentence_embedding_single_token():
@@ -266,7 +273,8 @@ def test_gradients_flow_only_into_active_banks():
     e_t = tensor.parameter(np.random.default_rng(2).normal(size=(3, H)))
 
     def loss_for(mode):
-        e_n = annotation_embedding_train(bank, index, "i", "k0") if mode.uses_annotation else None
+        e_n = (annotation_embedding(bank, index.train_coefficients("i", 0))
+               if mode.uses_annotation else None)
         e_a = tensor.gather_rows(bank.annotator_rows, [0]) if mode.uses_annotator else None
         out = combine(mode, e_t, e_n, e_a, bank)
         return tensor.sum_all(out)

@@ -376,7 +376,7 @@ def test_annotator_permutation_equivariance():
     losses_before = []
     for ex in split.train.examples[:12]:
         ids = tokenize(ex.text, model.vocab, model.encoder_config.max_len)
-        coeff = index.train_coefficients(ex.annotator_id, ex.example_id)
+        coeff = index.train_coefficients(ex.annotator_id, ex.label)
         losses_before.append(model.loss_for(ids, ex.annotator_id, coeff, ex.label).value[0, 0])
 
     model.annotator_ids = [model.annotator_ids[i] for i in perm]
@@ -386,7 +386,7 @@ def test_annotator_permutation_equivariance():
     losses_after = []
     for ex in split.train.examples[:12]:
         ids = tokenize(ex.text, model.vocab, model.encoder_config.max_len)
-        coeff = index.train_coefficients(ex.annotator_id, ex.example_id)
+        coeff = index.train_coefficients(ex.annotator_id, ex.label)
         losses_after.append(model.loss_for(ids, ex.annotator_id, coeff, ex.label).value[0, 0])
     assert losses_before == losses_after
 
@@ -564,9 +564,14 @@ def test_checkpoint_rejects_config_field_mismatch(tmp_path, section, edit, key):
     (lambda m: m["vocabulary"].update(extra=len(m["vocabulary"])), r"vocabulary ids"),
     (lambda m: m.update(encoder_config=5), r"encoder_config must be an object"),
     (lambda m: m.update(seed="x"), r"seed must be an integer"),
+    (lambda m: m["train_counts"].__setitem__("zzz", m["train_counts"].pop("a000")),
+     r"train_counts keys do not match annotator_ids \(missing \['a000'\], unexpected \['zzz'\]\)"),
+    (lambda m: m.update(train_label_totals=[0.0, 0.0, 1e6]),
+     r"train_label_totals \[0.0, 0.0, 1000000.0\] differs from the column sums of train_counts, "
+     r"\[\d+\.0, \d+\.0, \d+\.0\]$"),
 ], ids=["list_train_counts", "short_row", "negative_count", "long_totals",
         "duplicate_annotator", "non_string_label", "vocabulary_size", "number_config",
-        "string_seed"])
+        "string_seed", "renamed_annotator", "wrong_totals"])
 def test_checkpoint_rejects_manifest_of_wrong_type_or_size(tmp_path, edit, message):
     directory = _saved_checkpoint(tmp_path)
     _edit_manifest(directory, edit)
