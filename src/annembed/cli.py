@@ -13,6 +13,8 @@ import argparse
 import dataclasses
 import os
 import sys
+import typing
+from enum import Enum
 
 import numpy as np
 
@@ -22,6 +24,18 @@ from .encoder import EncoderConfig
 
 OUT_ROOT_ENV = "ANNEMBED_OUT"
 ANALYSES = ("stats", "kappa", "correlation", "cluster", "project", "alignment")
+# config-backed flags, as flag dest -> field of the config class; each flag
+# takes its default and type from its field, and _config builds the class
+CONFIG_FLAGS = {
+    synthgen.PopulationConfig: {"annotators": "n_annotators", "texts": "n_texts",
+                                "labels": "n_labels", "vocab": "vocab_size",
+                                "groups": "group_count", "bias": "bias_strength",
+                                "per_text": "annotations_per_text"},
+    trainer.TrainConfig: {"mode": "mode", "epochs": "epochs", "batch_size": "batch_size",
+                          "lr": "learning_rate", "select_on_dev": "select_on_dev"},
+    EncoderConfig: {name: name for name in
+                    ("hidden", "layers", "heads", "max_len", "ffn_mult", "dropout")},
+}
 
 
 class CliError(RuntimeError):
@@ -67,18 +81,14 @@ def _load_data(args) -> corpus.Dataset:
 # ---------------------------------------------------------------------------
 # commands
 
+def _config(cls, args, **extra):
+    return cls(**{name: getattr(args, dest) for dest, name in CONFIG_FLAGS[cls].items()},
+               **extra)
+
+
 def cmd_synth(args, out):
-    cfg = synthgen.PopulationConfig(
-        n_annotators=args.annotators,
-        n_texts=args.texts,
-        n_labels=args.labels,
-        vocab_size=args.vocab,
-        group_count=args.groups,
-        bias_strength=args.bias,
-        annotations_per_text=args.per_text,
-        seed=args.seed,
-    )
-    dataset, truth = synthgen.generate_population(cfg)
+    dataset, truth = synthgen.generate_population(
+        _config(synthgen.PopulationConfig, args, seed=args.seed))
     corpus.write_dataset(dataset, os.path.join(out, "corpus.jsonl"))
     corpus.write_manifest(dataset, os.path.join(out, "corpus.manifest.json"))
     corpus.write_json(os.path.join(out, "truth.json"), truth)
@@ -133,19 +143,8 @@ def _write_report(out, report, label_names) -> None:
 
 
 def _train_one(split, args, seed, out):
-    cfg = trainer.TrainConfig(
-        mode=CombinationMode(args.mode),
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        seed=seed,
-        select_on_dev=args.select_on_dev,
-    )
-    enc_cfg = EncoderConfig(
-        hidden=args.hidden, layers=args.layers, heads=args.heads,
-        max_len=args.max_len, ffn_mult=args.ffn_mult, dropout=args.dropout,
-    )
-    model, trace = trainer.train(split, cfg, enc_cfg)
+    model, trace = trainer.train(split, _config(trainer.TrainConfig, args, seed=seed),
+                                 _config(EncoderConfig, args))
     os.makedirs(out, exist_ok=True)
     trainer.save_checkpoint(model, os.path.join(out, "checkpoint"))
     report = trainer.evaluate(model, split.test, with_baselines=True)
@@ -162,8 +161,10 @@ def _train_one(split, args, seed, out):
 
 
 def cmd_train(args, out):
+    if args.runs < 1:
+        raise CliError(f"--runs must be at least 1, got {args.runs}")
     split = _load_split(args.data)
-    if args.runs <= 1:
+    if args.runs == 1:
         report = _train_one(split, args, args.seed, out)
         print(report.to_text(split.train.label_names))
         return
@@ -318,6 +319,19 @@ def cmd_report(args, out):
 # ---------------------------------------------------------------------------
 
 
+def _config_flags(p, cls, **helps):
+    """Add the flags of one CONFIG_FLAGS class, typed and defaulted by its fields."""
+    types, fields = typing.get_type_hints(cls), {f.name: f for f in dataclasses.fields(cls)}
+    for dest, name in CONFIG_FLAGS[cls].items():
+        flag, kind, default = "--" + dest.replace("_", "-"), types[name], fields[name].default
+        if kind is bool:
+            p.add_argument(flag, action="store_true", default=default)
+        elif issubclass(kind, Enum):
+            p.add_argument(flag, default=default.value, choices=[m.value for m in kind])
+        else:
+            p.add_argument(flag, type=kind, default=default, help=helps.get(dest))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="annembed",
@@ -333,14 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic population")
     common(p)
-    p.add_argument("--annotators", type=int, default=12)
-    p.add_argument("--texts", type=int, default=400)
-    p.add_argument("--labels", type=int, default=3)
-    p.add_argument("--vocab", type=int, default=60)
-    p.add_argument("--groups", type=int, default=0)
-    p.add_argument("--bias", type=float, default=0.5)
-    p.add_argument("--per-text", type=int, default=0,
-                   help="annotations per text (0 = every annotator)")
+    _config_flags(p, synthgen.PopulationConfig,
+                  per_text="annotations per text (0 = every annotator)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("split", help="write train/dev/test JSONL files")
@@ -355,19 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a split directory")
     common(p)
     p.add_argument("--data", help="split directory")
-    p.add_argument("--mode", default="text_plus_both",
-                   choices=[m.value for m in CombinationMode])
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=2e-4)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--max-len", type=int, default=64)
-    p.add_argument("--ffn-mult", type=int, default=4)
-    p.add_argument("--dropout", type=float, default=0.1)
+    _config_flags(p, trainer.TrainConfig)
+    _config_flags(p, EncoderConfig)
     p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--select-on-dev", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a JSONL dataset")
@@ -428,7 +426,9 @@ _REQUIRED = {
 
 
 def _apply_config(parser, argv):
-    """Parse twice so --config supplies defaults that explicit flags override."""
+    """Parse twice so --config supplies defaults that explicit flags override.
+    Each recorded option must be one of the command's, of the type its flag
+    declares; null stands only for a flag whose default is None."""
     args = parser.parse_args(argv)
     if args.config:
         manifest = corpus.read_json(args.config)
@@ -439,12 +439,24 @@ def _apply_config(parser, argv):
         if command != args.command:
             raise CliError(
                 f"manifest was recorded for {command!r}, not {args.command!r}")
+        if options is manifest:
+            options = {k: v for k, v in options.items() if k != "command"}
         fresh = build_parser()
         sub_actions = [a for a in fresh._actions
                        if isinstance(a, argparse._SubParsersAction)]
         sub_parser = sub_actions[0].choices[args.command]
-        known = {a.dest for a in sub_parser._actions}
-        sub_parser.set_defaults(**{k: v for k, v in options.items() if k in known})
+        actions = {a.dest: a for a in sub_parser._actions if a.dest != "help"}
+        for key, value in options.items():
+            action = actions.get(key)
+            if action is None:
+                raise CliError(f"{args.config}: {args.command} has no option {key!r}")
+            kind = bool if action.nargs == 0 else list if action.nargs == "*" else action.type
+            try:
+                if value is not None or action.default is not None:
+                    corpus.check_type(key, value, kind or str, action.choices)
+            except ValueError as err:
+                raise CliError(f"{args.config}: option {err}") from None
+        sub_parser.set_defaults(**options)
         args = fresh.parse_args(argv)
     for key in _REQUIRED.get(args.command, ()):
         if not getattr(args, key, None):

@@ -1,5 +1,6 @@
 """Loading, validation, splitting, and statistics for multi-annotator datasets,
-plus the package's one JSON file reader and writer.
+plus the package's one JSON file reader and writer and its one type rule for
+recorded options and config fields.
 
 A dataset is a flat list of annotations: each record pairs one text with one
 annotator's label. The on-disk format is JSON Lines (one annotation per line,
@@ -11,9 +12,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -252,6 +254,37 @@ def read_json(path, required=()) -> dict:
     if missing:
         raise CorpusError(f"{path} lacks {missing}")
     return obj
+
+
+def check_type(name: str, value, kind, choices=None) -> None:
+    """The one type rule for a recorded option or config field. An int takes
+    an integer, never a bool or a float such as 2.0; a float takes a finite
+    number, never a bool; a bool takes a bool; a str or a str-valued Enum
+    takes a string, one of choices or of the Enum's values; a list takes a
+    list of strings. ValueError names the field and the value."""
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        kind, choices = str, [member.value for member in kind]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is bool:
+        ok, want = isinstance(value, bool), "true or false"
+    elif kind is int:
+        ok, want = number and isinstance(value, int), "an integer"
+    elif kind is float:   # abs(): math.isfinite raises on an int too large for a float
+        ok, want = number and abs(value) <= sys.float_info.max, "a finite number"
+    elif kind is list:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        want = "a list of strings"
+    else:
+        ok = isinstance(value, str) and (choices is None or value in choices)
+        want = "a string" if choices is None else f"one of {list(choices)}"
+    if not ok:
+        raise ValueError(f"{name} must be {want}, found {value!r}")
+
+
+def check_fields(config) -> None:
+    """check_type over every field of a config dataclass, by its annotation."""
+    for name, kind in get_type_hints(type(config)).items():
+        check_type(name, getattr(config, name), kind)
 
 
 def write_manifest(dataset: Dataset, path) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
+from .corpus import check_fields
 from .tensor import Node
 
 PAD_ID = 0
@@ -73,6 +74,7 @@ class EncoderConfig:
     vocab_size: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if min(self.hidden, self.heads, self.ffn_mult) < 1 or self.layers < 0:
             raise ValueError("hidden, heads and ffn_mult must be at least 1, layers at least 0")
         if self.hidden % self.heads != 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import AnnotatedExample, Dataset
+from .corpus import AnnotatedExample, Dataset, check_fields
 
 
 class SynthError(ValueError):
@@ -34,6 +34,7 @@ class PopulationConfig:
     filler_tokens_per_text: int = 2
 
     def __post_init__(self):
+        check_fields(self)
         if self.annotations_per_text == 0:
             self.annotations_per_text = self.n_annotators
         if self.n_labels < 2:

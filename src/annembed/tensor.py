@@ -11,13 +11,13 @@ Gradients are demand-driven: a node needs one only if it is a parameter or
 depends on one, and its buffer is created when the first contribution
 arrives, so forward-only passes allocate no gradient memory.
 Randomness (dropout) always comes from an explicitly passed numpy PCG64
-generator so a 64-bit seed reproduces runs exactly on any platform.
+generator, so a 64-bit seed reproduces a run exactly on the same machine
+with the same numpy and BLAS build.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 LAYER_NORM_EPS = 1e-12
 
@@ -252,6 +252,7 @@ def dropout(x: Node, p: float, rng: np.random.Generator, training: bool) -> Node
 
 
 def gelu(x: Node) -> Node:
+    from scipy.special import erf   # on first use: its import dominates CLI start-up
     v = x.value
     cdf = 0.5 * (1.0 + erf(v / np.sqrt(2.0)))
 

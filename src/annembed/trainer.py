@@ -9,7 +9,6 @@ annotator/label registries; checkpoints round-trip all of it bit-exactly.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import tensor
-from .corpus import Dataset, Split, read_json, write_json
+from .corpus import Dataset, Split, check_fields, read_json, write_json
 from .embedding import (
     AnnotationIndex,
     CombinationMode,
@@ -48,14 +47,15 @@ class TrainConfig:
     select_on_dev: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         self.mode = CombinationMode(self.mode)
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(
-                f"learning_rate must be positive and finite, got {self.learning_rate!r}")
+        if min(self.learning_rate, self.adam_eps) <= 0.0:
+            raise ValueError("learning_rate and adam_eps must be positive, got "
+                             f"{self.learning_rate!r} and {self.adam_eps!r}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("Adam betas must lie strictly inside (0, 1)")
+            raise ValueError("beta1 and beta2 must lie strictly inside (0, 1)")
 
 
 class Model:
@@ -439,7 +439,7 @@ def _unique_strings(directory, manifest: dict, key: str) -> list[str]:
 
 def _label_counts(directory, key: str, row, n_labels: int) -> np.ndarray:
     if isinstance(row, list) and len(row) == n_labels and all(
-            isinstance(c, (int, float)) for c in row):
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in row):
         counts = np.asarray(row, dtype=np.float64)
         if np.isfinite(counts).all() and (counts >= 0).all():
             return counts
@@ -456,7 +456,10 @@ def _config_from_manifest(directory, manifest: dict, key: str, cls):
     if missing or extra:
         raise _manifest_error(directory, key, f"does not match {cls.__name__} "
                               f"(missing {missing}, unexpected {extra})")
-    return cls(**section)
+    try:
+        return cls(**section)
+    except ValueError as err:
+        raise _manifest_error(directory, key, str(err)) from None
 
 
 def load_checkpoint(directory) -> Model:

@@ -1,9 +1,18 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annembed.cli import main
+from annembed.trainer import load_checkpoint, save_checkpoint
 
 FAST_TRAIN = [
     "--epochs", "2", "--batch-size", "16", "--lr", "2e-3",
@@ -332,7 +341,12 @@ def test_eval_of_checkpoint_missing_manifest_key_exit_code(tmp_path, split_dir, 
      "(missing ['a000'], unexpected ['zzz'])"),
     (lambda m: m.update(train_label_totals=[0.0, 0.0, 1e6]),
      "train_label_totals [0.0, 0.0, 1000000.0] differs from the column sums"),
-], ids=["nan_literal", "list_train_counts", "renamed_annotator", "wrong_totals"])
+    (lambda m: m["encoder_config"].update(hidden="16"),
+     "encoder_config hidden must be an integer, found '16'"),
+    (lambda m: m["train_config"].update(epochs=1.5),
+     "train_config epochs must be an integer, found 1.5"),
+], ids=["nan_literal", "list_train_counts", "renamed_annotator", "wrong_totals",
+        "string_hidden", "float_epochs"])
 def test_eval_of_checkpoint_with_malformed_manifest_exit_code(tmp_path, split_dir, train_dir,
                                                               capsys, edit, message):
     checkpoint = train_dir / "checkpoint"
@@ -379,6 +393,96 @@ def test_config_that_is_not_an_object_exit_code(tmp_path, content, capsys):
     assert str(config) in capsys.readouterr().err
 
 
+# the options of a train manifest recorded before the flags took their
+# defaults from the config dataclasses
+RECORDED_TRAIN_OPTIONS = {
+    "batch_size": 16, "dropout": 0.1, "epochs": 1, "ffn_mult": 2, "heads": 2, "hidden": 8,
+    "layers": 1, "lr": 0.003, "max_len": 12, "mode": "text_plus_both", "out": "train",
+    "runs": 1, "seed": 2, "select_on_dev": False,
+}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epochs", 1.5, "option epochs must be an integer, found 1.5"),
+    ("dropout", None, "option dropout must be a finite number, found None"),
+    ("epochz", 3, "train has no option 'epochz'"),
+    ("select_on_dev", "yes", "option select_on_dev must be true or false, found 'yes'"),
+    ("lr", True, "option lr must be a finite number, found True"),
+    ("mode", "text_plus_all", "option mode must be one of ['text_only', "),
+], ids=["float_epochs", "null_dropout", "unknown_key", "string_bool", "bool_lr", "bad_choice"])
+def test_train_config_with_bad_option_exit_code(tmp_path, split_dir, capsys, key, value,
+                                                message):
+    config = tmp_path / "config.json"
+    options = {**RECORDED_TRAIN_OPTIONS, "data": str(split_dir), key: value}
+    config.write_text(json.dumps({"command": "train", "options": options}))
+    out = tmp_path / "t"
+    assert _run("train", "--config", str(config), "--out", str(out)) == 2
+    assert f"{config}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_split_config_with_unknown_kind_exit_code(tmp_path, corpus_dir, capsys):
+    # argparse checks a choice given as a flag, not one a manifest supplies
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "split", "options": {
+        "data": str(corpus_dir / "corpus.jsonl"), "kind": "annotatr"}}))
+    assert _run("split", "--config", str(config), "--out", str(tmp_path / "s")) == 2
+    assert f"{config}: option kind must be one of ['annotation', 'annotator']" \
+        in capsys.readouterr().err
+
+
+def test_bare_config_object_may_name_its_command(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"command": "synth", "annotators": 3, "texts": 5, "labels": 2, '
+                      '"vocab": 20}')
+    out = tmp_path / "s"
+    assert _run("synth", "--config", str(config), "--out", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["options"]["annotators"] == 3
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_train_runs_below_one_exit_code(tmp_path, split_dir, capsys, runs):
+    out = tmp_path / "t"
+    assert _run("train", "--data", str(split_dir), "--runs", runs, "--out", str(out),
+                *FAST_TRAIN) == 2
+    assert f"--runs must be at least 1, got {runs}" in capsys.readouterr().err
+    assert not (out / "checkpoint").exists()
+
+
+def _write_recorded(path, command, options):
+    # the bytes write_json gives a run manifest
+    path.write_text(json.dumps({"command": command, "options": options},
+                               sort_keys=True, indent=2) + "\n")
+
+
+def test_recorded_manifests_replay_byte_identically(tmp_path, monkeypatch):
+    # each manifest replays with no flag but --config and writes itself again,
+    # byte for byte; the corpus digest is the one the recording run wrote
+    monkeypatch.chdir(tmp_path)
+    recorded = {
+        "synth": {"annotators": 12, "bias": 0.8, "groups": 2, "labels": 12, "out": "synth",
+                  "per_text": 8, "seed": 3, "texts": 60, "vocab": 60},
+        "split": {"data": "synth/corpus.jsonl", "dev_frac": 0.0, "kind": "annotation",
+                  "manifest": None, "out": "split", "seed": 1, "train_frac": 0.7},
+        "train": {**RECORDED_TRAIN_OPTIONS, "data": "split"},
+    }
+    for command, options in recorded.items():
+        config = tmp_path / f"{command}.json"
+        _write_recorded(config, command, options)
+        assert _run(command, "--config", str(config)) == 0
+        assert (tmp_path / command / "manifest.json").read_bytes() == config.read_bytes()
+    corpus = (tmp_path / "synth" / "corpus.jsonl").read_bytes()
+    assert hashlib.sha256(corpus).hexdigest() == \
+        "6d828b35912926fc9b3ed3fecdb6e306329895b09112f9ce99e029db850cddb2"
+    assert _run("train", "--data", "split", "--mode", "text_plus_both", "--epochs", "1",
+                "--batch-size", "16", "--lr", "3e-3", "--hidden", "8", "--layers", "1",
+                "--heads", "2", "--max-len", "12", "--ffn-mult", "2", "--dropout", "0.1",
+                "--seed", "2", "--out", "flags") == 0
+    for fname in ("checkpoint/params.bin", "checkpoint/manifest.json", "report.json"):
+        assert (tmp_path / "train" / fname).read_bytes() == \
+            (tmp_path / "flags" / fname).read_bytes(), fname
+
+
 def test_analyze_unknown_what_exit_code(tmp_path, corpus_dir, capsys):
     out = tmp_path / "analysis"
     assert _run("analyze", "--data", str(corpus_dir / "corpus.jsonl"),
@@ -412,3 +516,91 @@ def test_every_json_output_is_in_the_shared_format(tmp_path, corpus_dir, split_d
         again = tmp_path / "again.json"
         write_json(again, json.loads(path.read_text(encoding="utf-8")))
         assert path.read_bytes() == again.read_bytes(), path
+
+
+# ---------------------------------------------------------------------------
+# mutation properties: a recorded input with one key deleted, renamed or given
+# a value of another JSON type makes the command exit 0 or 2, never raise;
+# exit 2 names the file and the key
+
+
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory):
+    """One tiny synth -> split -> train run, built once for the properties."""
+    root = tmp_path_factory.mktemp("recorded")
+    assert main(["synth", "--annotators", "3", "--texts", "12", "--labels", "2",
+                 "--vocab", "12", "--per-text", "2", "--seed", "1",
+                 "--out", str(root / "synth")]) == 0
+    assert main(["split", "--data", str(root / "synth" / "corpus.jsonl"), "--seed", "1",
+                 "--out", str(root / "split")]) == 0
+    assert main(["train", "--data", str(root / "split"), "--epochs", "1", "--hidden", "8",
+                 "--layers", "1", "--heads", "2", "--max-len", "12", "--ffn-mult", "2",
+                 "--seed", "1", "--out", str(root / "train")]) == 0
+    return root
+
+
+def _mutations(value):
+    """Delete, rename, or replace with one value of each other JSON type: an
+    int becomes the equal float, a float its integer part, and any other value
+    a small int and a small float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        numbers = [float(value) if isinstance(value, int) else int(value)]
+    else:
+        numbers = [1, 0.5]
+    others = [v for v in ("x", True, None, [], {}) if type(v) is not type(value)]
+    return ["delete", "rename"] + [("replace", v) for v in others + numbers]
+
+
+def _mutate(obj: dict, key: str, mutation) -> None:
+    value = obj.pop(key)
+    if mutation == "rename":
+        obj[key + "_renamed"] = value
+    elif mutation != "delete":
+        obj[key] = mutation[1]
+
+
+def _cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_synth_manifest_replays_or_exits_2(recorded_run, data):
+    manifest = json.loads((recorded_run / "synth" / "manifest.json").read_text())
+    options = manifest["options"]
+    key = data.draw(st.sampled_from(sorted(options)))
+    _mutate(options, key, data.draw(st.sampled_from(_mutations(options[key]))))
+    work = Path(tempfile.mkdtemp(dir=recorded_run))
+    config = work / "manifest.json"
+    config.write_text(json.dumps(manifest))
+    code, err = _cli(["synth", "--config", str(config), "--out", str(work / "out")])
+    assert code in (0, 2)
+    if code == 2:
+        assert str(config) in err and key in err, err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_checkpoint_config_loads_or_exits_2(recorded_run, data):
+    source = recorded_run / "train" / "checkpoint"
+    manifest = json.loads((source / "manifest.json").read_text())
+    section = manifest[data.draw(st.sampled_from(["encoder_config", "train_config"]))]
+    key = data.draw(st.sampled_from(sorted(section)))
+    _mutate(section, key, data.draw(st.sampled_from(_mutations(section[key]))))
+    work = Path(tempfile.mkdtemp(dir=recorded_run))
+    checkpoint = work / "checkpoint"
+    shutil.copytree(source, checkpoint)
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    code, err = _cli(["eval", "--checkpoint", str(checkpoint),
+                      "--data", str(recorded_run / "split" / "test.jsonl"),
+                      "--out", str(work / "eval")])
+    assert code in (0, 2)
+    if code == 2:
+        assert f"{checkpoint}: manifest.json" in err and key in err, err
+    else:
+        # load kept every value as it was: saved again, it records the mutation
+        save_checkpoint(load_checkpoint(checkpoint), work / "again")
+        assert json.loads((work / "again" / "manifest.json").read_text()) == manifest

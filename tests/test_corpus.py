@@ -11,6 +11,7 @@ from annembed.corpus import (
     AnnotatedExample,
     CorpusError,
     Dataset,
+    check_type,
     dataset_statistics,
     drop_unseen_annotators,
     load_dataset,
@@ -443,6 +444,31 @@ def test_read_json_rejects_nan_literal(tmp_path):
     path.write_text('{"a": NaN}', encoding="utf-8")
     with pytest.raises(CorpusError, match=r"nan\.json: NaN"):
         read_json(path)
+
+
+@pytest.mark.parametrize("kind, value, ok", [
+    (int, 3, True), (int, -1, True), (int, True, False), (int, 2.0, False), (int, "3", False),
+    (int, None, False),
+    (float, 0.5, True), (float, 1, True), (float, True, False), (float, math.nan, False),
+    (float, math.inf, False), (float, 10 ** 400, False), (float, "0.5", False),
+    (bool, False, True), (bool, 0, False), (bool, "yes", False), (bool, None, False),
+    (str, "x", True), (str, 1, False), (str, None, False),
+    (CombinationMode, "text_only", True), (CombinationMode, CombinationMode.TEXT_ONLY, True),
+    (CombinationMode, "text", False), (CombinationMode, 0, False),
+    (list, ["a", "b"], True), (list, [], True), (list, ["a", 1], False), (list, "a", False),
+])
+def test_check_type_is_the_one_type_rule(kind, value, ok):
+    if ok:
+        check_type("field", value, kind)
+    else:
+        with pytest.raises(ValueError, match=r"^field must be .*, found "):
+            check_type("field", value, kind)
+
+
+def test_check_type_limits_a_string_to_its_choices():
+    check_type("kind", "annotator", str, ["annotation", "annotator"])
+    with pytest.raises(ValueError, match=r"kind must be one of \['annotation', 'annotator'\]"):
+        check_type("kind", "annotatr", str, ["annotation", "annotator"])
 
 
 # (annotator, text number, label) triples, at most one per annotator and text

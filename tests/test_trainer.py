@@ -84,10 +84,17 @@ def test_empty_train_split_rejected():
         train(split, TrainConfig(epochs=1), EncoderConfig(**FAST_ENC))
 
 
-@pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf"), True])
 def test_train_config_rejects_bad_learning_rate(lr):
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=lr)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-8])
+def test_train_config_rejects_non_positive_adam_eps(eps):
+    # with eps 0 a parameter the loss never reaches gets 0 / 0 from Adam
+    with pytest.raises(ValueError, match="adam_eps must be positive"):
+        TrainConfig(adam_eps=eps)
 
 
 def test_divergence_aborts():
@@ -569,9 +576,19 @@ def test_checkpoint_rejects_config_field_mismatch(tmp_path, section, edit, key):
     (lambda m: m.update(train_label_totals=[0.0, 0.0, 1e6]),
      r"train_label_totals \[0.0, 0.0, 1000000.0\] differs from the column sums of train_counts, "
      r"\[\d+\.0, \d+\.0, \d+\.0\]$"),
+    (lambda m: m["encoder_config"].update(hidden="8"),
+     r"encoder_config hidden must be an integer, found '8'$"),
+    (lambda m: m["encoder_config"].update(dropout=None),
+     r"encoder_config dropout must be a finite number, found None$"),
+    (lambda m: m["encoder_config"].update(heads=2.0),
+     r"encoder_config heads must be an integer, found 2.0$"),
+    (lambda m: m["train_config"].update(epochs=1.5),
+     r"train_config epochs must be an integer, found 1.5$"),
+    (lambda m: m["train_counts"]["a000"].__setitem__(0, True), r"train_counts\['a000'\] must be"),
 ], ids=["list_train_counts", "short_row", "negative_count", "long_totals",
         "duplicate_annotator", "non_string_label", "vocabulary_size", "number_config",
-        "string_seed", "renamed_annotator", "wrong_totals"])
+        "string_seed", "renamed_annotator", "wrong_totals", "string_hidden", "null_dropout",
+        "float_heads", "float_epochs", "bool_count"])
 def test_checkpoint_rejects_manifest_of_wrong_type_or_size(tmp_path, edit, message):
     directory = _saved_checkpoint(tmp_path)
     _edit_manifest(directory, edit)
