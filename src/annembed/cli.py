@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 import typing
 from enum import Enum
@@ -82,8 +83,20 @@ def _load_data(args) -> corpus.Dataset:
 # commands
 
 def _config(cls, args, **extra):
-    return cls(**{name: getattr(args, dest) for dest, name in CONFIG_FLAGS[cls].items()},
-               **extra)
+    """cls from its CONFIG_FLAGS options. When cls rejects a value that
+    --config supplied, the error names the file and each such option whose
+    field the message names."""
+    flags = CONFIG_FLAGS[cls]
+    try:
+        return cls(**{name: getattr(args, dest) for dest, name in flags.items()}, **extra)
+    except ValueError as err:
+        recorded = _recorded_options(args.config, args.command) if args.config else {}
+        keys = [dest for dest, name in flags.items()
+                if dest in recorded and recorded[dest] == getattr(args, dest)
+                and re.search(rf"\b{name}\b", str(err))]
+        if not keys:
+            raise
+        raise CliError(f"{args.config}: option {', '.join(keys)}: {err}") from None
 
 
 def cmd_synth(args, out):
@@ -425,22 +438,28 @@ _REQUIRED = {
 }
 
 
+def _recorded_options(path, command) -> dict:
+    """The options a --config file records: its "options" object, or the
+    bare object without its "command" key, which must name command if any."""
+    manifest = corpus.read_json(path)
+    options = manifest.get("options", manifest)
+    if not isinstance(options, dict):
+        raise CliError(f"{path}: options must be a JSON object")
+    recorded = manifest.get("command", command)
+    if recorded != command:
+        raise CliError(f"manifest was recorded for {recorded!r}, not {command!r}")
+    if options is manifest:
+        options = {k: v for k, v in options.items() if k != "command"}
+    return options
+
+
 def _apply_config(parser, argv):
     """Parse twice so --config supplies defaults that explicit flags override.
     Each recorded option must be one of the command's, of the type its flag
     declares; null stands only for a flag whose default is None."""
     args = parser.parse_args(argv)
     if args.config:
-        manifest = corpus.read_json(args.config)
-        options = manifest.get("options", manifest)
-        if not isinstance(options, dict):
-            raise CliError(f"{args.config}: options must be a JSON object")
-        command = manifest.get("command", args.command)
-        if command != args.command:
-            raise CliError(
-                f"manifest was recorded for {command!r}, not {args.command!r}")
-        if options is manifest:
-            options = {k: v for k, v in options.items() if k != "command"}
+        options = _recorded_options(args.config, args.command)
         fresh = build_parser()
         sub_actions = [a for a in fresh._actions
                        if isinstance(a, argparse._SubParsersAction)]

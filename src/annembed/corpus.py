@@ -184,19 +184,35 @@ def load_dataset(path, label_names, name=None) -> Dataset:
     return Dataset.from_examples(examples, label_names, name)
 
 
+class _Encoded(dict):
+    """string -> _LINE_ENCODER.encode(string), each distinct string encoded once."""
+
+    def __missing__(self, value):
+        self[value] = text = _LINE_ENCODER.encode(value)
+        return text
+
+
 def write_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset back to JSONL; load_dataset round-trips it record-for-record."""
+    """Write a dataset back to JSONL; load_dataset round-trips it record-for-record.
+
+    Each line is _LINE_ENCODER.encode of the annotation's record, put together
+    in sorted-key order from the encodings of its values, so that a string or
+    a demographics dict repeated across annotations is encoded once.
+    """
+    strings = _Encoded()
+    labels = [strings[name] for name in dataset.label_names]
+    # a dict is keyed by identity: the examples hold every one until the write ends
+    demographics: dict[int, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for ex in dataset.examples:
-            record = {
-                "example_id": ex.example_id,
-                "text": ex.text,
-                "annotator_id": ex.annotator_id,
-                "label": dataset.label_names[ex.label],
-            }
+            head = '{"annotator_id": ' + strings[ex.annotator_id]
             if ex.demographics is not None:
-                record["demographics"] = ex.demographics
-            fh.write(_LINE_ENCODER.encode(record) + "\n")
+                key = id(ex.demographics)
+                if key not in demographics:
+                    demographics[key] = _LINE_ENCODER.encode(ex.demographics)
+                head += ', "demographics": ' + demographics[key]
+            fh.write(f'{head}, "example_id": {strings[ex.example_id]}, '
+                     f'"label": {labels[ex.label]}, "text": {strings[ex.text]}}}\n')
 
 
 def _plain(value):

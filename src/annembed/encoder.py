@@ -39,9 +39,10 @@ class Vocabulary:
 
     @classmethod
     def build(cls, texts) -> "Vocabulary":
-        """Collect tokens from the training texts in first-appearance order."""
+        """Collect tokens from the training texts in first-appearance order;
+        each distinct text is split once."""
         vocab = cls()
-        for text in texts:
+        for text in dict.fromkeys(texts):
             for token in split_text(text):
                 if token not in vocab.token_to_id:
                     vocab.token_to_id[token] = len(vocab.token_to_id)

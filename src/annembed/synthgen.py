@@ -5,6 +5,14 @@ relabel them through per-annotator (or per-group) row-stochastic bias
 matrices. bias_strength is the probability that a bias row redirects its
 base label to a random target label, so 0 gives unanimous clean labels and
 1 gives fully remapped ones.
+
+The order of the random draws is part of the byte-for-byte contract: one
+seeded generator draws the bias matrices, then for each text in turn its
+signal and filler tokens, its annotator picks (unless every annotator labels
+every text) and one uniform double per annotation, which picks the label
+from that annotator's cumulative bias row as Generator.choice(m, p=row)
+would. Drawing these in another order or through other calls changes the
+corpus.
 """
 
 from __future__ import annotations
@@ -38,11 +46,11 @@ class PopulationConfig:
         if self.annotations_per_text == 0:
             self.annotations_per_text = self.n_annotators
         if self.n_labels < 2:
-            raise SynthError("need at least 2 labels")
+            raise SynthError("n_labels must be at least 2")
         if self.vocab_size < self.n_labels:
-            raise SynthError("vocab too small to carry one signal token per label")
+            raise SynthError("vocab_size must be at least n_labels, one signal token per label")
         if self.group_count > self.n_annotators:
-            raise SynthError("more groups than annotators")
+            raise SynthError("group_count must not exceed n_annotators")
         if not 0.0 <= self.bias_strength <= 1.0:
             raise SynthError("bias_strength must lie in [0, 1]")
         if not 1 <= self.annotations_per_text <= self.n_annotators:
@@ -96,10 +104,10 @@ def generate_population(cfg: PopulationConfig) -> tuple[Dataset, GroundTruth]:
 
     n_signal = max(1, (cfg.vocab_size // 2) // m)
     signal_pools = [
-        [f"w{c * n_signal + i:03d}" for i in range(n_signal)] for c in range(m)
+        np.array([f"w{c * n_signal + i:03d}" for i in range(n_signal)]) for c in range(m)
     ]
     filler_start = m * n_signal
-    filler_pool = [f"w{i:03d}" for i in range(filler_start, cfg.vocab_size)] or ["w000"]
+    filler_pool = np.array([f"w{i:03d}" for i in range(filler_start, cfg.vocab_size)] or ["w000"])
 
     if cfg.group_count > 0:
         group_matrices = _distinct_bias_matrices(cfg.group_count, m, cfg.bias_strength, rng)
@@ -114,32 +122,39 @@ def generate_population(cfg: PopulationConfig) -> tuple[Dataset, GroundTruth]:
         }
 
     annotator_ids = list(group_ids)
+    demographics = [
+        {"cohort": f"g{g}"} if cfg.group_count > 0 else None for g in group_ids.values()
+    ]
+    # cdf[base, i] is the cumulative bias row of annotator i for that base
+    # label, normalised as Generator.choice(m, p=row) does before its one
+    # uniform draw; a label is then the count of cdf entries <= that draw
+    cdf = np.stack([bias[a] for a in annotator_ids], axis=1).cumsum(axis=2)
+    cdf /= cdf[:, :, -1:]
+    everyone = np.arange(cfg.n_annotators)
     base_labels: dict[str, int] = {}
     examples: list[AnnotatedExample] = []
-    demographics = {
-        a: {"cohort": f"g{g}"} for a, g in group_ids.items()
-    } if cfg.group_count > 0 else {}
 
     for t in range(cfg.n_texts):
         example_id = f"t{t:05d}"
         base = t % m
         base_labels[example_id] = base
-        tokens = list(rng.choice(signal_pools[base], size=cfg.signal_tokens_per_text))
-        tokens += list(rng.choice(filler_pool, size=cfg.filler_tokens_per_text))
+        tokens = rng.choice(signal_pools[base], size=cfg.signal_tokens_per_text).tolist()
+        tokens += rng.choice(filler_pool, size=cfg.filler_tokens_per_text).tolist()
         text = " ".join(tokens)
         if cfg.annotations_per_text == cfg.n_annotators:
-            chosen = annotator_ids
+            chosen = everyone
         else:
-            picks = rng.choice(cfg.n_annotators, size=cfg.annotations_per_text, replace=False)
-            chosen = [annotator_ids[i] for i in sorted(picks)]
-        for ann in chosen:
-            label = int(rng.choice(m, p=bias[ann][base]))
+            chosen = np.sort(rng.choice(cfg.n_annotators, size=cfg.annotations_per_text,
+                                        replace=False))
+        draws = rng.random(len(chosen))
+        labels = (cdf[base, chosen] <= draws[:, None]).sum(axis=1)
+        for i, label in zip(chosen.tolist(), labels.tolist()):
             examples.append(AnnotatedExample(
                 example_id=example_id,
                 text=text,
-                annotator_id=ann,
+                annotator_id=annotator_ids[i],
                 label=label,
-                demographics=demographics.get(ann),
+                demographics=demographics[i],
             ))
 
     label_names = [f"L{c}" for c in range(m)]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import tensor
-from .corpus import Dataset, Split, check_fields, read_json, write_json
+from .corpus import Dataset, Split, check_fields, check_type, read_json, write_json
 from .embedding import (
     AnnotationIndex,
     CombinationMode,
@@ -438,13 +438,18 @@ def _unique_strings(directory, manifest: dict, key: str) -> list[str]:
 
 
 def _label_counts(directory, key: str, row, n_labels: int) -> np.ndarray:
-    if isinstance(row, list) and len(row) == n_labels and all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in row):
-        counts = np.asarray(row, dtype=np.float64)
-        if np.isfinite(counts).all() and (counts >= 0).all():
-            return counts
-    raise _manifest_error(directory, key,
-                          f"must be {n_labels} finite, non-negative numbers, found {row!r}")
+    problem = f"must be {n_labels} finite, non-negative numbers, found {row!r}"
+    if not (isinstance(row, list) and len(row) == n_labels):
+        raise _manifest_error(directory, key, problem)
+    try:
+        for count in row:   # check_type rejects an int too large for a float
+            check_type(key, count, float)
+    except ValueError:
+        raise _manifest_error(directory, key, problem) from None
+    counts = np.asarray(row, dtype=np.float64)
+    if (counts < 0).any():
+        raise _manifest_error(directory, key, problem)
+    return counts
 
 
 def _config_from_manifest(directory, manifest: dict, key: str, cls):

@@ -440,6 +440,29 @@ def test_bare_config_object_may_name_its_command(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["options"]["annotators"] == 3
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"bias": 1.5}, "option bias: bias_strength must lie in [0, 1]"),
+    ({"labels": 1}, "option labels: n_labels must be at least 2"),
+    ({"groups": 9}, "option annotators, groups: group_count must not exceed n_annotators"),
+], ids=["bias", "labels", "groups"])
+def test_synth_config_with_out_of_range_option_names_file_and_key(tmp_path, capsys, options,
+                                                                  message):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"annotators": 4, "texts": 5, "labels": 2, "vocab": 20,
+                                  **options}))
+    assert _run("synth", "--config", str(config), "--out", str(tmp_path / "s")) == 2
+    assert f"{config}: {message}" in capsys.readouterr().err
+
+
+def test_out_of_range_flag_over_a_config_does_not_blame_the_file(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text('{"annotators": 4, "texts": 5, "labels": 2, "vocab": 20, "bias": 0.5}')
+    assert _run("synth", "--config", str(config), "--bias", "1.5",
+                "--out", str(tmp_path / "s")) == 2
+    err = capsys.readouterr().err
+    assert "bias_strength must lie in [0, 1]" in err and str(config) not in err
+
+
 @pytest.mark.parametrize("runs", ["0", "-3"])
 def test_train_runs_below_one_exit_code(tmp_path, split_dir, capsys, runs):
     out = tmp_path / "t"
@@ -604,3 +627,18 @@ def test_mutated_checkpoint_config_loads_or_exits_2(recorded_run, data):
         # load kept every value as it was: saved again, it records the mutation
         save_checkpoint(load_checkpoint(checkpoint), work / "again")
         assert json.loads((work / "again" / "manifest.json").read_text()) == manifest
+
+
+def test_eval_of_checkpoint_with_a_count_too_large_for_a_float_exits_2(recorded_run, tmp_path,
+                                                                       capsys):
+    checkpoint = tmp_path / "checkpoint"
+    shutil.copytree(recorded_run / "train" / "checkpoint", checkpoint)
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    annotator = sorted(manifest["train_counts"])[0]
+    manifest["train_counts"][annotator][0] = 10 ** 400
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    assert _run("eval", "--checkpoint", str(checkpoint),
+                "--data", str(recorded_run / "split" / "test.jsonl"),
+                "--out", str(tmp_path / "eval")) == 2
+    err = capsys.readouterr().err
+    assert f"{checkpoint}: manifest.json train_counts[{annotator!r}] must be" in err, err

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from annembed.analysis import KappaMatrix
 from annembed.corpus import (
+    _LINE_ENCODER,
     AnnotatedExample,
     CorpusError,
     Dataset,
@@ -525,3 +526,38 @@ def test_write_then_load_returns_the_same_records(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("corpus") / "data.jsonl"
     write_dataset(Dataset.from_examples(examples, labels), path)
     assert load_dataset(path, labels).examples == examples
+
+
+# quotes, backslashes, control characters, non-ASCII and separators JSON
+# leaves unescaped, next to plain letters
+AWKWARD_TEXT = st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é",
+                                        "日", "\u2028", "\U0001f600", "a", "b", " "]),
+                       max_size=6)
+DEMOGRAPHICS = st.none() | st.just({}) | st.dictionaries(AWKWARD_TEXT, AWKWARD_TEXT, min_size=2,
+                                                         max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(records=st.lists(st.tuples(AWKWARD_TEXT, AWKWARD_TEXT, AWKWARD_TEXT, st.integers(0, 2),
+                                  DEMOGRAPHICS),
+                        max_size=10, unique_by=lambda r: (r[0], r[2])),
+       labels=st.lists(AWKWARD_TEXT, min_size=3, max_size=3, unique=True),
+       shared=st.booleans())
+@example(records=[("b", "t", "a", 0, {"z": "1", "a": "2"}), ("a", "t", "a", 1, {})],
+         labels=["x", "y", "z"], shared=True)
+def test_written_lines_are_the_encoded_records(tmp_path_factory, records, labels, shared):
+    # shared: later records hold the first record's demographics object, as
+    # load_dataset and the generator make them
+    examples = [AnnotatedExample(eid, text, ann, label,
+                                 records[0][4] if shared and demo is not None else demo)
+                for eid, text, ann, label, demo in records]
+    path = tmp_path_factory.mktemp("corpus") / "data.jsonl"
+    write_dataset(Dataset.from_examples(examples, labels), path)
+    want = []
+    for ex in examples:
+        record = {"example_id": ex.example_id, "text": ex.text, "annotator_id": ex.annotator_id,
+                  "label": labels[ex.label]}
+        if ex.demographics is not None:
+            record["demographics"] = ex.demographics
+        want.append(_LINE_ENCODER.encode(record) + "\n")
+    assert path.read_bytes().decode("utf-8") == "".join(want)

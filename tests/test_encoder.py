@@ -13,6 +13,7 @@ from annembed.encoder import (
     classify,
     embed_tokens,
     encode,
+    split_text,
     tokenize,
 )
 
@@ -206,3 +207,15 @@ def test_encoder_config_validation():
 def test_encoder_config_rejects_bad_sizes(size):
     with pytest.raises(ValueError, match="at least"):
         EncoderConfig(**size)
+
+
+def test_vocabulary_build_equals_the_per_text_reference():
+    # repeated texts, case and punctuation variants, first appearance deciding order
+    texts = ["b a, c", "B A, C", "d", "b a, c", "e! a", "d", "", "f F f"] * 3
+    reference = Vocabulary()
+    for text in texts:
+        for token in split_text(text):
+            if token not in reference.token_to_id:
+                reference.token_to_id[token] = len(reference.token_to_id)
+    built = Vocabulary.build(iter(texts))
+    assert list(built.token_to_id.items()) == list(reference.token_to_id.items())

@@ -1,10 +1,12 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
 
+from annembed import synthgen
 from annembed.analysis import cohen_kappa_matrix
-from annembed.corpus import dataset_statistics, write_dataset
+from annembed.corpus import AnnotatedExample, dataset_statistics, write_dataset
 from annembed.synthgen import PopulationConfig, SynthError, generate_population
 
 
@@ -125,3 +127,77 @@ def test_generated_corpus_roundtrips(tmp_path):
 
     reloaded = load_dataset(path, dataset.label_names)
     assert reloaded.examples == dataset.examples
+
+
+def _reference_population(cfg):
+    """The corpus by one Generator.choice(m, p=row) call per annotation, the
+    draws generate_population must reproduce: (examples, base_labels,
+    bias_matrices, group_ids)."""
+    rng = np.random.default_rng(cfg.seed)
+    m = cfg.n_labels
+    n_signal = max(1, (cfg.vocab_size // 2) // m)
+    signal_pools = [[f"w{c * n_signal + i:03d}" for i in range(n_signal)] for c in range(m)]
+    filler_pool = [f"w{i:03d}" for i in range(m * n_signal, cfg.vocab_size)] or ["w000"]
+    if cfg.group_count > 0:
+        group_matrices = synthgen._distinct_bias_matrices(cfg.group_count, m,
+                                                          cfg.bias_strength, rng)
+        group_ids = {f"a{i:03d}": i % cfg.group_count for i in range(cfg.n_annotators)}
+        bias = {a: group_matrices[g] for a, g in group_ids.items()}
+    else:
+        group_ids = {f"a{i:03d}": i for i in range(cfg.n_annotators)}
+        bias = {a: synthgen._bias_matrix(m, cfg.bias_strength, rng) for a in group_ids}
+    annotator_ids = list(group_ids)
+    base_labels, examples = {}, []
+    for t in range(cfg.n_texts):
+        example_id = f"t{t:05d}"
+        base = t % m
+        base_labels[example_id] = base
+        tokens = list(rng.choice(signal_pools[base], size=cfg.signal_tokens_per_text))
+        tokens += list(rng.choice(filler_pool, size=cfg.filler_tokens_per_text))
+        text = " ".join(tokens)
+        if cfg.annotations_per_text == cfg.n_annotators:
+            chosen = annotator_ids
+        else:
+            picks = rng.choice(cfg.n_annotators, size=cfg.annotations_per_text, replace=False)
+            chosen = [annotator_ids[i] for i in sorted(picks)]
+        for ann in chosen:
+            label = int(rng.choice(m, p=bias[ann][base]))
+            demographics = {"cohort": f"g{group_ids[ann]}"} if cfg.group_count > 0 else None
+            examples.append(AnnotatedExample(example_id, text, ann, label, demographics))
+    return examples, base_labels, bias, group_ids
+
+
+def _mixed_bias_matrix(n_labels, strength, rng):
+    """Rows of each kind Generator.choice(m, p=row) takes: spread over every
+    label, with zeros, and one-hot."""
+    matrix = rng.dirichlet(np.ones(n_labels), size=n_labels)
+    matrix[rng.random((n_labels, n_labels)) < strength / 2] = 0.0
+    matrix[matrix.sum(axis=1) == 0.0, 0] = 1.0
+    return matrix / matrix.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("group_count, annotations_per_text, bias_strength, rows",
+                         list(itertools.product((0, 3), (4, 0), (0.0, 0.5, 1.0),
+                                                ("one-hot", "mixed"))))
+def test_population_equals_the_per_annotation_reference(monkeypatch, group_count,
+                                                        annotations_per_text, bias_strength,
+                                                        rows):
+    # the generator's rows are one-hot, where any uniform draw gives the same
+    # label; mixed rows also check which draw goes to which annotation
+    if rows == "mixed":
+        monkeypatch.setattr(synthgen, "_bias_matrix", _mixed_bias_matrix)
+    for n_labels in range(2, 13):
+        cfg = PopulationConfig(n_annotators=7, n_texts=3 * n_labels, n_labels=n_labels,
+                               vocab_size=40, group_count=group_count,
+                               bias_strength=bias_strength,
+                               annotations_per_text=annotations_per_text, seed=n_labels)
+        dataset, truth = generate_population(cfg)
+        examples, base_labels, bias, group_ids = _reference_population(cfg)
+        assert dataset.examples == examples
+        assert all(type(ex.label) is int for ex in dataset.examples)
+        assert truth.base_labels == base_labels
+        assert truth.group_ids == group_ids
+        assert truth.bias_matrices.keys() == bias.keys()
+        for ann, matrix in bias.items():
+            assert np.array_equal(truth.bias_matrices[ann], matrix)
+        assert truth.config is cfg
