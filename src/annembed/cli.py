@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import analysis, corpus, synthgen, trainer
+from . import analysis, corpus, synthgen, tensor, trainer
 from .embedding import CombinationMode, parameter_overhead
 from .encoder import EncoderConfig
 
@@ -483,6 +483,7 @@ def _apply_config(parser, argv):
     return args
 
 
+@tensor.gc_paused()
 def main(argv=None) -> int:
     parser = build_parser()
     try:

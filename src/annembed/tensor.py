@@ -6,7 +6,9 @@ gradient arriving at that node; backward() calls the closures in reverse
 topological order, accumulating gradients additively across fan-out. A
 closure refers to the node's parents and never to the node itself, so a
 graph holds no reference cycle and is freed by refcounting as soon as the
-last reference to its output is dropped.
+last reference to its output is dropped. That is why training and every CLI
+command run under gc_paused(): the cyclic collector would only rescan the
+live graphs of a minibatch and find nothing to free.
 Gradients are demand-driven: a node needs one only if it is a parameter or
 depends on one, and its buffer is created when the first contribution
 arrives, so forward-only passes allocate no gradient memory.
@@ -17,9 +19,26 @@ with the same numpy and BLAS build.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+
 import numpy as np
 
 LAYER_NORM_EPS = 1e-12
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Disable the cyclic garbage collector for the block (or the decorated
+    call) and restore the caller's setting on the way out, even on error.
+    Refcounting still frees every acyclic graph; only cycles wait."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _as_matrix(data) -> np.ndarray:

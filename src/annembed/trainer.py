@@ -171,6 +171,7 @@ def _prepare(dataset: Dataset, model: Model, mode: CombinationMode,
     return items
 
 
+@tensor.gc_paused()
 def train(split: Split, cfg: TrainConfig,
           encoder_config: Optional[EncoderConfig] = None) -> tuple[Model, list[float]]:
     """Mini-batch Adam over per-annotation cross-entropy.

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annembed import synthgen
 from annembed.cli import main
 from annembed.trainer import load_checkpoint, save_checkpoint
 
@@ -307,6 +309,24 @@ def test_report_missing_field_exit_code(tmp_path, capsys):
     assert _run("report", str(path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err and "macro_f1" in err
+
+
+def test_main_runs_with_collector_paused_and_restores_it(tmp_path, monkeypatch, caller_gc):
+    seen = []
+    generate = synthgen.generate_population
+
+    def recording_generate(cfg):
+        seen.append(gc.isenabled())
+        return generate(cfg)
+
+    monkeypatch.setattr(synthgen, "generate_population", recording_generate)
+    assert _run("synth", "--out", str(tmp_path / "synth"), "--annotators", "3",
+                "--texts", "6", "--labels", "2", "--vocab", "20") == 0
+    assert seen == [False]
+    assert gc.isenabled() is caller_gc
+    assert _run("split", "--data", str(tmp_path / "missing.jsonl"),
+                "--out", str(tmp_path / "split")) == 2
+    assert gc.isenabled() is caller_gc
 
 
 def test_failed_run_records_the_error(tmp_path, split_dir, train_dir):

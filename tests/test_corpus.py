@@ -10,6 +10,7 @@ from annembed.analysis import KappaMatrix
 from annembed.corpus import (
     _LINE_ENCODER,
     AnnotatedExample,
+    _subset,
     CorpusError,
     Dataset,
     check_type,
@@ -48,6 +49,18 @@ def _toy_dataset(n_texts=12, annotators=("p", "q", "r"), n_labels=3):
                 annotator_id=ann, label=(t + i) % n_labels,
             ))
     return Dataset.from_examples(examples, [f"L{i}" for i in range(n_labels)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_subset_gathers_what_the_position_filter_kept(data):
+    dataset = _toy_dataset(n_texts=7)
+    positions = data.draw(st.permutations(range(len(dataset))))
+    positions = positions[:data.draw(st.integers(0, len(positions)))]
+    keep = set(positions)
+    filtered = [ex for pos, ex in enumerate(dataset.examples) if pos in keep]
+    expected = Dataset.from_examples(filtered, dataset.label_names, f"{dataset.name}-part")
+    assert _subset(dataset, positions, "part") == expected
 
 
 def test_load_small_file(tmp_path):

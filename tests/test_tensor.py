@@ -1,4 +1,5 @@
 import gc
+import inspect
 
 import numpy as np
 import pytest
@@ -223,14 +224,63 @@ def test_concat_cols_forward_and_backward():
         tensor.concat_cols(a, parameter([[1.0]]))
 
 
+# A graph case per public function that builds a Node: each case gets its
+# parameters from the test and returns the built node.
+_GRAPH_CASES = {
+    "constant": lambda x, w, s, rng: tensor.add(x, tensor.constant(np.ones((3, 4)))),
+    "parameter": lambda x, w, s, rng: tensor.parameter(x.value.copy()),
+    "matmul": lambda x, w, s, rng: tensor.matmul(x, w),
+    "add": lambda x, w, s, rng: tensor.add(x, tensor.gather_rows(w, [1])),
+    "scalar_scale": lambda x, w, s, rng: tensor.scalar_scale(x, 0.5),
+    "scalar_mul": lambda x, w, s, rng: tensor.scalar_mul(s, x),
+    "row_mean": lambda x, w, s, rng: tensor.row_mean(x),
+    "sum_all": lambda x, w, s, rng: tensor.sum_all(x),
+    "gather_rows": lambda x, w, s, rng: tensor.gather_rows(x, [2, 0, 2]),
+    "transpose": lambda x, w, s, rng: tensor.transpose(x),
+    "concat_rows": lambda x, w, s, rng: tensor.concat_rows(x, w),
+    "concat_cols": lambda x, w, s, rng: tensor.concat_cols(x, x),
+    "layer_norm": lambda x, w, s, rng: tensor.layer_norm(
+        x, tensor.gather_rows(w, [0]), tensor.gather_rows(w, [1])),
+    "dropout": lambda x, w, s, rng: tensor.dropout(x, 0.5, rng, training=True),
+    "gelu": lambda x, w, s, rng: tensor.gelu(x),
+    "row_softmax": lambda x, w, s, rng: tensor.row_softmax(x),
+    "softmax_cross_entropy": lambda x, w, s, rng: tensor.softmax_cross_entropy(
+        tensor.row_mean(x), 1),
+}
+# public tensor functions that build no Node
+_NOT_GRAPH_BUILDERS = {"backward", "finite_difference_check", "gc_paused"}
+
+
+def _public_functions():
+    return {name for name, fn in inspect.getmembers(tensor, inspect.isfunction)
+            if fn.__module__ == tensor.__name__ and not name.startswith("_")}
+
+
+def _node_builders():
+    """Every public function of annembed.tensor annotated to return a Node."""
+    return sorted(name for name in _public_functions()
+                  if inspect.signature(getattr(tensor, name)).return_annotation
+                  in ("Node", Node))
+
+
+def test_every_public_tensor_function_is_classified():
+    # a new primitive must either declare `-> Node`, and so need a graph case
+    # below, or be listed as building none
+    builders = set(_node_builders())
+    assert builders == set(_GRAPH_CASES)
+    assert _public_functions() == builders | _NOT_GRAPH_BUILDERS
+
+
 def test_dropped_graph_needs_no_cyclic_gc():
     # no closure refers to its own node, so refcounting alone frees a graph
     rng = np.random.default_rng(0)
     x = parameter(rng.normal(size=(3, 4)))
     w = parameter(rng.normal(size=(4, 4)))
+    s = parameter([[1.5]])
     gamma = parameter(np.ones((1, 4)))
     beta = parameter(np.zeros((1, 4)))
     head = parameter(rng.normal(size=(8, 3)))
+    tensor.gelu(x)   # its first call imports scipy.special, which makes cycles
     gc.collect()
     gc.disable()
     try:
@@ -241,5 +291,14 @@ def test_dropped_graph_needs_no_cyclic_gc():
         backward(loss)
         del h, wide, stacked, loss
         assert gc.collect() == 0
+        leaking = []
+        for name in _node_builders():
+            out = _GRAPH_CASES[name](x, w, s, rng)
+            assert isinstance(out, Node)
+            backward(tensor.sum_all(out))
+            del out
+            if gc.collect():
+                leaking.append(name)
+        assert leaking == []
     finally:
         gc.enable()

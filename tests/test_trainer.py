@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -105,6 +106,72 @@ def test_divergence_aborts():
     with pytest.raises(TrainingDiverged):
         with np.errstate(all="ignore"):
             train(split, cfg, EncoderConfig(**FAST_ENC))
+
+
+def test_diverged_train_restores_caller_gc_state(caller_gc):
+    split = _tiny_split()
+    cfg = TrainConfig(mode=CombinationMode.TEXT_ONLY, epochs=3, batch_size=8,
+                      learning_rate=1e200, seed=0)
+    with pytest.raises(TrainingDiverged):
+        with np.errstate(all="ignore"):
+            train(split, cfg, EncoderConfig(**FAST_ENC))
+    assert gc.isenabled() is caller_gc
+
+
+def test_train_runs_with_collector_paused(monkeypatch, caller_gc):
+    seen = []
+    step = trainer.Adam.step
+
+    def recording_step(self):
+        seen.append(gc.isenabled())
+        step(self)
+
+    monkeypatch.setattr(trainer.Adam, "step", recording_step)
+    cfg = TrainConfig(mode=CombinationMode.TEXT_ONLY, epochs=1, batch_size=8, seed=0)
+    train(_tiny_split(), cfg, EncoderConfig(**FAST_ENC))
+    assert seen and not any(seen)
+    assert gc.isenabled() is caller_gc
+
+
+def test_train_bit_equal_whatever_the_caller_gc_state():
+    split = _tiny_split()
+    cfg = TrainConfig(mode=CombinationMode.TEXT_PLUS_BOTH, epochs=1, batch_size=8,
+                      learning_rate=1e-3, seed=4)
+    enc = EncoderConfig(**dict(FAST_ENC, dropout=0.1))
+    was_enabled = gc.isenabled()
+    runs = []
+    try:
+        for enable in (gc.enable, gc.disable):
+            enable()
+            model, trace = train(split, cfg, enc)
+            runs.append(({k: p.value.copy() for k, p in model.named_parameters().items()},
+                         trace))
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    (params_on, trace_on), (params_off, trace_off) = runs
+    assert trace_on == trace_off
+    assert params_on.keys() == params_off.keys()
+    for key in params_on:
+        assert np.array_equal(params_on[key], params_off[key]), key
+
+
+def test_paused_train_and_evaluate_leave_no_cycles():
+    # training and evaluation build only acyclic graphs and records, so with
+    # the collector off throughout, refcounting alone frees everything
+    import scipy.special  # noqa: F401  (a first import makes cycles; warm it up)
+
+    split = _tiny_split()
+    cfg = TrainConfig(mode=CombinationMode.TEXT_PLUS_BOTH, epochs=1, batch_size=8,
+                      learning_rate=1e-3, seed=3)
+    enc = EncoderConfig(**dict(FAST_ENC, dropout=0.1))
+    gc.collect()
+    gc.disable()
+    try:
+        model, _ = train(split, cfg, enc)
+        evaluate(model, split.test)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_macro_f1_hand_case():
