@@ -6,11 +6,14 @@ Each command runs as `python -m annembed.cli` against this checkout's own
 `src/`, with the new directory as working directory and relative paths inside
 it, so that trees made from two checkouts can be compared with `diff -r`. The
 stdout, stderr and exit code of each command go to `_log/<step>.out`, `.err`
-and `.code`. The bad inputs at the end are expected to exit 2.
+and `.code`. The bad inputs at the end are expected to exit 2. Besides the
+synthetic corpora, the script writes one small corpus by hand, `quoted/`,
+whose annotator ids and a label name hold a comma or a quote.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +27,24 @@ TINY = ["--epochs", "1", "--batch-size", "16", "--lr", "3e-3", "--hidden", "8",
 # string and integer key order differ
 SYNTH = ["--annotators", "12", "--texts", "60", "--labels", "12", "--vocab", "60",
          "--bias", "0.8", "--per-text", "8", "--seed", "3"]
+
+# every CSV cell that holds one of these names must come back quoted
+QUOTED_ANNOTATORS = ["a,1", 'b"2', 'c,"3"', "d"]
+QUOTED_LABELS = ["no", "yes, mostly"]
+
+
+def write_quoted_corpus(tree):
+    """12 texts, each labeled by all four annotators at their own rates."""
+    os.makedirs(os.path.join(tree, "quoted"))
+    with open(os.path.join(tree, "quoted", "corpus.jsonl"), "w", encoding="utf-8") as fh:
+        for t in range(12):
+            for k, ann in enumerate(QUOTED_ANNOTATORS):
+                label = QUOTED_LABELS[(t * (k + 2)) // 5 % 2]
+                fh.write(json.dumps({"annotator_id": ann, "example_id": f"t{t}",
+                                     "label": label, "text": f"text {t}"}) + "\n")
+    with open(os.path.join(tree, "quoted", "corpus.manifest.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump({"label_names": QUOTED_LABELS, "name": "quoted"}, fh)
 
 
 def steps():
@@ -64,6 +85,9 @@ def steps():
     yield "analyze_wide", ["analyze", "--data", "synth_wide/corpus.jsonl",
                            "--what", "stats,kappa,correlation", "--min-examples", "10",
                            "--out", "analyze_wide"]
+    yield "analyze_quoted", ["analyze", "--data", "quoted/corpus.jsonl",
+                             "--what", "kappa,correlation", "--min-overlap", "5",
+                             "--min-examples", "5", "--out", "analyze_quoted"]
     yield "baselines", ["baselines", "--data", "split_a/test.jsonl",
                         "--manifest", "split_a/schema.manifest.json",
                         "--majority-from", "split_a/train.jsonl", "--out", "baselines"]
@@ -80,6 +104,7 @@ def main(argv) -> int:
         return 2
     tree = argv[1]
     os.makedirs(os.path.join(tree, "_log"))
+    write_quoted_corpus(tree)
     env = {key: value for key, value in os.environ.items() if key != "ANNEMBED_OUT"}
     env.update(PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")

@@ -24,11 +24,57 @@ class KappaMatrix:
     min_overlap: int
 
 
-# A float32 sum of 0/1 products is an exact integer below 2**24 terms, so each
-# block of texts is multiplied in float32 and the blocks are accumulated in
-# float64. The block width also bounds the indicator temporaries at
-# 4 * n_annotators * width bytes each.
-_KAPPA_TEXT_BLOCK = 4096
+# The byte budget of each float32 indicator block of texts and of each
+# float64 per-pair array, so that no temporary grows with annotators x texts
+# or with pairs x labels.
+_KAPPA_BLOCK_BYTES = 1 << 20
+
+
+def _label_table(dataset: Dataset) -> np.ndarray:
+    """texts x annotators: each annotator's label index, -1 where it gave none.
+    Text-major, so that a block of texts is contiguous; the smallest signed
+    type that holds -1 and every label index."""
+    examples = dataset.examples
+    row_of = {a: i for i, a in enumerate(dataset.annotator_ids)}
+    col_of: dict[str, int] = {}
+    rows = np.fromiter((row_of[ex.annotator_id] for ex in examples), np.intp, len(examples))
+    cols = np.fromiter((col_of.setdefault(ex.example_id, len(col_of)) for ex in examples),
+                       np.intp, len(examples))
+    labels = np.fromiter((ex.label for ex in examples), np.intp, len(examples))
+    table = np.full((len(col_of), len(row_of)), -1,
+                    dtype=np.min_scalar_type(-max(dataset.n_labels, 1)))
+    table[cols, rows] = labels
+    return table
+
+
+def _pair_counts(table: np.ndarray, m: int):
+    """co-counts mask^T.mask, agreements sum_l I_l^T.I_l and marginals
+    [l, i, j] = I_l^T.mask (i's label l on the texts j labeled too), summed
+    over blocks of texts of at most _KAPPA_BLOCK_BYTES float32 indicators.
+
+    A float32 sum of 0/1 products is an exact integer below 2**24, and no
+    count exceeds the number of texts, so every count is exact under any
+    blocking and, below 2**24 texts, in float32 sums too."""
+    n = table.shape[1]
+    acc = np.float32 if len(table) < 2 ** 24 else np.float64
+    co = np.zeros((n, n), acc)
+    agree = np.zeros((n, n), acc)
+    marginal = np.zeros((m, n, n), acc)
+    width = max(1, _KAPPA_BLOCK_BYTES // (4 * max(n, 1)))
+    ind = np.empty((min(width, len(table)), n), np.float32)
+    for start in range(0, len(table), width):
+        block = table[start:start + width]
+        mask = (block >= 0).astype(np.float32)
+        co += mask.T @ mask
+        ind_l = ind[:len(block)]
+        for label in range(m):
+            np.equal(block, label, out=ind_l)
+            agree += ind_l.T @ ind_l
+            if label < m - 1:
+                marginal[label] += ind_l.T @ mask
+    if m:   # i labeled each shared text once: the last label's counts are the rest
+        marginal[m - 1] = co - marginal[:m - 1].sum(axis=0)
+    return co, agree, marginal
 
 
 def cohen_kappa_matrix(dataset: Dataset, min_overlap: int = 10) -> KappaMatrix:
@@ -37,52 +83,38 @@ def cohen_kappa_matrix(dataset: Dataset, min_overlap: int = 10) -> KappaMatrix:
     Pairs whose overlap is below min_overlap come back as NaN. The diagonal
     is 1 for every annotator with at least one annotation.
 
-    Every count comes from matrix products of the annotator x text label
-    indicators: co-counts mask.mask^T, agreements sum_l I_l.I_l^T and each
-    pair's marginal label counts I_l.mask^T.
+    Every count comes from matrix products of the text x annotator label
+    indicators (_pair_counts), and the pairs are taken in chunks of
+    annotator rows, so that the temporaries stay within a few
+    _KAPPA_BLOCK_BYTES beyond the N x N counts and the int8 label table.
     """
     if min_overlap < 1:
         raise ValueError("min_overlap must be at least 1")
     ids = dataset.annotator_ids
     n, m = len(ids), dataset.n_labels
-    row_of = {a: i for i, a in enumerate(ids)}
-    col_of: dict[str, int] = {}
-    rows, cols, labels = [], [], []
-    for ex in dataset.examples:
-        rows.append(row_of[ex.annotator_id])
-        cols.append(col_of.setdefault(ex.example_id, len(col_of)))
-        labels.append(ex.label)
-    # the smallest signed type that holds -1 and every label index
-    table = np.full((n, len(col_of)), -1, dtype=np.min_scalar_type(-max(m, 1)))
-    table[rows, cols] = labels
-
-    co = np.zeros((n, n))
-    agree = np.zeros((n, n))
-    marginal = np.zeros((n, n, m))   # [i, j, l]: i's label l on the texts j labeled too
-    for start in range(0, table.shape[1], _KAPPA_TEXT_BLOCK):
-        block = table[:, start:start + _KAPPA_TEXT_BLOCK]
-        mask = (block >= 0).astype(np.float32)
-        co += mask @ mask.T
-        for label in range(m):
-            ind = (block == label).astype(np.float32)
-            agree += ind @ ind.T
-            marginal[:, :, label] += ind @ mask.T
+    co, agree, marginal = _pair_counts(_label_table(dataset), m)
     co_counts = co.astype(np.int64)
 
     values = np.full((n, n), np.nan)
     np.fill_diagonal(values, 1.0)   # the registry holds only annotators with annotations
-    i, j = np.nonzero(np.triu(co_counts >= min_overlap, k=1))
-    count = co[i, j]
-    p_o = agree[i, j] / count
-    freq_i = marginal[i, j] / count[:, None]
-    freq_j = marginal[j, i] / count[:, None]
-    # contiguous rows: the same length-M BLAS dot per pair as a 1-D freq_i @ freq_j
-    p_e = np.vecdot(freq_i, freq_j)
-    # p_e >= 1: both marginals are the same point mass, so agreement is total
-    kappa = np.ones_like(p_e)
-    chance = p_e < 1.0
-    kappa[chance] = (p_o[chance] - p_e[chance]) / (1.0 - p_e[chance])
-    values[i, j] = values[j, i] = kappa
+    defined = np.triu(co_counts >= min_overlap, k=1)
+    # a chunk of annotator rows holds at most budget / (8 M) pairs
+    rows = max(1, _KAPPA_BLOCK_BYTES // (8 * max(m, 1) * max(n, 1)))
+    for r in range(0, n, rows):
+        i, j = np.nonzero(defined[r:r + rows])
+        i += r
+        count = co_counts[i, j].astype(np.float64)
+        p_o = agree[i, j] / count
+        # contiguous float64 rows: the same length-M BLAS dot per pair as a
+        # 1-D freq_i @ freq_j
+        freq_i = marginal[:, i, j].T.astype(np.float64, order="C") / count[:, None]
+        freq_j = marginal[:, j, i].T.astype(np.float64, order="C") / count[:, None]
+        p_e = np.vecdot(freq_i, freq_j)
+        # p_e >= 1: both marginals are the same point mass, so agreement is total
+        kappa = np.ones_like(p_e)
+        chance = p_e < 1.0
+        kappa[chance] = (p_o[chance] - p_e[chance]) / (1.0 - p_e[chance])
+        values[i, j] = values[j, i] = kappa
     return KappaMatrix(list(ids), values, co_counts, min_overlap)
 
 

@@ -10,7 +10,9 @@ all per-run seeds through numpy SeedSequence counters.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import itertools
 import os
 import re
 import sys
@@ -285,10 +287,9 @@ def cmd_analyze(args, out):
             corpus.write_json(os.path.join(out, "clusters.json"), clusters)
     if "project" in what:
         projection = analysis.pca_project(points, dims=2)
-        with open(os.path.join(out, "projection.csv"), "w", encoding="utf-8") as fh:
-            fh.write("annotator_id,x,y\n")
-            for ann, (x, y) in zip(ids, projection.coordinates):
-                fh.write(f"{ann},{x!r},{y!r}\n")
+        _write_csv(os.path.join(out, "projection.csv"), [
+            ["annotator_id", "x", "y"],
+            *([ann, repr(x), repr(y)] for ann, (x, y) in zip(ids, projection.coordinates))])
         corpus.write_json(os.path.join(out, "projection.json"), {
             "coordinates": projection.coordinates,
             "explained_variance": projection.explained_variance,
@@ -304,12 +305,20 @@ def cmd_analyze(args, out):
     print(f"analysis outputs written to {out}")
 
 
+def _write_csv(path, rows):
+    """rows through csv.writer, so that a cell holding a comma, a quote or a
+    line break is quoted; rows may be a generator, written one at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def _write_matrix_csv(path, names, values):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("," + ",".join(names) + "\n")
-        for name, row in zip(names, values.tolist()):
-            cells = ["" if v != v else repr(v) for v in row]   # v != v: NaN, undefined
-            fh.write(name + "," + ",".join(cells) + "\n")
+    """A labeled square matrix, one row converted at a time; an empty cell is
+    a NaN, an undefined entry."""
+    _write_csv(path, itertools.chain(
+        [["", *names]],
+        ([name, *("" if v != v else repr(v) for v in row.tolist())]   # v != v: NaN
+         for name, row in zip(names, values))))
 
 
 def cmd_report(args, out):

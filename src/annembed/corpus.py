@@ -25,9 +25,10 @@ class CorpusError(ValueError):
     """Raised for malformed files, schema violations, and invalid splits."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedExample:
-    """One (text, annotator, label) triple; the atomic training/eval unit."""
+    """One (text, annotator, label) triple; the atomic training/eval unit.
+    Slotted: a corpus holds one per annotation."""
 
     example_id: str
     text: str
@@ -48,19 +49,20 @@ class Dataset:
     def __post_init__(self):
         if len(set(self.label_names)) != len(self.label_names):
             raise CorpusError(f"duplicate label names in {self.label_names}")
-        seen_pairs = set()
-        registry: dict[str, None] = {}
+        # annotator -> the example ids it has labeled, in first-appearance order
+        seen: dict[str, set[str]] = {}
         for ex in self.examples:
             if not 0 <= ex.label < len(self.label_names):
                 raise CorpusError(
                     f"label index {ex.label} out of range for {len(self.label_names)} labels"
                 )
-            key = (ex.example_id, ex.annotator_id)
-            if key in seen_pairs:
-                raise CorpusError(f"duplicate annotation {key}")
-            seen_pairs.add(key)
-            registry[ex.annotator_id] = None
-        self.annotator_ids = list(registry)
+            texts = seen.get(ex.annotator_id)
+            if texts is None:
+                texts = seen[ex.annotator_id] = set()
+            elif ex.example_id in texts:
+                raise CorpusError(f"duplicate annotation {(ex.example_id, ex.annotator_id)}")
+            texts.add(ex.example_id)
+        self.annotator_ids = list(seen)
 
     @classmethod
     def from_examples(cls, examples, label_names, name="dataset"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from annembed.analysis import (
     pca_project,
 )
 from annembed.corpus import AnnotatedExample, Dataset
+from annembed.synthgen import PopulationConfig, generate_population
 
 
 def _pair_dataset(labels_a, labels_b, n_labels):
@@ -174,14 +177,71 @@ def test_kappa_with_a_label_nobody_used():
     _assert_kappa_matches_reference(ds, min_overlap=10)
 
 
-def test_kappa_over_more_texts_than_one_block():
+def test_kappa_over_more_texts_than_one_block(monkeypatch):
+    # a budget of 64 float32 texts for the 3 annotators
+    width = 64
+    monkeypatch.setattr(analysis, "_KAPPA_BLOCK_BYTES", 4 * 3 * width)
     rng = np.random.default_rng(9)
-    n_texts = 2 * analysis._KAPPA_TEXT_BLOCK + 100
+    n_texts = 2 * width + 100
     examples = [AnnotatedExample(f"t{t}", "text", f"ann{a}", int(rng.integers(3)))
                 for t in range(n_texts) for a in range(3) if (t + a) % 4]
     ds = Dataset.from_examples(examples, ["L0", "L1", "L2"])
     kappa = _assert_kappa_matches_reference(ds, min_overlap=10)
-    assert kappa.co_counts[0, 0] > analysis._KAPPA_TEXT_BLOCK
+    assert kappa.co_counts[0, 0] > width
+
+
+# pa and pb label texts 0-5 with label 0 only (p_e = 1 between them); pc
+# shares two texts with pa, fewer than any min_overlap above 2
+POINT_MASS_AND_LOW_OVERLAP = (
+    [AnnotatedExample(f"t{t}", "text", ann, 0) for t in range(6) for ann in ("pa", "pb")]
+    + [AnnotatedExample(f"t{t}", "text", "pc", t % 2) for t in (4, 5, 20, 21)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(annotations=KAPPA_ANNOTATIONS, n_labels=st.integers(2, 4),
+       min_overlap=st.integers(3, 5))
+def test_kappa_is_bit_equal_under_the_smallest_block_budget(annotations, n_labels,
+                                                            min_overlap):
+    examples = POINT_MASS_AND_LOW_OVERLAP + [
+        AnnotatedExample(f"t{t}", "text", f"ann{a}", label % n_labels)
+        for a, t, label in annotations]
+    ds = Dataset.from_examples(examples, [f"L{i}" for i in range(n_labels)])
+    default = cohen_kappa_matrix(ds, min_overlap=min_overlap)
+    with pytest.MonkeyPatch.context() as patch:
+        # one text per indicator block and one annotator row per pair chunk
+        patch.setattr(analysis, "_KAPPA_BLOCK_BYTES", 1)
+        smallest = cohen_kappa_matrix(ds, min_overlap=min_overlap)
+    assert smallest.values.tobytes() == default.values.tobytes()
+    assert smallest.co_counts.tobytes() == default.co_counts.tobytes()
+    assert default.values[0, 1] == 1.0 and default.co_counts[0, 1] == 6
+    assert np.isnan(default.values[0, 2]) and default.co_counts[0, 2] == 2
+
+
+def test_kappa_peak_memory_is_bounded_by_the_budget():
+    """Beyond its N x N outputs and counts, kappa's temporaries are the int8
+    text table, the index arrays and a few blocks of the byte budget; none
+    grows with annotators x texts in float32 or with pairs x labels."""
+    n, n_texts, m = 300, 2000, 4
+    ds, _ = generate_population(PopulationConfig(
+        n_annotators=n, n_texts=n_texts, n_labels=m, group_count=4, bias_strength=0.6,
+        annotations_per_text=15, seed=1))
+    budget = analysis._KAPPA_BLOCK_BYTES
+    bound = ((16 + 4 * (m + 2) + 12) * n * n   # outputs, float32 counts, N x N temporaries
+             + n_texts * n + 24 * len(ds)        # the int8 table and three index arrays
+             + 100 * n_texts + 4 * budget)       # the text registry and budget-sized blocks
+    tracemalloc.start()
+    try:
+        cohen_kappa_matrix(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("labels", [["L0", "L1"], []], ids=["two_labels", "no_labels"])
+def test_kappa_of_an_empty_dataset(labels):
+    kappa = cohen_kappa_matrix(Dataset.from_examples([], labels))
+    assert kappa.values.shape == kappa.co_counts.shape == (0, 0)
 
 
 def test_kappa_of_one_annotator():

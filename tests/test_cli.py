@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import dataclasses
 import gc
 import hashlib
 import io
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from annembed import synthgen
 from annembed.cli import main
+from annembed.corpus import Dataset, load_dataset, write_dataset, write_manifest
 from annembed.trainer import load_checkpoint, save_checkpoint
 
 FAST_TRAIN = [
@@ -220,6 +223,61 @@ def test_analyze_command(tmp_path, split_dir, train_dir):
     projection = (out / "projection.csv").read_text().splitlines()
     assert projection[0] == "annotator_id,x,y"
     assert len(projection) == 5
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_analyze_csv_cells_with_commas_quotes_and_newlines(tmp_path, corpus_dir):
+    source = load_dataset(corpus_dir / "corpus.jsonl", ["L0", "L1", "L2"])
+    rename = dict(zip(source.annotator_ids, ["a,0", 'b"1', "c\n2", "d"]))
+    labels = ["L0", 'L1, "maybe"', "L2"]
+    odd = Dataset.from_examples(
+        [dataclasses.replace(ex, annotator_id=rename[ex.annotator_id])
+         for ex in source.examples], labels, "odd")
+    write_dataset(odd, tmp_path / "odd.jsonl")
+    write_manifest(odd, tmp_path / "odd.manifest.json")
+    assert _run("split", "--data", str(tmp_path / "odd.jsonl"), "--seed", "1",
+                "--out", str(tmp_path / "split")) == 0
+    assert _run("train", "--data", str(tmp_path / "split"), "--seed", "2",
+                "--out", str(tmp_path / "train"), *FAST_TRAIN) == 0
+    out = tmp_path / "analysis"
+    assert _run("analyze", "--data", str(tmp_path / "odd.jsonl"),
+                "--checkpoint", str(tmp_path / "train" / "checkpoint"),
+                "--what", "kappa,correlation,project", "--k", "2", "--min-overlap", "1",
+                "--min-examples", "1", "--out", str(out)) == 0
+    ids = odd.annotator_ids
+    for name, names in (("kappa.csv", ids), ("label_correlation.csv", labels)):
+        rows = _csv_rows(out / name)
+        assert rows[0] == ["", *names]
+        assert [row[0] for row in rows[1:]] == names
+        assert all(len(row) == len(names) + 1 for row in rows)
+    assert _csv_rows(out / "kappa.csv")[1][1] == "1.0"
+    rows = _csv_rows(out / "projection.csv")
+    assert rows[0] == ["annotator_id", "x", "y"]
+    assert [row[0] for row in rows[1:]] == load_checkpoint(
+        str(tmp_path / "train" / "checkpoint")).annotator_ids
+    assert all(len(row) == 3 for row in rows)
+
+
+def test_analyze_csv_bytes_for_plain_names(tmp_path, corpus_dir):
+    """Names with no comma, quote or line break are written bare, each cell
+    the repr of its float and an undefined entry empty."""
+    out = tmp_path / "analysis"
+    # every pair shares all 24 texts: kappa is undefined off the diagonal
+    assert _run("analyze", "--data", str(corpus_dir / "corpus.jsonl"),
+                "--what", "kappa,correlation", "--min-overlap", "25", "--min-examples", "1",
+                "--out", str(out)) == 0
+    for stem, names_key in (("kappa", "annotator_ids"), ("label_correlation", "label_names")):
+        matrix = json.loads((out / f"{stem}.json").read_text())
+        names, values = matrix[names_key], matrix["values"]
+        lines = ["," + ",".join(names)]
+        lines += [name + "," + ",".join("" if v is None else repr(v) for v in row)
+                  for name, row in zip(names, values)]
+        assert (out / f"{stem}.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+        assert any(v is None for row in values for v in row) == (stem == "kappa")
 
 
 def test_analyze_alignment_skipped_without_demographics(tmp_path, split_dir, train_dir, capsys):

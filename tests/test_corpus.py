@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -153,6 +154,49 @@ def test_load_rejects_json_constants_and_fields_that_are_not_strings(tmp_path, l
     path.write_text(json.dumps(_record("e0", "a", "A")) + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=rf"line 2: {problem}"):
         load_dataset(path, ["A", "B"])
+
+
+def test_annotated_example_is_slotted_frozen_and_hashable():
+    ex = AnnotatedExample("e1", "some text", "alice", 1, {"age": "30"})
+    assert not hasattr(ex, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ex.label = 0
+    with pytest.raises((AttributeError, TypeError)):   # no slot to hold a new field
+        ex.weight = 2.0
+    same = AnnotatedExample("e1", "some text", "alice", 1, {"age": "30"})
+    assert ex == same and ex is not same
+    assert ex != AnnotatedExample("e1", "some text", "alice", 0, {"age": "30"})
+    plain = AnnotatedExample("e1", "some text", "alice", 1)
+    assert hash(plain) == hash(("e1", "some text", "alice", 1, None))
+    assert len({plain, AnnotatedExample("e1", "some text", "alice", 1)}) == 1
+    relabeled = dataclasses.replace(ex, label=0, annotator_id="bob")
+    assert (relabeled.example_id, relabeled.annotator_id, relabeled.label) == ("e1", "bob", 0)
+    assert relabeled.demographics is ex.demographics and ex.label == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(annotations=st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 4), st.integers(0, 3)),
+    max_size=14))
+def test_dataset_reports_the_first_bad_annotation(annotations):
+    """A label out of range or a repeated (example_id, annotator_id) pair is
+    reported for the first annotation that has one, in the same words."""
+    examples = [AnnotatedExample(f"t{t}", "text", ann, label) for ann, t, label in annotations]
+    expected, seen = None, set()
+    for ex in examples:
+        if ex.label >= 3:
+            expected = f"label index {ex.label} out of range for 3 labels"
+            break
+        if (ex.example_id, ex.annotator_id) in seen:
+            expected = f"duplicate annotation {(ex.example_id, ex.annotator_id)}"
+            break
+        seen.add((ex.example_id, ex.annotator_id))
+    if expected is None:
+        assert len(Dataset.from_examples(examples, ["L0", "L1", "L2"])) == len(examples)
+    else:
+        with pytest.raises(CorpusError) as err:
+            Dataset.from_examples(examples, ["L0", "L1", "L2"])
+        assert str(err.value) == expected
 
 
 def test_dataset_rejects_duplicate_label_names():
