@@ -96,6 +96,11 @@ def steps():
     yield "bad_what", ["analyze", *data, "--what", "stats,kapa", "--out", "bad_what"]
     yield "bad_heads", ["train", "--data", "split_a", *TINY, "--heads", "0",
                         "--out", "bad_heads"]
+    yield "bad_select_on_dev", ["train", "--data", "split_a", *TINY, "--select-on-dev",
+                                "--out", "bad_select_on_dev"]
+    yield "bad_embedding", ["analyze", *data, "--checkpoint", "train_text_only/checkpoint",
+                            "--what", "cluster", "--embedding", "annotator",
+                            "--out", "bad_embedding"]
 
 
 def main(argv) -> int:

@@ -141,8 +141,13 @@ def cmd_split(args, out):
 
 def _load_split(split_dir: str) -> corpus.Split:
     schema = corpus.read_manifest(os.path.join(split_dir, "schema.manifest.json"))
-    meta = corpus.read_json(os.path.join(split_dir, "split_manifest.json"),
-                            required=("kind", "seed"))
+    meta_path = os.path.join(split_dir, "split_manifest.json")
+    meta = corpus.read_json(meta_path, required=("kind", "seed"))
+    try:
+        corpus.check_type("kind", meta["kind"], str, corpus.SPLIT_KINDS)
+        corpus.check_type("seed", meta["seed"], int)
+    except ValueError as err:
+        raise CliError(f"{meta_path}: {err}") from None
     labels = schema["label_names"]
     train = corpus.load_dataset(os.path.join(split_dir, "train.jsonl"), labels, name="train")
     test = corpus.load_dataset(os.path.join(split_dir, "test.jsonl"), labels, name="test")
@@ -179,6 +184,9 @@ def cmd_train(args, out):
     if args.runs < 1:
         raise CliError(f"--runs must be at least 1, got {args.runs}")
     split = _load_split(args.data)
+    if args.select_on_dev and split.dev is None:
+        raise CliError(f"--select-on-dev needs a dev split, and {args.data} has no dev.jsonl "
+                       "(split with --dev-frac above 0)")
     if args.runs == 1:
         report = _train_one(split, args, args.seed, out)
         print(report.to_text(split.train.label_names))
@@ -258,6 +266,16 @@ def cmd_analyze(args, out):
         what = set(ANALYSES)
     dataset = _load_data(args)
     model = trainer.load_checkpoint(args.checkpoint) if args.checkpoint else None
+    needs_model = what & {"cluster", "project", "alignment"}
+    if needs_model:
+        if model is None:
+            raise CliError("cluster/project/alignment need --checkpoint")
+        trained = (model.mode.uses_annotation if args.embedding == "annotation"
+                   else model.mode.uses_annotator)
+        if not trained:
+            raise CliError(f"--what {','.join(sorted(needs_model))} --embedding "
+                           f"{args.embedding}: the {model.mode.value} checkpoint "
+                           f"{args.checkpoint} never trains the {args.embedding} embeddings")
 
     if "stats" in what:
         corpus.write_json(os.path.join(out, "stats.json"),
@@ -272,10 +290,7 @@ def cmd_analyze(args, out):
         _write_matrix_csv(os.path.join(out, "label_correlation.csv"),
                           corr.label_names, corr.values)
 
-    needs_model = what & {"cluster", "project", "alignment"}
     if needs_model:
-        if model is None:
-            raise CliError("cluster/project/alignment need --checkpoint")
         if args.embedding == "annotation":
             points, ids = analysis.annotation_embedding_points(model)
         else:
@@ -289,7 +304,8 @@ def cmd_analyze(args, out):
         projection = analysis.pca_project(points, dims=2)
         _write_csv(os.path.join(out, "projection.csv"), [
             ["annotator_id", "x", "y"],
-            *([ann, repr(x), repr(y)] for ann, (x, y) in zip(ids, projection.coordinates))])
+            *([ann, repr(x), repr(y)]
+              for ann, (x, y) in zip(ids, projection.coordinates.tolist()))])
         corpus.write_json(os.path.join(out, "projection.json"), {
             "coordinates": projection.coordinates,
             "explained_variance": projection.explained_variance,
@@ -377,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data")
     p.add_argument("--manifest", default=None)
-    p.add_argument("--kind", choices=["annotation", "annotator"], default="annotation")
+    p.add_argument("--kind", choices=corpus.SPLIT_KINDS, default="annotation")
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--dev-frac", type=float, default=0.0)
     p.set_defaults(func=cmd_split)

@@ -90,6 +90,9 @@ class Dataset:
         return len(self.examples)
 
 
+SPLIT_KINDS = ("annotation", "annotator")
+
+
 @dataclass
 class Split:
     train: Dataset
@@ -99,7 +102,7 @@ class Split:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("annotation", "annotator"):
+        if self.kind not in SPLIT_KINDS:
             raise CorpusError(f"unknown split kind {self.kind!r}")
         train_ann = set(self.train.annotator_ids)
         test_ann = set(self.test.annotator_ids)

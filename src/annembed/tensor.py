@@ -11,7 +11,11 @@ command run under gc_paused(): the cyclic collector would only rescan the
 live graphs of a minibatch and find nothing to free.
 Gradients are demand-driven: a node needs one only if it is a parameter or
 depends on one, and its buffer is created when the first contribution
-arrives, so forward-only passes allocate no gradient memory.
+arrives, so forward-only passes allocate no gradient memory. backward()
+releases an interior node's gradient as soon as its closure has passed it
+on; only the parameters (leaves) keep theirs. A training step holds one
+graph, its own, from its forward to its optimizer update, and drops it
+before the next step's forward begins.
 Randomness (dropout) always comes from an explicitly passed numpy PCG64
 generator, so a 64-bit seed reproduces a run exactly on the same machine
 with the same numpy and BLAS build.
@@ -342,8 +346,10 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
 
     Gradients are cleared to None across the reached graph first, then
     accumulated in reverse topological order; a node whose gradient never
-    arrived is skipped. Returns {leaf: gradient} for every parameter reached
-    from the loss.
+    arrived is skipped. An interior node's gradient is released (set back to
+    None) as soon as its closure has passed it on, so only the gradients of
+    the current frontier are alive at once. Returns {leaf: gradient} for
+    every parameter reached from the loss; leaves keep theirs in grad.
     """
     if loss.value.shape != (1, 1):
         raise ValueError(f"loss must be 1x1, got {loss.value.shape}")
@@ -357,7 +363,9 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
             continue
         if node._backward is not None:
             node._backward(node.grad)
-        if node.needs_grad and not node.parents:
+        if node.parents:
+            node.grad = None
+        elif node.needs_grad:
             grads[node] = node.grad
     return grads
 

@@ -171,6 +171,33 @@ def _prepare(dataset: Dataset, model: Model, mode: CombinationMode,
     return items
 
 
+def _train_step(model: Model, optimizer: Adam, batch: list, rng: np.random.Generator,
+                context: str) -> float:
+    """Forward, backward and one Adam update over a minibatch of prepared
+    items; returns the step's mean loss. The step's graph is built and
+    dropped inside this call, so no finished graph outlives its step."""
+    losses = []
+    try:
+        for ids, annotator_id, coeff, gold in batch:
+            losses.append(model.loss_for(ids, annotator_id, coeff, gold,
+                                         training=True, rng=rng))
+    except FloatingPointError as err:
+        raise TrainingDiverged(f"non-finite activations {context}: {err}") from err
+    total = losses[0]
+    for extra in losses[1:]:
+        total = tensor.add(total, extra)
+    mean_loss = tensor.scalar_scale(total, 1.0 / len(batch))
+    step_loss = float(mean_loss.value[0, 0])
+    if not np.isfinite(step_loss):
+        raise TrainingDiverged(f"non-finite loss {context}: {step_loss!r}")
+    tensor.backward(mean_loss)
+    for name, param in optimizer.params.items():
+        if param.grad is not None and not np.isfinite(param.grad).all():
+            raise TrainingDiverged(f"non-finite gradient for {name} {context}")
+    optimizer.step()
+    return step_loss
+
+
 @tensor.gc_paused()
 def train(split: Split, cfg: TrainConfig,
           encoder_config: Optional[EncoderConfig] = None) -> tuple[Model, list[float]]:
@@ -178,10 +205,14 @@ def train(split: Split, cfg: TrainConfig,
 
     Returns the trained model and the per-step mean-loss trace. Fully
     deterministic for a given cfg.seed: initialization, shuffling, and
-    dropout each draw from their own spawned stream.
+    dropout each draw from their own spawned stream. select_on_dev keeps the
+    parameters of the epoch with the best dev EM; ValueError if the split
+    has no dev part.
     """
     if not split.train.examples:
         raise ValueError("empty train split")
+    if cfg.select_on_dev and split.dev is None:
+        raise ValueError("select_on_dev needs a dev split, and this split has none")
     vocab = Vocabulary.build(ex.text for ex in split.train.examples)
     encoder_config = replace(encoder_config or EncoderConfig(), vocab_size=vocab.size)
 
@@ -208,29 +239,9 @@ def train(split: Split, cfg: TrainConfig,
             batch = order[start:start + cfg.batch_size]
             context = (f"at epoch {epoch} step {start // cfg.batch_size} "
                        f"(lr={cfg.learning_rate}, batch={cfg.batch_size})")
-            losses = []
-            try:
-                for i in batch:
-                    ids, annotator_id, coeff, gold = items[i]
-                    losses.append(model.loss_for(ids, annotator_id, coeff, gold,
-                                                 training=True, rng=rng_dropout))
-            except FloatingPointError as err:
-                raise TrainingDiverged(
-                    f"non-finite activations {context}: {err}") from err
-            total = losses[0]
-            for extra in losses[1:]:
-                total = tensor.add(total, extra)
-            mean_loss = tensor.scalar_scale(total, 1.0 / len(batch))
-            step_loss = float(mean_loss.value[0, 0])
-            if not np.isfinite(step_loss):
-                raise TrainingDiverged(f"non-finite loss {context}: {step_loss!r}")
-            trace.append(step_loss)
-            tensor.backward(mean_loss)
-            for name, param in params.items():
-                if param.grad is not None and not np.isfinite(param.grad).all():
-                    raise TrainingDiverged(f"non-finite gradient for {name} {context}")
-            optimizer.step()
-        if cfg.select_on_dev and split.dev is not None and (
+            trace.append(_train_step(model, optimizer, [items[i] for i in batch],
+                                     rng_dropout, context))
+        if cfg.select_on_dev and (
                 cfg.eval_every == 0 or (epoch + 1) % cfg.eval_every == 0):
             report = evaluate(model, split.dev)
             if report.em_accuracy > best_dev:

@@ -280,6 +280,57 @@ def test_analyze_csv_bytes_for_plain_names(tmp_path, corpus_dir):
         assert any(v is None for row in values for v in row) == (stem == "kappa")
 
 
+def test_projection_csv_cells_read_back_as_floats(tmp_path, split_dir, train_dir):
+    out = tmp_path / "analysis"
+    assert _run("analyze", "--data", str(split_dir / "train.jsonl"),
+                "--manifest", str(split_dir / "schema.manifest.json"),
+                "--checkpoint", str(train_dir / "checkpoint"),
+                "--what", "project", "--out", str(out)) == 0
+    rows = _csv_rows(out / "projection.csv")
+    coordinates = json.loads((out / "projection.json").read_text())["coordinates"]
+    assert rows[0] == ["annotator_id", "x", "y"] and len(rows) == len(coordinates) + 1
+    for row, point in zip(rows[1:], coordinates):
+        assert [float(cell) for cell in row[1:]] == point
+
+
+MODES = ("text_only", "text_plus_annotation", "text_plus_annotator", "text_plus_both")
+# (mode, embedding) pairs whose rows the mode never trains
+UNTRAINED = {("text_only", "annotation"), ("text_only", "annotator"),
+             ("text_plus_annotator", "annotation"), ("text_plus_annotation", "annotator")}
+
+
+@pytest.fixture(scope="module")
+def mode_checkpoints(tmp_path_factory):
+    root = tmp_path_factory.mktemp("modes")
+    assert _run("synth", "--out", str(root / "synth"), "--annotators", "4", "--texts", "24",
+                "--labels", "3", "--bias", "0.4", "--seed", "3", "--vocab", "30") == 0
+    assert _run("split", "--data", str(root / "synth" / "corpus.jsonl"), "--seed", "1",
+                "--out", str(root / "split")) == 0
+    for mode in MODES:
+        assert _run("train", "--data", str(root / "split"), "--mode", mode, "--seed", "2",
+                    "--out", str(root / mode), *FAST_TRAIN) == 0
+    return root
+
+
+@pytest.mark.parametrize("embedding", ["annotation", "annotator"])
+@pytest.mark.parametrize("mode", MODES)
+def test_analyze_of_an_embedding_the_mode_never_trains_exit_code(mode_checkpoints, tmp_path,
+                                                                 capsys, mode, embedding):
+    out = tmp_path / "analysis"
+    code = _run("analyze", "--data", str(mode_checkpoints / "synth" / "corpus.jsonl"),
+                "--checkpoint", str(mode_checkpoints / mode / "checkpoint"),
+                "--what", "stats,cluster,project", "--k", "2", "--embedding", embedding,
+                "--out", str(out))
+    if (mode, embedding) in UNTRAINED:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--embedding {embedding}" in err and mode in err
+        assert not (out / "stats.json").exists() and not (out / "clusters.json").exists()
+    else:
+        assert code == 0
+        assert (out / "clusters.json").exists() and (out / "projection.csv").exists()
+
+
 def test_analyze_alignment_skipped_without_demographics(tmp_path, split_dir, train_dir, capsys):
     out = tmp_path / "analysis2"
     assert _run("analyze", "--data", str(split_dir / "train.jsonl"),
@@ -461,6 +512,37 @@ def test_train_on_split_manifest_without_kind_exit_code(tmp_path, split_dir, cap
                 *FAST_TRAIN) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "kind" in err
+
+
+@pytest.mark.parametrize("key, value", [("seed", "1"), ("seed", 1.5), ("seed", True),
+                                        ("kind", "annotatr"), ("kind", 0)])
+def test_train_on_split_manifest_of_wrong_type_exit_code(tmp_path, split_dir, capsys, key,
+                                                         value):
+    path = split_dir / "split_manifest.json"
+    meta = json.loads(path.read_text())
+    meta[key] = value
+    path.write_text(json.dumps(meta))
+    out = tmp_path / "t"
+    assert _run("train", "--data", str(split_dir), "--out", str(out), *FAST_TRAIN) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {key} must be" in err
+    assert not (out / "checkpoint").exists()
+
+
+def test_train_select_on_dev_without_dev_split_exit_code(tmp_path, split_dir, capsys,
+                                                         monkeypatch):
+    assert not (split_dir / "dev.jsonl").exists()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking --select-on-dev")
+
+    monkeypatch.setattr("annembed.trainer.train", no_training)
+    out = tmp_path / "t"
+    assert _run("train", "--data", str(split_dir), "--select-on-dev", "--out", str(out),
+                *FAST_TRAIN) == 2
+    err = capsys.readouterr().err
+    assert "--select-on-dev" in err and "dev.jsonl" in err
+    assert not (out / "checkpoint").exists()
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", '{"options": "x"}'])

@@ -302,3 +302,42 @@ def test_dropped_graph_needs_no_cyclic_gc():
         assert leaking == []
     finally:
         gc.enable()
+
+
+def _graph_nodes(root):
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+    return nodes
+
+
+def test_backward_releases_interior_gradients_and_keeps_leaf_ones():
+    # every primitive in one graph, with fan-out: x and w feed many cases
+    rng = np.random.default_rng(3)
+    x = parameter(rng.normal(size=(3, 4)))
+    w = parameter(rng.normal(size=(4, 4)))
+    s = parameter([[1.5]])
+    loss = None
+    for name in _node_builders():
+        term = tensor.sum_all(_GRAPH_CASES[name](x, w, s, rng))
+        loss = term if loss is None else tensor.add(loss, term)
+    first = {leaf: g.copy() for leaf, g in backward(loss).items()}
+    nodes = _graph_nodes(loss)
+    interior = [node for node in nodes if node.parents]
+    assert len(interior) > 30
+    assert all(node.grad is None for node in interior)
+    assert {x, w, s} <= set(first)
+    assert set(first) == {node for node in nodes if node.needs_grad and not node.parents}
+    for leaf, g in first.items():
+        assert np.array_equal(leaf.grad, g)
+    # a second backward over the same graph returns the same bits
+    second = backward(loss)
+    assert second.keys() == first.keys()
+    for leaf, g in first.items():
+        assert np.array_equal(second[leaf], g)
+        assert second[leaf] is leaf.grad
+    assert all(node.grad is None for node in interior)

@@ -1,10 +1,11 @@
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from annembed import tensor, trainer
+from annembed import encoder, tensor, trainer
 from annembed.corpus import (
     AnnotatedExample,
     Dataset,
@@ -172,6 +173,98 @@ def test_paused_train_and_evaluate_leave_no_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# one step's graph plus a frontier of interior gradients, against the two
+# graphs (the finished step's and the next one's) that a step left alive
+# when its graph outlived it; the margin was set before measuring
+STEP_MEMORY_MARGIN = 1.5
+
+
+def test_train_holds_one_step_graph_at_a_time():
+    population = PopulationConfig(n_annotators=4, n_texts=40, n_labels=3, bias_strength=0.5,
+                                  seed=0, vocab_size=30)
+    split = make_annotation_split(generate_population(population)[0], 0.7, seed=0)
+    cfg = TrainConfig(mode=CombinationMode.TEXT_PLUS_BOTH, epochs=1, batch_size=32,
+                      learning_rate=1e-3, seed=0)
+    enc = EncoderConfig(**dict(FAST_ENC, dropout=0.1))
+    assert len(split.train) >= 3 * cfg.batch_size
+    model, _ = train(split, cfg, enc)
+    batch = split.train.examples[:cfg.batch_size]
+    rng = np.random.default_rng(0)
+    params = model.named_parameters().values()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        losses = [model.loss_for(encoder.tokenize(ex.text, model.vocab, enc.max_len),
+                                 ex.annotator_id, model.test_coefficients(ex.annotator_id),
+                                 ex.label, training=True, rng=rng) for ex in batch]
+        graph = tracemalloc.get_traced_memory()[0] - start
+        del losses
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        train(split, cfg, enc)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # values, gradients, Adam's two moments and its temporaries
+    buffers = 6 * sum(p.value.nbytes for p in params)
+    assert peak < STEP_MEMORY_MARGIN * (graph + buffers), (peak, graph, buffers)
+
+
+def test_select_on_dev_needs_a_dev_split():
+    split = _tiny_split()
+    assert split.dev is None
+    cfg = TrainConfig(mode=CombinationMode.TEXT_ONLY, epochs=1, batch_size=8,
+                      select_on_dev=True)
+    with pytest.raises(ValueError, match="select_on_dev needs a dev split"):
+        train(split, cfg, EncoderConfig(**FAST_ENC))
+
+
+def _dev_split():
+    population = PopulationConfig(n_annotators=4, n_texts=30, n_labels=3, bias_strength=0.5,
+                                  seed=2, vocab_size=30)
+    return make_annotation_split(generate_population(population)[0], 0.7, seed=2,
+                                 dev_frac=0.3)
+
+
+def _recording_evaluate(monkeypatch, ems=None):
+    """Record each evaluate's EM and the parameters it saw; ems, if given,
+    replaces the EMs that the reports give back."""
+    seen = []
+    real_evaluate = trainer.evaluate
+
+    def recording(model, dataset, *args, **kwargs):
+        report = real_evaluate(model, dataset, *args, **kwargs)
+        if ems is not None:
+            report.em_accuracy = ems[len(seen)]
+        seen.append((report.em_accuracy, {k: p.value.copy()
+                                          for k, p in model.named_parameters().items()}))
+        return report
+
+    monkeypatch.setattr(trainer, "evaluate", recording)
+    return seen
+
+
+@pytest.mark.parametrize("ems", [None, [0.2, 0.6, 0.4, 0.6, 0.1]],
+                         ids=["measured", "best_second_of_five"])
+def test_select_on_dev_returns_the_best_epoch(monkeypatch, ems):
+    split = _dev_split()
+    assert split.dev is not None
+    seen = _recording_evaluate(monkeypatch, ems)
+    cfg = TrainConfig(mode=CombinationMode.TEXT_PLUS_BOTH, epochs=5, batch_size=8,
+                      learning_rate=2e-2, seed=2, select_on_dev=True)
+    model, _ = train(split, cfg, EncoderConfig(**FAST_ENC))
+    assert len(seen) == cfg.epochs
+    scores = [em for em, _ in seen]
+    best = scores.index(max(scores))   # the first epoch to reach the best EM
+    if ems is not None:
+        assert best == 1
+    for key, param in model.named_parameters().items():
+        assert np.array_equal(param.value, seen[best][1][key]), key
+    if best != len(seen) - 1:
+        assert any(not np.array_equal(seen[-1][1][k], p.value)
+                   for k, p in model.named_parameters().items())
 
 
 def test_macro_f1_hand_case():
