@@ -7,8 +7,10 @@ Each command runs as `python -m annembed.cli` against this checkout's own
 it, so that trees made from two checkouts can be compared with `diff -r`. The
 stdout, stderr and exit code of each command go to `_log/<step>.out`, `.err`
 and `.code`. The bad inputs at the end are expected to exit 2. Besides the
-synthetic corpora, the script writes one small corpus by hand, `quoted/`,
-whose annotator ids and a label name hold a comma or a quote.
+synthetic corpora, the script writes two small corpora by hand: `quoted/`,
+whose annotator ids and a label name hold a comma or a quote, and `edge/`,
+whose JSONL has blank and whitespace-only lines, CRLF line ends, lines padded
+with no-break spaces, repeated demographics and non-ASCII text.
 """
 
 from __future__ import annotations
@@ -45,6 +47,30 @@ def write_quoted_corpus(tree):
     with open(os.path.join(tree, "quoted", "corpus.manifest.json"), "w",
               encoding="utf-8") as fh:
         json.dump({"label_names": QUOTED_LABELS, "name": "quoted"}, fh)
+
+
+EDGE_ANNOTATORS = {"ann-é": {"région": "nord"}, "ann-日": {"région": "sud"},
+                   "ann-3": {"région": "nord"}, "ann-4": {"région": "sud"}}
+EDGE_LABELS = ["non", "oui"]
+
+
+def write_edge_corpus(tree):
+    """10 texts, each labeled by all four annotators; the line ends, padding
+    and blank lines vary by line, and load_dataset must read past all of them."""
+    os.makedirs(os.path.join(tree, "edge"))
+    with open(os.path.join(tree, "edge", "corpus.jsonl"), "w", encoding="utf-8",
+              newline="") as fh:
+        for t in range(10):
+            for k, (ann, demo) in enumerate(EDGE_ANNOTATORS.items()):
+                record = {"annotator_id": ann, "demographics": demo, "example_id": f"t{t}",
+                          "label": EDGE_LABELS[(t * (k + 1)) // 3 % 2],
+                          "text": f"texte {t} café 日本 ✓"}
+                pad = "\u00a0" if (t + k) % 3 == 0 else ""
+                end = "\r\n" if (t + k) % 2 else "\n"
+                fh.write(pad + json.dumps(record, ensure_ascii=False) + pad + end)
+            fh.write(("", "\n", " \t\r\n", "\u00a0\n")[t % 4])
+    with open(os.path.join(tree, "edge", "corpus.manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump({"label_names": EDGE_LABELS, "name": "edge"}, fh)
 
 
 def steps():
@@ -88,6 +114,11 @@ def steps():
     yield "analyze_quoted", ["analyze", "--data", "quoted/corpus.jsonl",
                              "--what", "kappa,correlation", "--min-overlap", "5",
                              "--min-examples", "5", "--out", "analyze_quoted"]
+    yield "split_edge", ["split", "--data", "edge/corpus.jsonl", "--seed", "1",
+                         "--out", "split_edge"]
+    yield "analyze_edge", ["analyze", "--data", "edge/corpus.jsonl",
+                           "--what", "stats,kappa,correlation", "--min-overlap", "5",
+                           "--min-examples", "5", "--out", "analyze_edge"]
     yield "baselines", ["baselines", "--data", "split_a/test.jsonl",
                         "--manifest", "split_a/schema.manifest.json",
                         "--majority-from", "split_a/train.jsonl", "--out", "baselines"]
@@ -110,6 +141,7 @@ def main(argv) -> int:
     tree = argv[1]
     os.makedirs(os.path.join(tree, "_log"))
     write_quoted_corpus(tree)
+    write_edge_corpus(tree)
     env = {key: value for key, value in os.environ.items() if key != "ANNEMBED_OUT"}
     env.update(PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")

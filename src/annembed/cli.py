@@ -343,6 +343,10 @@ def cmd_report(args, out):
     for path in args.inputs:
         obj = corpus.read_json(path, required=fields)
         reports.append(trainer.EvalReport(**{name: obj[name] for name in fields}))
+        try:
+            corpus.check_fields(reports[-1])
+        except ValueError as err:
+            raise corpus.CorpusError(f"{path}: {err}") from None
         print(f"== {path}")
         print(reports[-1].to_text())
     if len(reports) > 1:

@@ -9,6 +9,7 @@ UTF-8) with string labels that must resolve against a declared label schema.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from itertools import compress
-from typing import Optional, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -122,69 +123,81 @@ _LINE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
-def _parse_record(obj, label_index, shared, line_no):
-    """The record of one parsed line. label_index maps each label name to its
-    index; shared maps each string and each demographics key already seen in
-    this file to the one object every record holds for it."""
+def _record_fault(obj, line_no) -> CorpusError:
+    """The error for a parsed line that load_dataset could not read as a
+    record: the first fault that the checks find, in their order."""
     if not isinstance(obj, dict):
-        raise CorpusError(f"line {line_no}: record is not an object")
+        return CorpusError(f"line {line_no}: record is not an object")
     for key in ("example_id", "text", "annotator_id", "label"):
         if key not in obj:
-            raise CorpusError(f"line {line_no}: missing field {key!r}")
+            return CorpusError(f"line {line_no}: missing field {key!r}")
     for key in ("example_id", "text", "annotator_id"):
         if not isinstance(obj[key], str):
-            raise CorpusError(f"line {line_no}: {key} must be a string, found {obj[key]!r}")
-    label = obj["label"]
-    try:
-        index = label_index[label]
-    except (KeyError, TypeError):   # TypeError: a list or object is no label name
-        raise CorpusError(f"line {line_no}: unknown label {label!r}") from None
-    demo = obj.get("demographics")
-    if demo is not None:
-        # a file repeats one dict per annotator: check only a dict not seen before
-        try:
-            demo = shared[tuple(demo.items())]
-        except (AttributeError, KeyError, TypeError):   # no dict, unseen, or unhashable
-            if not isinstance(demo, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in demo.items()
-            ):
-                raise CorpusError(
-                    f"line {line_no}: demographics must map strings to strings") from None
-            shared[tuple(demo.items())] = demo
-    return AnnotatedExample(
-        example_id=shared.setdefault(obj["example_id"], obj["example_id"]),
-        text=shared.setdefault(obj["text"], obj["text"]),
-        annotator_id=shared.setdefault(obj["annotator_id"], obj["annotator_id"]),
-        label=index,
-        demographics=demo,
-    )
+            return CorpusError(f"line {line_no}: {key} must be a string, found {obj[key]!r}")
+    return CorpusError(f"line {line_no}: unknown label {obj['label']!r}")
 
 
 def load_dataset(path, label_names, name=None) -> Dataset:
     """Load a JSONL annotation file against a declared label schema.
 
     Registries come out in first-appearance order so that row indices into
-    the embedding matrices are reproducible across runs. Each line is parsed
-    by read_json's rule, NaN and Infinity rejected, and example_id, text and
-    annotator_id must be strings; CorpusError names the line. Records that
-    repeat a text, an id or a demographics dict share one object for it.
+    the embedding matrices are reproducible across runs. Each stripped line
+    must hold exactly one JSON value, parsed by read_json's rule with NaN and
+    Infinity rejected; the record is an object whose example_id, text and
+    annotator_id are strings and whose label is a declared name. CorpusError
+    names the line and its first fault. Records that repeat a text, an id or
+    a demographics dict share one object for it.
+
+    Lines are scanned one at a time, never joined into one array: a record
+    split across lines, or two records on one line, would decode as valid
+    records from lines that are each malformed on their own.
     """
     label_names = list(label_names)
     label_index = {name: i for i, name in enumerate(label_names)}
+    # each string and each demographics dict already seen in this file
     shared: dict = {}
     examples = []
+    scan = _LINE_DECODER.scan_once
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            # JSONDecoder.decode of a stripped line is this scan and this end check
             try:
-                obj = _LINE_DECODER.decode(line)
+                obj, end = scan(line, 0)
+            except StopIteration:
+                raise CorpusError(f"line {line_no}: malformed JSON (Expecting value)") from None
             except json.JSONDecodeError as err:
                 raise CorpusError(f"line {line_no}: malformed JSON ({err.msg})") from err
             except CorpusError as err:
                 raise CorpusError(f"line {line_no}: {err}") from err
-            examples.append(_parse_record(obj, label_index, shared, line_no))
+            if end != len(line):
+                raise CorpusError(f"line {line_no}: malformed JSON (Extra data)")
+            try:
+                example_id, text = obj["example_id"], obj["text"]
+                annotator_id, label = obj["annotator_id"], label_index[obj["label"]]
+                if type(example_id) is not str or type(text) is not str or (
+                        type(annotator_id) is not str):
+                    raise TypeError
+            except (KeyError, TypeError):
+                # no object, a field missing or no string, an unknown or unhashable label
+                raise _record_fault(obj, line_no) from None
+            demo = obj.get("demographics")
+            if demo is not None:
+                # a file repeats one dict per annotator: check only a dict not seen before
+                try:
+                    demo = shared[tuple(demo.items())]
+                except (AttributeError, KeyError, TypeError):   # no dict, unseen, or unhashable
+                    if not isinstance(demo, dict) or not all(
+                        isinstance(k, str) and isinstance(v, str) for k, v in demo.items()
+                    ):
+                        raise CorpusError(
+                            f"line {line_no}: demographics must map strings to strings") from None
+                    shared[tuple(demo.items())] = demo
+            examples.append(AnnotatedExample(
+                shared.setdefault(example_id, example_id), shared.setdefault(text, text),
+                shared.setdefault(annotator_id, annotator_id), label, demo))
     if name is None:
         name = str(path)
     return Dataset.from_examples(examples, label_names, name)
@@ -242,17 +255,78 @@ def _plain(value):
     return value
 
 
+# every value write_json meets is encoded by CPython's C encoder: a scalar or
+# a key through _SCALAR_ENCODER, a dict or a list of scalars in one call
+# through _flat_encoder; json.dump(indent=2) would run the pure-Python encoder
+_SCALAR_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _flat_encoder(indent: str) -> json.JSONEncoder:
+    """An encoder that puts each item of a dict or a list on its own line at indent."""
+    return json.JSONEncoder(ensure_ascii=False, allow_nan=False, sort_keys=True,
+                            separators=(",\n" + indent, ": "))
+
+
+def _write_flat(write, value, items, indent: str) -> bool:
+    """Write a dict or a list whose items are all scalars in one call to the C
+    encoder. False, with nothing written, if an item is no scalar or the
+    encoder refuses one: its message lacks the value, and the item loop of
+    _write_value raises json.dump's."""
+    if not set(map(type, items)) <= _SCALAR_TYPES:
+        return False
+    inner = indent + "  "
+    try:
+        text = _flat_encoder(inner).encode(value)
+    except ValueError:
+        return False
+    write(text[0] + "\n" + inner + text[1:-1] + "\n" + indent + text[-1])
+    return True
+
+
+def _write_value(write, value, indent: str) -> None:
+    """Write one plain value as json.dump(indent=2, sort_keys=True,
+    ensure_ascii=False, allow_nan=False) writes it at the given indent."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            write("{}")
+        elif not _write_flat(write, value, value.values(), indent):
+            head = "{\n" + inner
+            for key, item in sorted(value.items()):
+                write(head + _SCALAR_ENCODER.encode(key) + ": ")
+                _write_value(write, item, inner)
+                head = ",\n" + inner
+            write("\n" + indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            write("[]")
+        elif not _write_flat(write, value, value, indent):
+            head = "[\n" + inner
+            for item in value:
+                write(head)
+                _write_value(write, item, inner)
+                head = ",\n" + inner
+            write("\n" + indent + "]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        # json.dump's text; the C encoder leaves out the value
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    else:
+        write(_SCALAR_ENCODER.encode(value))
+
+
 def write_json(path, obj) -> None:
     """Write obj as JSON with sorted keys, 2-space indent, non-ASCII kept and a
-    trailing newline; every JSON file the package writes goes through here.
-    Dataclasses, arrays and enums are encoded by _plain, NaN becomes null,
-    and an infinity raises CorpusError naming the file, which is not left
-    behind."""
+    trailing newline; every JSON file the package writes goes through here,
+    and its bytes are those of json.dump(indent=2, sort_keys=True,
+    ensure_ascii=False, allow_nan=False). Dataclasses, arrays and enums are
+    encoded by _plain, NaN becomes null, and an infinity raises CorpusError
+    naming the file, which is not left behind."""
     plain = _plain(obj)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(plain, fh, ensure_ascii=False, sort_keys=True, indent=2,
-                      allow_nan=False)
+            _write_value(fh.write, plain, "")
             fh.write("\n")
     except ValueError as err:
         os.remove(path)
@@ -283,7 +357,21 @@ def check_type(name: str, value, kind, choices=None) -> None:
     an integer, never a bool or a float such as 2.0; a float takes a finite
     number, never a bool; a bool takes a bool; a str or a str-valued Enum
     takes a string, one of choices or of the Enum's values; a list takes a
-    list of strings. ValueError names the field and the value."""
+    list of strings. Optional[X] takes null or what X takes; list[X] takes a
+    list and dict[str, X] an object, each item checked by X's rule under its
+    index or key. ValueError names the field and the value."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:   # Optional[X]: args is (X, NoneType)
+        if value is not None:
+            check_type(name, value, args[0], choices)
+        return
+    if origin in (list, dict):
+        if not isinstance(value, origin):
+            want = "a list" if origin is list else "an object"
+            raise ValueError(f"{name} must be {want}, found {value!r}")
+        for key, item in (enumerate(value) if origin is list else value.items()):
+            check_type(f"{name}[{key!r}]", item, args[-1])
+        return
     if isinstance(kind, type) and issubclass(kind, Enum):
         kind, choices = str, [member.value for member in kind]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -304,7 +392,7 @@ def check_type(name: str, value, kind, choices=None) -> None:
 
 
 def check_fields(config) -> None:
-    """check_type over every field of a config dataclass, by its annotation."""
+    """check_type over every field of a dataclass, by its annotation."""
     for name, kind in get_type_hints(type(config)).items():
         check_type(name, getattr(config, name), kind)
 

@@ -51,6 +51,8 @@ class TrainConfig:
         self.mode = CombinationMode(self.mode)
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be non-negative, got {self.eval_every!r}")
         if min(self.learning_rate, self.adam_eps) <= 0.0:
             raise ValueError("learning_rate and adam_eps must be positive, got "
                              f"{self.learning_rate!r} and {self.adam_eps!r}")
@@ -206,7 +208,8 @@ def train(split: Split, cfg: TrainConfig,
     Returns the trained model and the per-step mean-loss trace. Fully
     deterministic for a given cfg.seed: initialization, shuffling, and
     dropout each draw from their own spawned stream. select_on_dev keeps the
-    parameters of the epoch with the best dev EM; ValueError if the split
+    parameters of the epoch with the best dev EM, checked every eval_every
+    epochs (every epoch for 0) and after the last; ValueError if the split
     has no dev part.
     """
     if not split.train.examples:
@@ -241,8 +244,8 @@ def train(split: Split, cfg: TrainConfig,
                        f"(lr={cfg.learning_rate}, batch={cfg.batch_size})")
             trace.append(_train_step(model, optimizer, [items[i] for i in batch],
                                      rng_dropout, context))
-        if cfg.select_on_dev and (
-                cfg.eval_every == 0 or (epoch + 1) % cfg.eval_every == 0):
+        if cfg.select_on_dev and (cfg.eval_every == 0 or (epoch + 1) % cfg.eval_every == 0
+                                  or epoch + 1 == cfg.epochs):
             report = evaluate(model, split.dev)
             if report.em_accuracy > best_dev:
                 best_dev = report.em_accuracy

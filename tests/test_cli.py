@@ -420,6 +420,27 @@ def test_report_missing_field_exit_code(tmp_path, capsys):
     assert err.startswith("error:") and str(path) in err and "macro_f1" in err
 
 
+REPORT = {"em_accuracy": 0.5, "macro_f1": 0.4, "per_annotator_em": {"a": 0.5},
+          "confusion": [[1, 1], [0, 2]], "n_annotations": 4, "baseline_random": 0.5,
+          "baseline_majority": None, "variant": "combination", "per_class_f1": [0.5, 0.3]}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("confusion", 3, "confusion must be a list, found 3"),
+    ("em_accuracy", "high", "em_accuracy must be a finite number, found 'high'"),
+    ("per_class_f1", None, "per_class_f1 must be a list, found None"),
+    ("confusion", [[1, 1], [0, 2.0]], "confusion[1][1] must be an integer, found 2.0"),
+    ("per_annotator_em", {"a": True}, "per_annotator_em['a'] must be a finite number"),
+])
+def test_report_field_of_wrong_type_exit_code(tmp_path, capsys, key, value, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(REPORT))
+    assert _run("report", str(path)) == 0
+    path.write_text(json.dumps({**REPORT, key: value}))
+    assert _run("report", str(path)) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 def test_main_runs_with_collector_paused_and_restores_it(tmp_path, monkeypatch, caller_gc):
     seen = []
     generate = synthgen.generate_population

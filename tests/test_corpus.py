@@ -1,6 +1,8 @@
 import dataclasses
+import io
 import json
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 
 from annembed.analysis import KappaMatrix
 from annembed.corpus import (
+    _LINE_DECODER,
     _LINE_ENCODER,
     AnnotatedExample,
+    _plain,
     _subset,
     CorpusError,
     Dataset,
@@ -514,12 +518,17 @@ def test_read_json_rejects_nan_literal(tmp_path):
     (CombinationMode, "text_only", True), (CombinationMode, CombinationMode.TEXT_ONLY, True),
     (CombinationMode, "text", False), (CombinationMode, 0, False),
     (list, ["a", "b"], True), (list, [], True), (list, ["a", 1], False), (list, "a", False),
+    (Optional[float], None, True), (Optional[float], 0.5, True), (Optional[float], "x", False),
+    (list[int], [1, 2], True), (list[int], [1, True], False), (list[int], None, False),
+    (list[list[int]], [[1], []], True), (list[list[int]], [[1], 2], False),
+    (dict[str, float], {"a": 1.0}, True), (dict[str, float], {"a": None}, False),
+    (dict[str, float], [["a", 1.0]], False),
 ])
 def test_check_type_is_the_one_type_rule(kind, value, ok):
     if ok:
         check_type("field", value, kind)
     else:
-        with pytest.raises(ValueError, match=r"^field must be .*, found "):
+        with pytest.raises(ValueError, match=r"^field(\[[^]]+\])* must be .*, found "):
             check_type("field", value, kind)
 
 
@@ -618,3 +627,221 @@ def test_written_lines_are_the_encoded_records(tmp_path_factory, records, labels
             record["demographics"] = ex.demographics
         want.append(_LINE_ENCODER.encode(record) + "\n")
     assert path.read_bytes().decode("utf-8") == "".join(want)
+
+
+# ---------------------------------------------------------------------------
+# write_json and load_dataset against the code they replaced: json.dump with
+# the pure-Python encoder, and JSONDecoder.decode of each line plus the
+# record checks, kept here as the oracles
+
+
+def _json_dump_text(obj):
+    """What write_json wrote before: json.dump of the plain value and a newline."""
+    buf = io.StringIO()
+    json.dump(_plain(obj), buf, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False)
+    return buf.getvalue() + "\n"
+
+
+# control characters, quotes, non-ASCII and separators JSON leaves unescaped
+JSON_TEXT = st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "日",
+                                     "\u2028", "\U0001f600", "a", "1", " "]), max_size=5)
+JSON_SCALARS = (st.none() | st.booleans() | JSON_TEXT
+                | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+                | st.floats(allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308])
+                | st.floats(allow_infinity=False).map(np.float64))
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=JSON_TREES)
+@example(obj={"": [], "e": {}, "m": [1, [2.5, None], {"k": "v"}, "日"], "n": [[], [{}]]})
+@example(obj=[[1.0, float("nan")], [np.float64("nan"), -0.0, 10 ** 30, True]])
+def test_write_json_writes_the_bytes_of_json_dump(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("json") / "value.json"
+    write_json(path, obj)
+    assert path.read_bytes().decode("utf-8") == _json_dump_text(obj)
+
+
+def _containers(value):
+    """Every list and dict inside value, value itself included."""
+    if isinstance(value, dict):
+        return [value] + [c for item in value.values() for c in _containers(item)]
+    if isinstance(value, list):
+        return [value] + [c for item in value for c in _containers(item)]
+    return []
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=JSON_TREES, bad=st.sampled_from([math.inf, -math.inf, np.float64(math.inf)]),
+       data=st.data())
+def test_write_json_refuses_an_infinity_with_json_dumps_text(tmp_path_factory, obj, bad, data):
+    """An infinity anywhere gives json.dump's error text and leaves no file."""
+    obj = [obj]
+    target = data.draw(st.sampled_from(_containers(obj)))
+    if isinstance(target, list):
+        target.insert(data.draw(st.integers(0, len(target))), bad)
+    else:
+        target[data.draw(JSON_TEXT)] = bad
+    with pytest.raises(ValueError) as want:
+        _json_dump_text(obj)
+    path = tmp_path_factory.mktemp("json") / "value.json"
+    with pytest.raises(CorpusError) as got:
+        write_json(path, obj)
+    assert str(got.value) == f"{path}: {want.value}"
+    assert str(want.value).startswith("Out of range float values are not JSON compliant: ")
+    assert not path.exists()
+
+
+def _reference_record(obj, label_index, shared, line_no):
+    """The record checks of the line-by-line loader, in their order."""
+    if not isinstance(obj, dict):
+        raise CorpusError(f"line {line_no}: record is not an object")
+    for key in ("example_id", "text", "annotator_id", "label"):
+        if key not in obj:
+            raise CorpusError(f"line {line_no}: missing field {key!r}")
+    for key in ("example_id", "text", "annotator_id"):
+        if not isinstance(obj[key], str):
+            raise CorpusError(f"line {line_no}: {key} must be a string, found {obj[key]!r}")
+    label = obj["label"]
+    try:
+        index = label_index[label]
+    except (KeyError, TypeError):
+        raise CorpusError(f"line {line_no}: unknown label {label!r}") from None
+    demo = obj.get("demographics")
+    if demo is not None:
+        try:
+            demo = shared[tuple(demo.items())]
+        except (AttributeError, KeyError, TypeError):
+            if not isinstance(demo, dict) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in demo.items()
+            ):
+                raise CorpusError(
+                    f"line {line_no}: demographics must map strings to strings") from None
+            shared[tuple(demo.items())] = demo
+    return AnnotatedExample(
+        example_id=shared.setdefault(obj["example_id"], obj["example_id"]),
+        text=shared.setdefault(obj["text"], obj["text"]),
+        annotator_id=shared.setdefault(obj["annotator_id"], obj["annotator_id"]),
+        label=index,
+        demographics=demo,
+    )
+
+
+def _reference_load(path, label_names):
+    """load_dataset as JSONDecoder.decode of each stripped line, then the checks."""
+    label_index = {name: i for i, name in enumerate(label_names)}
+    shared, examples = {}, []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = _LINE_DECODER.decode(line)
+            except json.JSONDecodeError as err:
+                raise CorpusError(f"line {line_no}: malformed JSON ({err.msg})") from err
+            except CorpusError as err:
+                raise CorpusError(f"line {line_no}: {err}") from err
+            examples.append(_reference_record(obj, label_index, shared, line_no))
+    return Dataset.from_examples(examples, label_names, str(path))
+
+
+LOADER_LABELS = ["A", "B", "ü"]
+GOOD_RECORDS = st.fixed_dictionaries(
+    {"example_id": st.sampled_from(["e1", "e2", "é3"]), "text": st.sampled_from(["t", "日 本"]),
+     "annotator_id": st.sampled_from(["a", "b", "c"]), "label": st.sampled_from(LOADER_LABELS)},
+    optional={"demographics": st.sampled_from(
+        [None, {"g": "1"}, {"g": "2", "h": "x"}, {}, {"g": 1}, ["g"], "g", {"g": ["1"]}])})
+# faults a record can have, one or more at a time: a field missing or of
+# another type, an unknown or unhashable label, a record that is no object
+FIELD_FAULTS = st.sampled_from([
+    ("drop", "example_id"), ("drop", "text"), ("drop", "annotator_id"), ("drop", "label"),
+    ("set", "example_id", 7), ("set", "text", None), ("set", "annotator_id", ["a"]),
+    ("set", "example_id", {"a": 1}), ("set", "text", 1.5), ("set", "label", "Z"),
+    ("set", "label", ["A"]), ("set", "label", {"A": 1}), ("set", "label", 0),
+    ("set", "label", None), ("set", "label", True), ("whole", []), ("whole", "A"),
+    ("whole", 3), ("whole", None)])
+
+
+def _faulty(record, faults):
+    for fault in faults:
+        if fault[0] == "whole":
+            return fault[1]
+        record = dict(record)
+        if fault[0] == "drop":
+            record.pop(fault[1], None)
+        else:
+            record[fault[1]] = fault[2]
+    return record
+
+
+@st.composite
+def _corpus_lines(draw):
+    """One JSONL line: a record, a record with faults, two values, a malformed
+    or a blank line, under random padding and line ends."""
+    kind = draw(st.sampled_from(["good"] * 6 + ["fault", "two", "raw", "blank"]))
+    if kind == "blank":
+        line = draw(st.sampled_from(["", " ", "\t \t", "\u00a0", "\u00a0 \u3000"]))
+    elif kind == "raw":
+        line = draw(st.sampled_from([
+            "{", "}", "[1,", '{"example_id": NaN}', "Infinity", "-Infinity", "nul",
+            '{"example_id": "e1", "text": "t", "annotator_id": "a", "label": "A", "x": [1',
+            "2]}", '"A"', "[]", "{}", '{"a": 1}x', "{'a': 1}", "\u00a0{}\u00a0"]))
+    else:
+        record = draw(GOOD_RECORDS)
+        if kind == "fault":
+            record = _faulty(record, draw(st.lists(FIELD_FAULTS, min_size=1, max_size=3)))
+        line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+        if kind == "two":
+            line += draw(st.sampled_from(["", " ", ", "])) + json.dumps(draw(GOOD_RECORDS))
+    pad = draw(st.sampled_from(["", " ", "\t", "\u00a0", "\u2003"]))
+    return pad + line + pad + draw(st.sampled_from(["\n", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_corpus_lines(), max_size=8))
+@example(lines=['{"example_id": "e1", "text": "t", "annotator_id": "a", "label": "A"}\r\n',
+                "\u00a0\n", '  {"example_id": "e1", "text": "t", "annotator_id": "a", '
+                '"label": "B", "demographics": {"g": "1"}} \n'])
+def test_load_dataset_agrees_with_decoding_each_line(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("corpus") / "data.jsonl"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(lines))
+    try:
+        want = _reference_load(path, LOADER_LABELS)
+    except CorpusError as err:
+        with pytest.raises(CorpusError) as got:
+            load_dataset(path, LOADER_LABELS)
+        assert str(got.value) == str(err)
+        return
+    got = load_dataset(path, LOADER_LABELS)
+    assert got.examples == want.examples
+    assert got.annotator_ids == want.annotator_ids and got.name == want.name
+    # the same values are shared: as many distinct objects as the reference holds
+    for key in ("text", "demographics"):
+        assert (len({id(getattr(ex, key)) for ex in got.examples})
+                == len({id(getattr(ex, key)) for ex in want.examples}))
+
+
+def test_load_refuses_lines_that_decode_only_when_joined(tmp_path):
+    """A record split over two lines and two records on one line: each line is
+    malformed, though the lines joined into one array would decode to three
+    valid records."""
+    lines = ['{"example_id": "e1", "text": "t", "annotator_id": "a", "label": "A", "x": [1',
+             "2]}",
+             '{"example_id": "e2", "text": "t", "annotator_id": "a", "label": "A"}, '
+             '{"example_id": "e3", "text": "t", "annotator_id": "a", "label": "B"}']
+    assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"^line 1: malformed JSON \(Expecting ',' delimiter\)$"):
+        load_dataset(path, ["A", "B"])
+    for kept, message in ((lines[1:], r"^line 1: malformed JSON \(Extra data\)$"),
+                          (lines[2:], r"^line 1: malformed JSON \(Extra data\)$")):
+        path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=message):
+            load_dataset(path, ["A", "B"])

@@ -267,6 +267,34 @@ def test_select_on_dev_returns_the_best_epoch(monkeypatch, ems):
                    for k, p in model.named_parameters().items())
 
 
+@pytest.mark.parametrize("epochs, eval_every, checked", [(2, 3, [2]), (3, 2, [2, 3])],
+                         ids=["eval_every_past_the_end", "last_epoch_off_the_period"])
+def test_select_on_dev_checks_the_last_epoch(monkeypatch, epochs, eval_every, checked):
+    """The dev check runs every eval_every epochs and after the last one, and
+    the parameters of the best checked epoch come back."""
+    split = _dev_split()
+    base = dict(mode=CombinationMode.TEXT_PLUS_BOTH, batch_size=8, learning_rate=2e-2,
+                seed=2)
+    # training for fewer epochs draws the same shuffles and dropout masks
+    per_epoch = {n: train(split, TrainConfig(epochs=n, **base), EncoderConfig(**FAST_ENC))[0]
+                 for n in checked}
+    ems = [0.9] + [0.1] * (len(checked) - 1)
+    seen = _recording_evaluate(monkeypatch, ems)
+    cfg = TrainConfig(epochs=epochs, eval_every=eval_every, select_on_dev=True, **base)
+    model, _ = train(split, cfg, EncoderConfig(**FAST_ENC))
+    assert len(seen) == len(checked)
+    for (_, values), n in zip(seen, checked):
+        for key, param in per_epoch[n].named_parameters().items():
+            assert np.array_equal(values[key], param.value), (n, key)
+    for key, param in model.named_parameters().items():
+        assert np.array_equal(param.value, seen[0][1][key]), key
+
+
+def test_train_config_rejects_negative_eval_every():
+    with pytest.raises(ValueError, match="eval_every must be non-negative, got -1"):
+        TrainConfig(eval_every=-1)
+
+
 def test_macro_f1_hand_case():
     confusion = np.array([[2, 0, 0], [0, 0, 1], [0, 0, 1]])
     macro, per_class = macro_f1_from_confusion(confusion)
