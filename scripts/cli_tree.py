@@ -7,10 +7,11 @@ Each command runs as `python -m annembed.cli` against this checkout's own
 it, so that trees made from two checkouts can be compared with `diff -r`. The
 stdout, stderr and exit code of each command go to `_log/<step>.out`, `.err`
 and `.code`. The bad inputs at the end are expected to exit 2. Besides the
-synthetic corpora, the script writes two small corpora by hand: `quoted/`,
-whose annotator ids and a label name hold a comma or a quote, and `edge/`,
-whose JSONL has blank and whitespace-only lines, CRLF line ends, lines padded
-with no-break spaces, repeated demographics and non-ASCII text.
+synthetic corpora, the script writes three small corpora by hand: `quoted/`,
+whose annotator ids and a label name hold a comma or a quote, `edge/`, whose
+JSONL has blank and whitespace-only lines, CRLF line ends, lines padded with
+no-break spaces, repeated demographics and non-ASCII text, and
+`string_labels/`, whose manifest gives `label_names` as one string.
 """
 
 from __future__ import annotations
@@ -73,6 +74,20 @@ def write_edge_corpus(tree):
         json.dump({"label_names": EDGE_LABELS, "name": "edge"}, fh)
 
 
+def write_string_labels_corpus(tree):
+    """Labels a and b, under a manifest whose label_names is the string "ab"."""
+    os.makedirs(os.path.join(tree, "string_labels"))
+    with open(os.path.join(tree, "string_labels", "corpus.jsonl"), "w",
+              encoding="utf-8") as fh:
+        for t in range(4):
+            for k, ann in enumerate(("p", "q")):
+                fh.write(json.dumps({"annotator_id": ann, "example_id": f"t{t}",
+                                     "label": "ab"[(t + k) % 2], "text": f"text {t}"}) + "\n")
+    with open(os.path.join(tree, "string_labels", "corpus.manifest.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump({"label_names": "ab", "name": "string_labels"}, fh)
+
+
 def steps():
     yield "synth", ["synth", *SYNTH, "--groups", "2", "--out", "synth"]
     yield "synth_wide", ["synth", "--annotators", "16", "--texts", "30", "--labels", "12",
@@ -132,6 +147,8 @@ def steps():
     yield "bad_embedding", ["analyze", *data, "--checkpoint", "train_text_only/checkpoint",
                             "--what", "cluster", "--embedding", "annotator",
                             "--out", "bad_embedding"]
+    yield "bad_label_names", ["analyze", "--data", "string_labels/corpus.jsonl",
+                              "--what", "stats", "--out", "bad_label_names"]
 
 
 def main(argv) -> int:
@@ -142,6 +159,7 @@ def main(argv) -> int:
     os.makedirs(os.path.join(tree, "_log"))
     write_quoted_corpus(tree)
     write_edge_corpus(tree)
+    write_string_labels_corpus(tree)
     env = {key: value for key, value in os.environ.items() if key != "ANNEMBED_OUT"}
     env.update(PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")

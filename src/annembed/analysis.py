@@ -31,19 +31,10 @@ _KAPPA_BLOCK_BYTES = 1 << 20
 
 
 def _label_table(dataset: Dataset) -> np.ndarray:
-    """texts x annotators: each annotator's label index, -1 where it gave none.
-    Text-major, so that a block of texts is contiguous; the smallest signed
-    type that holds -1 and every label index."""
-    examples = dataset.examples
-    row_of = {a: i for i, a in enumerate(dataset.annotator_ids)}
-    col_of: dict[str, int] = {}
-    rows = np.fromiter((row_of[ex.annotator_id] for ex in examples), np.intp, len(examples))
-    cols = np.fromiter((col_of.setdefault(ex.example_id, len(col_of)) for ex in examples),
-                       np.intp, len(examples))
-    labels = np.fromiter((ex.label for ex in examples), np.intp, len(examples))
-    table = np.full((len(col_of), len(row_of)), -1,
-                    dtype=np.min_scalar_type(-max(dataset.n_labels, 1)))
-    table[cols, rows] = labels
+    """texts x annotators: each annotator's label index, -1 where it gave none,
+    in the type of dataset.labels. Text-major, so that a block of texts is contiguous."""
+    table = np.full((len(dataset.example_ids), dataset.n_annotators), -1, dataset.labels.dtype)
+    table[dataset.example_index, dataset.annotator_index] = dataset.labels
     return table
 
 

@@ -38,32 +38,58 @@ class AnnotatedExample:
     demographics: Optional[dict] = None
 
 
+# a label is an index of one of these types: Python's int or a numpy
+# integer, never a bool, a float or a string
+_INTEGER_TYPES = frozenset({int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])})
+
+
 @dataclass
 class Dataset:
-    """Annotations under a label schema; annotator_ids is derived, in first-appearance order."""
+    """Annotations under a label schema, and one integer view derived from
+    them: annotation i is by annotator_ids[annotator_index[i]] on the text
+    example_ids[example_index[i]], with the label labels[i]. The registries
+    are in first-appearance order; the three arrays are read-only."""
 
     examples: list[AnnotatedExample]
     label_names: list[str]
     name: str = "dataset"
     annotator_ids: list[str] = field(init=False)
+    example_ids: list[str] = field(init=False)
+    annotator_index: np.ndarray = field(init=False, compare=False)
+    example_index: np.ndarray = field(init=False, compare=False)
+    labels: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.label_names)) != len(self.label_names):
+        m = len(self.label_names)
+        if len(set(self.label_names)) != m:
             raise CorpusError(f"duplicate label names in {self.label_names}")
-        # annotator -> the example ids it has labeled, in first-appearance order
-        seen: dict[str, set[str]] = {}
-        for ex in self.examples:
-            if not 0 <= ex.label < len(self.label_names):
+        n, annotators, texts = len(self.examples), {}, {}
+        self.annotator_index = np.fromiter((annotators.setdefault(ex.annotator_id, len(annotators))
+                                            for ex in self.examples), np.int32, n)
+        self.example_index = np.fromiter((texts.setdefault(ex.example_id, len(texts))
+                                          for ex in self.examples), np.int32, n)
+        self.annotator_ids, self.example_ids = list(annotators), list(texts)
+        # the smallest signed type that holds every label index and -1, which
+        # marks a label that is no integer or out of range
+        self.labels = np.fromiter(
+            (ex.label if type(ex.label) in _INTEGER_TYPES and 0 <= ex.label < m else -1
+             for ex in self.examples), np.min_scalar_type(-max(m, 1)), n)
+        # every annotation but the first of its (example, annotator) pair
+        key = self.example_index.astype(np.int64) * len(annotators) + self.annotator_index
+        repeated = np.ones(n, np.bool_)
+        repeated[np.unique(key, return_index=True)[1]] = False
+        faults = np.flatnonzero((self.labels < 0) | repeated)
+        if faults.size:
+            ex = self.examples[faults[0]]
+            annotation = (ex.example_id, ex.annotator_id)
+            if self.labels[faults[0]] >= 0:
+                raise CorpusError(f"duplicate annotation {annotation}")
+            if type(ex.label) not in _INTEGER_TYPES:
                 raise CorpusError(
-                    f"label index {ex.label} out of range for {len(self.label_names)} labels"
-                )
-            texts = seen.get(ex.annotator_id)
-            if texts is None:
-                texts = seen[ex.annotator_id] = set()
-            elif ex.example_id in texts:
-                raise CorpusError(f"duplicate annotation {(ex.example_id, ex.annotator_id)}")
-            texts.add(ex.example_id)
-        self.annotator_ids = list(seen)
+                    f"label of annotation {annotation} must be an integer, found {ex.label!r}")
+            raise CorpusError(f"label index {ex.label} out of range for {m} labels")
+        for array in (self.annotator_index, self.example_index, self.labels):
+            array.setflags(write=False)
 
     @classmethod
     def from_examples(cls, examples, label_names, name="dataset"):
@@ -74,10 +100,8 @@ class Dataset:
         """A fresh N x M int64 table: row i counts each label among the
         annotations of annotator_ids[i]."""
         n, m = self.n_annotators, self.n_labels
-        row_start = {a: i * m for i, a in enumerate(self.annotator_ids)}
-        cells = np.array([row_start[ex.annotator_id] + ex.label for ex in self.examples],
-                         dtype=np.int64)
-        return np.bincount(cells, minlength=n * m).reshape(n, m)
+        return np.bincount(self.annotator_index * m + self.labels,
+                           minlength=n * m).reshape(n, m)
 
     @property
     def n_annotators(self) -> int:
@@ -402,20 +426,20 @@ def write_manifest(dataset: Dataset, path) -> None:
 
 
 def read_manifest(path) -> dict:
-    return read_json(path, required=("label_names",))
+    """A dataset manifest, whose label_names must be a list of unique strings."""
+    manifest = read_json(path, required=("label_names",))
+    names = manifest["label_names"]
+    try:
+        check_type("label_names", names, list[str])
+    except ValueError as err:
+        raise CorpusError(f"{path}: {err}") from None
+    if len(set(names)) != len(names):
+        raise CorpusError(f"{path}: label_names must be unique, found {names!r}")
+    return manifest
 
 
-def _positions_by_annotator(dataset: Dataset) -> dict[str, list[int]]:
-    by_ann: dict[str, list[int]] = {a: [] for a in dataset.annotator_ids}
-    for pos, ex in enumerate(dataset.examples):
-        by_ann[ex.annotator_id].append(pos)
-    return by_ann
-
-
-def _subset(dataset: Dataset, positions, suffix) -> Dataset:
-    # positions arrive shuffled, and sorting them costs more than this mask
-    keep = np.zeros(len(dataset.examples), dtype=np.bool_)
-    keep[positions] = True
+def _subset(dataset: Dataset, keep: np.ndarray, suffix) -> Dataset:
+    """The annotations where the boolean mask keep is set, in dataset order."""
     examples = list(compress(dataset.examples, keep.tobytes()))
     return Dataset.from_examples(examples, dataset.label_names, f"{dataset.name}-{suffix}")
 
@@ -433,33 +457,26 @@ def make_annotation_split(dataset: Dataset, train_frac: float, seed: int,
         raise CorpusError("train_frac must lie strictly between 0 and 1")
     if not 0.0 <= dev_frac < 1.0:
         raise CorpusError("dev_frac must lie in [0, 1)")
-    by_ann = _positions_by_annotator(dataset)
-    for ann, positions in by_ann.items():
-        if len(positions) < 2:
-            raise CorpusError(f"annotator {ann!r} has a single annotation; filter it first")
+    counts = np.bincount(dataset.annotator_index, minlength=dataset.n_annotators)
+    if (counts < 2).any():
+        single = dataset.annotator_ids[np.argmax(counts < 2)]
+        raise CorpusError(f"annotator {single!r} has a single annotation; filter it first")
+    # each annotator's positions in dataset order, annotators in registry order
+    by_annotator = np.split(np.argsort(dataset.annotator_index, kind="stable"),
+                            np.cumsum(counts)[:-1])
     rng = np.random.default_rng(seed)
-    train_pos: list[int] = []
-    dev_pos: list[int] = []
-    test_pos: list[int] = []
-    for ann in dataset.annotator_ids:
-        positions = by_ann[ann]
-        order = rng.permutation(len(positions))
-        shuffled = [positions[i] for i in order]
+    train, dev, test = 0, 1, 2
+    part = np.full(len(dataset), test, np.int8)
+    for positions in by_annotator:
+        shuffled = positions[rng.permutation(len(positions))]
         n_train = min(math.ceil(train_frac * len(positions)), len(positions) - 1)
-        head, tail = shuffled[:n_train], shuffled[n_train:]
-        n_dev = int(dev_frac * len(head))
-        if n_dev >= len(head):
-            n_dev = len(head) - 1
-        if n_dev > 0:
-            dev_pos.extend(head[len(head) - n_dev:])
-            head = head[:len(head) - n_dev]
-        train_pos.extend(head)
-        test_pos.extend(tail)
-    dev = _subset(dataset, dev_pos, "dev") if dev_pos else None
+        n_dev = min(int(dev_frac * n_train), n_train - 1)
+        part[shuffled[:n_train]] = train
+        part[shuffled[n_train - n_dev:n_train]] = dev
     return Split(
-        train=_subset(dataset, train_pos, "train"),
-        test=_subset(dataset, test_pos, "test"),
-        dev=dev,
+        train=_subset(dataset, part == train, "train"),
+        test=_subset(dataset, part == test, "test"),
+        dev=_subset(dataset, part == dev, "dev") if dev in part else None,
         kind="annotation",
         seed=seed,
     )
@@ -479,13 +496,10 @@ def make_annotator_split(dataset: Dataset, train_frac: float, seed: int) -> Spli
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_train = min(max(int(train_frac * n), 1), n - 1)
-    train_ann = {dataset.annotator_ids[i] for i in order[:n_train]}
-    by_ann = _positions_by_annotator(dataset)
-    train_pos = [p for a in dataset.annotator_ids if a in train_ann for p in by_ann[a]]
-    test_pos = [p for a in dataset.annotator_ids if a not in train_ann for p in by_ann[a]]
+    in_train = np.isin(dataset.annotator_index, order[:n_train])
     return Split(
-        train=_subset(dataset, train_pos, "train"),
-        test=_subset(dataset, test_pos, "test"),
+        train=_subset(dataset, in_train, "train"),
+        test=_subset(dataset, ~in_train, "test"),
         dev=None,
         kind="annotator",
         seed=seed,
@@ -495,8 +509,8 @@ def make_annotator_split(dataset: Dataset, train_frac: float, seed: int) -> Spli
 def drop_unseen_annotators(dataset: Dataset, known_annotators) -> Dataset:
     """Keep only annotations whose annotator appears in known_annotators."""
     known = set(known_annotators)
-    kept = [ex for ex in dataset.examples if ex.annotator_id in known]
-    return Dataset.from_examples(kept, dataset.label_names, dataset.name + "-seen")
+    seen = np.array([a in known for a in dataset.annotator_ids], np.bool_)
+    return _subset(dataset, seen[dataset.annotator_index], "seen")
 
 
 @dataclass
@@ -515,16 +529,14 @@ def dataset_statistics(dataset: Dataset) -> StatisticsReport:
     if not dataset.examples:
         raise CorpusError("empty dataset")
     counts = dataset.label_counts()
-    labels_by_example: dict[str, set[int]] = {}
-    for ex in dataset.examples:
-        labels_by_example.setdefault(ex.example_id, set()).add(ex.label)
-    histogram: dict[int, int] = {}
-    for labels in labels_by_example.values():
-        histogram[len(labels)] = histogram.get(len(labels), 0) + 1
+    # which labels each text received; the histogram counts texts by how many
+    received = np.zeros((len(dataset.example_ids), dataset.n_labels), np.bool_)
+    received[dataset.example_index, dataset.labels] = True
+    sizes, frequency = np.unique(received.sum(axis=1), return_counts=True)
     return StatisticsReport(
         annotations_per_annotator=dict(zip(dataset.annotator_ids, counts.sum(axis=1).tolist())),
-        disagreement_histogram=histogram,
+        disagreement_histogram=dict(zip(sizes.tolist(), frequency.tolist())),
         label_usage=dict(zip(dataset.label_names, counts.sum(axis=0).tolist())),
-        n_examples=len(labels_by_example),
+        n_examples=len(dataset.example_ids),
         n_annotations=len(dataset.examples),
     )

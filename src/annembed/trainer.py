@@ -328,24 +328,20 @@ def evaluate(model: Model, dataset: Dataset, mode: Optional[CombinationMode] = N
         raise ValueError(f"dataset labels {dataset.label_names} do not match the "
                          f"model's {model.label_names}")
     mode = model.mode if mode is None else mode
-    golds, preds = [], []
-    per_ann_hit: dict[str, int] = {}
-    per_ann_total: dict[str, int] = {}
-    for ids, annotator_id, coeff, gold in _prepare(dataset, model, mode):
+    preds = []
+    for ids, annotator_id, coeff, _ in _prepare(dataset, model, mode):
         logits = model.forward(ids, annotator_id, coeff, training=False,
                                mode=mode, keep_text=keep_text)
-        pred = int(np.argmax(logits.value[0]))
-        golds.append(gold)
-        preds.append(pred)
-        per_ann_total[annotator_id] = per_ann_total.get(annotator_id, 0) + 1
-        per_ann_hit[annotator_id] = per_ann_hit.get(annotator_id, 0) + (pred == gold)
+        preds.append(int(np.argmax(logits.value[0])))
     em, macro, per_class, confusion = classification_scores(
-        golds, preds, len(model.label_names))
+        dataset.labels, preds, len(model.label_names))
+    hits = np.bincount(dataset.annotator_index, weights=np.equal(preds, dataset.labels))
     total = int(confusion.sum())
     report = EvalReport(
         em_accuracy=em,
         macro_f1=macro,
-        per_annotator_em={a: per_ann_hit[a] / per_ann_total[a] for a in per_ann_total},
+        per_annotator_em=dict(zip(dataset.annotator_ids,
+                                  (hits / np.bincount(dataset.annotator_index)).tolist())),
         confusion=confusion.tolist(),
         n_annotations=total,
         per_class_f1=per_class,
@@ -367,15 +363,14 @@ def baselines(dataset: Dataset, seed: int, majority_label: Optional[int] = None,
     """
     if not dataset.examples:
         raise ValueError("empty dataset")
-    golds = np.array([ex.label for ex in dataset.examples])
     m = dataset.n_labels
     rng = np.random.default_rng(seed)
     rand_scores = [
-        float(np.mean(rng.integers(m, size=golds.size) == golds)) for _ in range(draws)
+        float(np.mean(rng.integers(m, size=len(dataset)) == dataset.labels)) for _ in range(draws)
     ]
     if majority_label is None:
         majority_label = int(np.argmax(dataset.label_counts().sum(axis=0)))
-    majority_em = float(np.mean(golds == majority_label))
+    majority_em = float(np.mean(dataset.labels == majority_label))
     return float(np.mean(rand_scores)), majority_em
 
 

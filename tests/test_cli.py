@@ -377,6 +377,27 @@ def test_validation_failure_exit_code(tmp_path):
     assert (out / "FAILED").exists()
 
 
+@pytest.mark.parametrize("command, label_names, labels, message", [
+    ("analyze", "ab", ["a", "b"], "label_names must be a list, found 'ab'"),
+    ("split", [0, 1], [0, 1], "label_names[0] must be a string, found 0"),
+    ("analyze", [["L0"], "L1"], ["L1"], "label_names[0] must be a string, found ['L0']"),
+    ("split", ["L0", "L0"], ["L0"], "label_names must be unique, found ['L0', 'L0']"),
+], ids=["string", "integers", "nested_list", "repeated"])
+def test_manifest_label_names_not_unique_strings_exit_code(tmp_path, capsys, command,
+                                                           label_names, labels, message):
+    # every corpus label is one of the manifest's label_names
+    data = tmp_path / "corpus.jsonl"
+    data.write_text("".join(
+        json.dumps({"example_id": f"t{t}", "text": f"text {t}", "annotator_id": ann,
+                    "label": labels[(t + k) % len(labels)]}) + "\n"
+        for t in range(4) for k, ann in enumerate(("a", "b"))))
+    manifest = tmp_path / "corpus.manifest.json"
+    manifest.write_text(json.dumps({"name": "corpus", "label_names": label_names}))
+    args = ["--what", "stats"] if command == "analyze" else []
+    assert _run(command, "--data", str(data), *args, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+
+
 def test_corpus_with_nan_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"example_id": NaN, "text": "x", "annotator_id": "a", "label": "A"}\n')

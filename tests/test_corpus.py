@@ -19,6 +19,7 @@ from annembed.corpus import (
     _subset,
     CorpusError,
     Dataset,
+    StatisticsReport,
     check_type,
     dataset_statistics,
     drop_unseen_annotators,
@@ -61,12 +62,10 @@ def _toy_dataset(n_texts=12, annotators=("p", "q", "r"), n_labels=3):
 @given(st.data())
 def test_subset_gathers_what_the_position_filter_kept(data):
     dataset = _toy_dataset(n_texts=7)
-    positions = data.draw(st.permutations(range(len(dataset))))
-    positions = positions[:data.draw(st.integers(0, len(positions)))]
-    keep = set(positions)
-    filtered = [ex for pos, ex in enumerate(dataset.examples) if pos in keep]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(dataset), max_size=len(dataset)))
+    filtered = [ex for pos, ex in enumerate(dataset.examples) if keep[pos]]
     expected = Dataset.from_examples(filtered, dataset.label_names, f"{dataset.name}-part")
-    assert _subset(dataset, positions, "part") == expected
+    assert _subset(dataset, np.array(keep, np.bool_), "part") == expected
 
 
 def test_load_small_file(tmp_path):
@@ -181,14 +180,23 @@ def test_annotated_example_is_slotted_frozen_and_hashable():
 
 @settings(max_examples=80, deadline=None)
 @given(annotations=st.lists(
-    st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 4), st.integers(0, 3)),
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 4),
+              st.integers(0, 3) | st.sampled_from([1.5, "1", True])),
     max_size=14))
+@example(annotations=[("a", 0, 1.5), ("a", 1, 0)])   # 1.5 is no label 1
+@example(annotations=[("a", 0, 0), ("a", 0, 3)])     # the label check comes first
+@example(annotations=[("a", 0, 0), ("a", 0, "1")])
 def test_dataset_reports_the_first_bad_annotation(annotations):
-    """A label out of range or a repeated (example_id, annotator_id) pair is
-    reported for the first annotation that has one, in the same words."""
+    """A label that is no integer or out of range, or a repeated
+    (example_id, annotator_id) pair is reported for the first annotation that
+    has one, in the same words."""
     examples = [AnnotatedExample(f"t{t}", "text", ann, label) for ann, t, label in annotations]
     expected, seen = None, set()
     for ex in examples:
+        if type(ex.label) is not int:
+            expected = (f"label of annotation {(ex.example_id, ex.annotator_id)} "
+                        f"must be an integer, found {ex.label!r}")
+            break
         if ex.label >= 3:
             expected = f"label index {ex.label} out of range for 3 labels"
             break
@@ -425,6 +433,89 @@ def test_drop_unseen_annotators():
     assert all(ex.annotator_id != "b" for ex in kept.examples)
 
 
+# The per-example code that the integer view of a Dataset replaced, kept as
+# the reference: each returns the examples of every part, in dataset order.
+
+def _reference_annotation_split(dataset, train_frac, seed, dev_frac):
+    by_ann = {a: [] for a in dataset.annotator_ids}
+    for pos, ex in enumerate(dataset.examples):
+        by_ann[ex.annotator_id].append(pos)
+    for ann, positions in by_ann.items():
+        if len(positions) < 2:
+            raise CorpusError(f"annotator {ann!r} has a single annotation; filter it first")
+    rng = np.random.default_rng(seed)
+    part_of = {}
+    for ann in dataset.annotator_ids:
+        positions = by_ann[ann]
+        shuffled = [positions[i] for i in rng.permutation(len(positions))]
+        n_train = min(math.ceil(train_frac * len(positions)), len(positions) - 1)
+        head, tail = shuffled[:n_train], shuffled[n_train:]
+        n_dev = int(dev_frac * len(head))
+        if n_dev >= len(head):
+            n_dev = len(head) - 1
+        if n_dev > 0:
+            part_of.update(dict.fromkeys(head[len(head) - n_dev:], "dev"))
+            head = head[:len(head) - n_dev]
+        part_of.update(dict.fromkeys(head, "train"))
+        part_of.update(dict.fromkeys(tail, "test"))
+    return {part: [ex for pos, ex in enumerate(dataset.examples) if part_of[pos] == part]
+            for part in ("train", "dev", "test")}
+
+
+def _reference_annotator_split(dataset, train_frac, seed):
+    n = dataset.n_annotators
+    order = np.random.default_rng(seed).permutation(n)
+    n_train = min(max(int(train_frac * n), 1), n - 1)
+    train_ann = {dataset.annotator_ids[i] for i in order[:n_train]}
+    return {"train": [ex for ex in dataset.examples if ex.annotator_id in train_ann],
+            "test": [ex for ex in dataset.examples if ex.annotator_id not in train_ann]}
+
+
+def _reference_statistics(dataset):
+    labels_by_example = {}
+    for ex in dataset.examples:
+        labels_by_example.setdefault(ex.example_id, set()).add(ex.label)
+    histogram = {}
+    for labels in labels_by_example.values():
+        histogram[len(labels)] = histogram.get(len(labels), 0) + 1
+    per_annotator = {a: 0 for a in dataset.annotator_ids}
+    usage = {name: 0 for name in dataset.label_names}
+    for ex in dataset.examples:
+        per_annotator[ex.annotator_id] += 1
+        usage[dataset.label_names[ex.label]] += 1
+    return StatisticsReport(per_annotator, histogram, usage, len(labels_by_example),
+                            len(dataset.examples))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dataset=_crowds(min_per_annotator=1), train_frac=st.floats(0.01, 0.99),
+       dev_frac=st.sampled_from([0.0, 0.3, 0.6]), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_splits_and_statistics_equal_the_per_example_code(dataset, train_frac, dev_frac, seed,
+                                                          data):
+    def parts(split):
+        return {part: getattr(split, part).examples if getattr(split, part) else []
+                for part in ("train", "dev", "test")}
+
+    try:
+        expected = _reference_annotation_split(dataset, train_frac, seed, dev_frac)
+    except CorpusError as err:
+        with pytest.raises(CorpusError) as raised:
+            make_annotation_split(dataset, train_frac, seed, dev_frac=dev_frac)
+        assert str(raised.value) == str(err)
+    else:
+        split = make_annotation_split(dataset, train_frac, seed, dev_frac=dev_frac)
+        assert parts(split) == expected
+        assert (split.dev is None) == (not expected["dev"])
+    split = make_annotator_split(dataset, train_frac, seed)
+    assert parts(split) == dict(_reference_annotator_split(dataset, train_frac, seed), dev=[])
+    known = data.draw(st.lists(st.sampled_from(dataset.annotator_ids + ["stranger"])))
+    kept = drop_unseen_annotators(dataset, known)
+    assert kept.examples == [ex for ex in dataset.examples if ex.annotator_id in known]
+    assert kept.name == dataset.name + "-seen"
+    assert dataset_statistics(dataset) == _reference_statistics(dataset)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
@@ -564,16 +655,22 @@ def _annotated(annotations):
 
 @settings(max_examples=60, deadline=None)
 @given(annotations=ANNOTATIONS)
+@example(annotations=[])
 def test_annotator_ids_in_first_appearance_order(annotations):
-    first_seen = []
-    for ann, _, _ in annotations:
+    first_seen, texts_seen = [], []
+    for ann, t, _ in annotations:
         if ann not in first_seen:
             first_seen.append(ann)
-    assert _annotated(annotations).annotator_ids == first_seen
+        if f"t{t}" not in texts_seen:
+            texts_seen.append(f"t{t}")
+    ds = _annotated(annotations)
+    assert ds.annotator_ids == first_seen
+    assert ds.example_ids == texts_seen
 
 
 @settings(max_examples=60, deadline=None)
 @given(annotations=ANNOTATIONS)
+@example(annotations=[])
 def test_label_counts_equal_a_recount(annotations):
     ds = _annotated(annotations)
     counts = ds.label_counts()
@@ -584,6 +681,18 @@ def test_label_counts_equal_a_recount(annotations):
         assert counts[i].sum() == sum(a == ann for a, _, _ in annotations)
     counts[...] = -1
     assert (ds.label_counts() >= 0).all()   # every call builds a fresh table
+    # the integer view, recounted annotation by annotation
+    arrays = (ds.annotator_index, ds.example_index, ds.labels)
+    assert [a.dtype for a in arrays] == [np.int32, np.int32, np.int8]
+    assert [len(a) for a in arrays] == [len(annotations)] * 3
+    for i, (ann, t, label) in enumerate(annotations):
+        assert ds.annotator_ids[ds.annotator_index[i]] == ann
+        assert ds.example_ids[ds.example_index[i]] == f"t{t}"
+        assert ds.labels[i] == label
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 RECORDS = st.lists(
