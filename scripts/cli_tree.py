@@ -149,6 +149,8 @@ def steps():
                             "--out", "bad_embedding"]
     yield "bad_label_names", ["analyze", "--data", "string_labels/corpus.jsonl",
                               "--what", "stats", "--out", "bad_label_names"]
+    yield "bad_data_dir", ["eval", "--checkpoint", "train_text_plus_both/checkpoint",
+                           "--data", "split_a", "--out", "bad_data_dir"]
 
 
 def main(argv) -> int:

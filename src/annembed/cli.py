@@ -529,7 +529,7 @@ def main(argv=None) -> int:
                     fh.write(f"{type(err).__name__}: {err}\n")
             raise
     except (CliError, corpus.CorpusError, synthgen.SynthError, ValueError,
-            FileNotFoundError, trainer.TrainingDiverged) as err:
+            OSError, trainer.TrainingDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0

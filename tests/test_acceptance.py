@@ -41,6 +41,8 @@ from annembed.trainer import (
     train,
 )
 
+from gradcheck import finite_difference_check
+
 
 def _report(number, label, elapsed=None):
     timing = f" [{elapsed:.1f}s]" if elapsed is not None else ""
@@ -146,8 +148,8 @@ def test_criterion_2_gradient_acceptance():
             total = tensor.add(total, extra)
         return tensor.scalar_scale(total, 1.0 / len(losses))
 
-    err = tensor.finite_difference_check(f, params, eps=1e-5, max_coords=8,
-                                         rng=np.random.default_rng(3))
+    err = finite_difference_check(f, params, eps=1e-5, max_coords=8,
+                                  rng=np.random.default_rng(3))
     elapsed = time.time() - started
     assert err < 1e-4, f"max relative error {err:.3e}"
     assert elapsed < 60.0

@@ -7,6 +7,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import annembed
 from annembed import synthgen
 from annembed.cli import main
 from annembed.corpus import Dataset, load_dataset, write_dataset, write_manifest
@@ -375,6 +378,26 @@ def test_validation_failure_exit_code(tmp_path):
     out = tmp_path / "out"
     assert _run("split", "--data", str(bad), "--out", str(out)) == 2
     assert (out / "FAILED").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["eval", "--checkpoint", "{train}/checkpoint", "--data", "{split}"], "{split}"),
+    (["report", "{train}"], "{train}"),
+    (["analyze", "--data", "{tmp}/x.jsonl", "--manifest", "{split}/schema.manifest.json",
+      "--what", "stats"], "{tmp}/x.jsonl"),
+    (["train", "--data", "{corpus}/corpus.jsonl", *FAST_TRAIN], "{corpus}/corpus.jsonl"),
+    (["eval", "--checkpoint", "{train}/checkpoint/params.bin", "--data", "{split}/test.jsonl"],
+     "{train}/checkpoint/params.bin"),
+], ids=["eval_data_dir", "report_dir", "analyze_data_dir", "train_data_file",
+        "eval_checkpoint_file"])
+def test_path_of_the_wrong_kind_exit_code(tmp_path, corpus_dir, split_dir, train_dir, capsys,
+                                          argv, named):
+    (tmp_path / "x.jsonl").mkdir()
+    dirs = dict(tmp=tmp_path, corpus=corpus_dir, split=split_dir, train=train_dir)
+    argv = [arg.format(**dirs) for arg in argv]
+    capsys.readouterr()
+    assert _run(*argv, "--out", str(tmp_path / "out")) == 2
+    assert named.format(**dirs) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, label_names, labels, message", [
@@ -844,3 +867,56 @@ def test_eval_of_checkpoint_with_a_count_too_large_for_a_float_exits_2(recorded_
                 "--out", str(tmp_path / "eval")) == 2
     err = capsys.readouterr().err
     assert f"{checkpoint}: manifest.json train_counts[{annotator!r}] must be" in err, err
+
+
+# runs the pipeline in a fresh interpreter where every scipy import fails
+_WITHOUT_SCIPY = """
+import importlib.abc
+import sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy.special  # noqa: F401
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was not blocked")
+
+from annembed import tensor
+from annembed.cli import main
+
+train = sys.argv[1:]
+codes = [
+    main(["synth", "--out", "synth", "--annotators", "4", "--texts", "24", "--labels", "3",
+          "--seed", "3", "--vocab", "30"]),
+    main(["split", "--data", "synth/corpus.jsonl", "--seed", "1", "--out", "split"]),
+]
+# set-up never builds the CDF table; the first gelu of training does
+codes.append(tensor._cdf_table.cache_info().currsize)
+codes += [
+    main(["train", "--data", "split", *train, "--seed", "2", "--out", "train"]),
+    main(["eval", "--checkpoint", "train/checkpoint", "--data", "split/test.jsonl",
+          "--out", "eval"]),
+    main(["ablate", "--checkpoint", "train/checkpoint", "--data", "split/test.jsonl",
+          "--variant", "all", "--out", "ablate"]),
+]
+print(codes, sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(annembed.__file__).parents[1]))
+    env.pop("ANNEMBED_OUT", None)
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *FAST_TRAIN], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0, 0] []"
+    assert (tmp_path / "eval" / "report.json").exists()

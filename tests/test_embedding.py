@@ -17,6 +17,8 @@ from annembed.embedding import (
     sentence_embedding,
 )
 
+from gradcheck import sum_all
+
 H = 4
 M = 3
 
@@ -277,7 +279,7 @@ def test_gradients_flow_only_into_active_banks():
                if mode.uses_annotation else None)
         e_a = tensor.gather_rows(bank.annotator_rows, [0]) if mode.uses_annotator else None
         out = combine(mode, e_t, e_n, e_a, bank)
-        return tensor.sum_all(out)
+        return sum_all(out)
 
     grads = tensor.backward(loss_for(CombinationMode.TEXT_PLUS_ANNOTATOR))
     assert bank.annotator_rows in grads

@@ -17,6 +17,8 @@ from annembed.encoder import (
     tokenize,
 )
 
+from gradcheck import finite_difference_check
+
 
 def _vocab(extra=("hello", ",", "world")):
     vocab = Vocabulary()
@@ -182,8 +184,8 @@ def _encoder_gradient_error(hidden, heads):
         hidden = encode(embed_tokens(ids, params), params, training=False)
         return classification_loss(classify(tensor.gather_rows(hidden, [0]), params), 1)
 
-    return tensor.finite_difference_check(f, named, max_coords=4,
-                                          rng=np.random.default_rng(0))
+    return finite_difference_check(f, named, max_coords=4,
+                                   rng=np.random.default_rng(0))
 
 
 def test_encoder_gradients_pass_finite_difference():

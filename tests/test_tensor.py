@@ -1,17 +1,22 @@
 import gc
 import inspect
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annembed import tensor
 from annembed.tensor import (
     Node,
     backward,
     constant,
-    finite_difference_check,
     parameter,
 )
+
+from gradcheck import finite_difference_check, sum_all
 
 
 def test_row_mean_arithmetic():
@@ -55,7 +60,7 @@ def test_row_softmax_rows_sum_to_one():
 
 def test_backward_sum_gives_ones():
     x = parameter(np.arange(6.0).reshape(2, 3))
-    backward(tensor.sum_all(x))
+    backward(sum_all(x))
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
@@ -63,14 +68,14 @@ def test_backward_matmul_closed_form():
     # loss = sum(x @ W) with x fixed: dloss/dW = x^T @ ones
     x_val = np.array([[1.0, 2.0], [3.0, 4.0]])
     w = parameter(np.array([[0.5, -1.0], [2.0, 0.1]]))
-    backward(tensor.sum_all(tensor.matmul(constant(x_val), w)))
+    backward(sum_all(tensor.matmul(constant(x_val), w)))
     assert np.allclose(w.grad, x_val.T @ np.ones((2, 2)))
 
 
 def test_backward_fanout_accumulates():
     x = parameter([[2.0, -1.0]])
     y = tensor.add(x, x)
-    backward(tensor.sum_all(y))
+    backward(sum_all(y))
     assert np.array_equal(x.grad, np.full((1, 2), 2.0))
 
 
@@ -83,7 +88,7 @@ def test_backward_requires_scalar_loss():
 def test_backward_returns_leaf_map():
     x = parameter([[1.0, 2.0]])
     y = parameter([[3.0], [4.0]])
-    grads = backward(tensor.sum_all(tensor.matmul(x, y)))
+    grads = backward(sum_all(tensor.matmul(x, y)))
     assert set(grads) == {x, y}
     assert np.allclose(grads[x], y.value.T)
 
@@ -91,7 +96,7 @@ def test_backward_returns_leaf_map():
 def test_gather_rows_repeats_accumulate():
     table = parameter(np.arange(8.0).reshape(4, 2))
     picked = tensor.gather_rows(table, [1, 1, 3])
-    backward(tensor.sum_all(picked))
+    backward(sum_all(picked))
     expected = np.zeros((4, 2))
     expected[1] = 2.0
     expected[3] = 1.0
@@ -130,7 +135,7 @@ def test_concat_and_transpose_roundtrip():
     b = parameter([[3.0, 4.0], [5.0, 6.0]])
     out = tensor.transpose(tensor.concat_rows(a, b))
     assert out.value.shape == (2, 3)
-    backward(tensor.sum_all(out))
+    backward(sum_all(out))
     assert np.array_equal(a.grad, np.ones((1, 2)))
     assert np.array_equal(b.grad, np.ones((2, 2)))
 
@@ -138,7 +143,7 @@ def test_concat_and_transpose_roundtrip():
 def test_scalar_mul_routes_gradient_to_both_sides():
     s = parameter([[3.0]])
     x = parameter([[1.0, 2.0]])
-    backward(tensor.sum_all(tensor.scalar_mul(s, x)))
+    backward(sum_all(tensor.scalar_mul(s, x)))
     assert s.grad[0, 0] == pytest.approx(3.0)
     assert np.allclose(x.grad, [[3.0, 3.0]])
 
@@ -170,6 +175,83 @@ def test_finite_difference_mixed_graph():
     assert err < 1e-6
 
 
+@pytest.mark.parametrize("indices", [[1.7], [True], np.array([0.9]), np.array([True, False])],
+                         ids=["float", "bool", "float_array", "bool_array"])
+def test_gather_rows_refuses_indices_that_are_not_integers(indices):
+    table = parameter(np.arange(8.0).reshape(4, 2))
+    with pytest.raises(ValueError, match="indices must be integers") as err:
+        tensor.gather_rows(table, indices)
+    assert repr(indices) in str(err.value)
+
+
+def test_gather_rows_takes_every_integer_kind_and_checks_the_range():
+    table = constant(np.arange(8.0).reshape(4, 2))
+    for indices in ([3, 0], np.array([3, 0], dtype=np.int32), np.array([3, 0], dtype=np.uint8),
+                    (np.int64(3), 0), np.array([[3], [0]])):
+        assert np.array_equal(tensor.gather_rows(table, indices).value, [[6.0, 7.0], [0.0, 1.0]])
+    assert tensor.gather_rows(table, []).value.shape == (0, 2)
+    for indices in ([4], [-1], np.array([0, 4])):
+        with pytest.raises(ValueError, match="out of range"):
+            tensor.gather_rows(table, indices)
+
+
+@pytest.mark.parametrize("target", [1.0, True, np.float64(1.0), np.bool_(True), "1"],
+                         ids=["float", "bool", "numpy_float", "numpy_bool", "str"])
+def test_softmax_cross_entropy_refuses_a_target_that_is_not_an_integer(target):
+    with pytest.raises(ValueError, match="target must be an integer") as err:
+        tensor.softmax_cross_entropy(constant([[0.5, 1.0, -1.0]]), target)
+    assert repr(target) in str(err.value)
+
+
+def test_softmax_cross_entropy_takes_a_numpy_integer_target():
+    logits = constant([[0.5, 1.0, -1.0]])
+    assert (tensor.softmax_cross_entropy(logits, np.int64(1)).value
+            == tensor.softmax_cross_entropy(logits, 1).value)
+
+
+def _reference_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def test_normal_cdf_table_is_within_four_units_of_2_to_the_minus_53():
+    x = np.linspace(-10.0, 10.0, 200_001)
+    got = tensor._normal_cdf(x.reshape(1, -1))
+    want = np.array([_reference_cdf(v) for v in x.tolist()])
+    assert np.max(np.abs(got[0] - want)) <= 4 * 2.0 ** -53
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.floats(min_value=-12.0, max_value=12.0), st.floats(allow_nan=False)))
+def test_normal_cdf_table_of_any_float(x):
+    assert abs(tensor._normal_cdf(np.array([[x]]))[0, 0] - _reference_cdf(x)) <= 4 * 2.0 ** -53
+
+
+def test_normal_cdf_is_0_below_and_1_above_the_table():
+    below = np.array([[-8.5 - 2.0 ** -40, -9.0, -1e300, -np.inf]])
+    above = np.array([[8.5 + 2.0 ** -40, 9.0, 1e300, np.inf]])
+    assert np.array_equal(tensor._normal_cdf(below), np.zeros_like(below))
+    assert np.array_equal(tensor._normal_cdf(above), np.ones_like(above))
+
+
+def test_gelu_of_zeros_subnormals_infinities_and_nan_does_not_warn():
+    tiny = 5e-324
+    x = parameter([[0.0, -0.0, tiny, -tiny, 1e-310, np.inf, -np.inf, np.nan, 1e300, -1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tensor.gelu(x)
+        backward(sum_all(out))
+    value, slope = out.value[0], x.grad[0]
+    assert value[0] == 0.0 and not np.signbit(value[0])
+    assert value[1] == 0.0 and np.signbit(value[1])
+    assert np.array_equal(value[2:5], [tiny * 0.5, -tiny * 0.5, 1e-310 * 0.5])
+    assert value[5] == np.inf and value[6] == 0.0
+    assert np.isnan(value[7])
+    assert value[8] == 1e300 and value[9] == 0.0
+    assert np.array_equal(slope[:5], [0.5] * 5)
+    assert np.array_equal(slope[[5, 6, 8, 9]], [1.0, 0.0, 1.0, 0.0])
+    assert np.isnan(slope[7])
+
+
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         tensor.matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
@@ -182,7 +264,7 @@ def test_node_value_shape_contract():
     node = Node(5.0, requires_grad=True)
     assert node.value.shape == (1, 1)
     assert node.grad is None
-    backward(tensor.sum_all(node))
+    backward(sum_all(node))
     assert np.array_equal(node.grad, np.ones(node.value.shape))
 
 
@@ -191,7 +273,7 @@ def test_constant_operand_gets_no_gradient():
     w = parameter([[0.5], [-1.0]])
     from_constants = tensor.add(c, c)
     assert not c.needs_grad and not from_constants.needs_grad
-    grads = backward(tensor.sum_all(tensor.matmul(from_constants, w)))
+    grads = backward(sum_all(tensor.matmul(from_constants, w)))
     assert c.grad is None and from_constants.grad is None
     assert set(grads) == {w}
     assert np.array_equal(w.grad, from_constants.value.T @ np.ones((2, 1)))
@@ -201,7 +283,7 @@ def test_add_fanout_gradients_do_not_alias():
     # add hands the same gradient to both operands; each must own its copy
     a = parameter([[1.0, 2.0]])
     b = parameter([[3.0, 4.0]])
-    backward(tensor.sum_all(tensor.add(a, b)))
+    backward(sum_all(tensor.add(a, b)))
     assert a.grad is not b.grad
     a.grad += 1.0
     assert np.array_equal(b.grad, np.ones((1, 2)))
@@ -216,7 +298,7 @@ def test_concat_cols_forward_and_backward():
     via_rows = tensor.transpose(tensor.concat_rows(tensor.transpose(a), tensor.transpose(b)))
     assert np.array_equal(out.value, via_rows.value)
     w = constant([[1.0], [10.0], [100.0]])
-    backward(tensor.sum_all(tensor.matmul(out, w)))
+    backward(sum_all(tensor.matmul(out, w)))
     assert np.array_equal(a.grad, [[1.0, 10.0], [1.0, 10.0]])
     assert np.array_equal(b.grad, [[100.0], [100.0]])
     assert a.grad.flags.c_contiguous and b.grad.flags.c_contiguous
@@ -234,7 +316,6 @@ _GRAPH_CASES = {
     "scalar_scale": lambda x, w, s, rng: tensor.scalar_scale(x, 0.5),
     "scalar_mul": lambda x, w, s, rng: tensor.scalar_mul(s, x),
     "row_mean": lambda x, w, s, rng: tensor.row_mean(x),
-    "sum_all": lambda x, w, s, rng: tensor.sum_all(x),
     "gather_rows": lambda x, w, s, rng: tensor.gather_rows(x, [2, 0, 2]),
     "transpose": lambda x, w, s, rng: tensor.transpose(x),
     "concat_rows": lambda x, w, s, rng: tensor.concat_rows(x, w),
@@ -248,7 +329,7 @@ _GRAPH_CASES = {
         tensor.row_mean(x), 1),
 }
 # public tensor functions that build no Node
-_NOT_GRAPH_BUILDERS = {"backward", "finite_difference_check", "gc_paused"}
+_NOT_GRAPH_BUILDERS = {"backward", "gc_paused"}
 
 
 def _public_functions():
@@ -280,7 +361,7 @@ def test_dropped_graph_needs_no_cyclic_gc():
     gamma = parameter(np.ones((1, 4)))
     beta = parameter(np.zeros((1, 4)))
     head = parameter(rng.normal(size=(8, 3)))
-    tensor.gelu(x)   # its first call imports scipy.special, which makes cycles
+    tensor.gelu(x)   # its first call builds the CDF table: keep that out of the checks
     gc.collect()
     gc.disable()
     try:
@@ -295,7 +376,7 @@ def test_dropped_graph_needs_no_cyclic_gc():
         for name in _node_builders():
             out = _GRAPH_CASES[name](x, w, s, rng)
             assert isinstance(out, Node)
-            backward(tensor.sum_all(out))
+            backward(sum_all(out))
             del out
             if gc.collect():
                 leaking.append(name)
@@ -323,7 +404,7 @@ def test_backward_releases_interior_gradients_and_keeps_leaf_ones():
     s = parameter([[1.5]])
     loss = None
     for name in _node_builders():
-        term = tensor.sum_all(_GRAPH_CASES[name](x, w, s, rng))
+        term = sum_all(_GRAPH_CASES[name](x, w, s, rng))
         loss = term if loss is None else tensor.add(loss, term)
     first = {leaf: g.copy() for leaf, g in backward(loss).items()}
     nodes = _graph_nodes(loss)

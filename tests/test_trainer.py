@@ -29,6 +29,8 @@ from annembed.trainer import (
     train,
 )
 
+from gradcheck import sum_all
+
 FAST_ENC = dict(hidden=16, layers=1, heads=2, max_len=12, ffn_mult=2, dropout=0.0)
 
 
@@ -159,8 +161,6 @@ def test_train_bit_equal_whatever_the_caller_gc_state():
 def test_paused_train_and_evaluate_leave_no_cycles():
     # training and evaluation build only acyclic graphs and records, so with
     # the collector off throughout, refcounting alone frees everything
-    import scipy.special  # noqa: F401  (a first import makes cycles; warm it up)
-
     split = _tiny_split()
     cfg = TrainConfig(mode=CombinationMode.TEXT_PLUS_BOTH, epochs=1, batch_size=8,
                       learning_rate=1e-3, seed=3)
@@ -620,13 +620,13 @@ def test_adam_treats_unreached_parameter_as_zero_gradient():
     p = tensor.parameter([[1.0, -2.0]])
     q = tensor.parameter([[0.5, 3.0]])
     opt = trainer.Adam({"p": p, "q": q}, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-    tensor.backward(tensor.sum_all(tensor.add(p, q)))
+    tensor.backward(sum_all(tensor.add(p, q)))
     opt.step()
     assert p.grad is None and q.grad is None
     m_q, v_q = opt.m["q"].copy(), opt.v["q"].copy()
     # the second loss does not reach q: its step must use a zero gradient,
     # not the first step's
-    tensor.backward(tensor.sum_all(p))
+    tensor.backward(sum_all(p))
     opt.step()
     assert np.array_equal(opt.m["q"], 0.9 * m_q)
     assert np.array_equal(opt.v["q"], 0.999 * v_q)
