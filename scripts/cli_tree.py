@@ -11,13 +11,16 @@ synthetic corpora, the script writes three small corpora by hand: `quoted/`,
 whose annotator ids and a label name hold a comma or a quote, `edge/`, whose
 JSONL has blank and whitespace-only lines, CRLF line ends, lines padded with
 no-break spaces, repeated demographics and non-ASCII text, and
-`string_labels/`, whose manifest gives `label_names` as one string.
+`string_labels/`, whose manifest gives `label_names` as one string. After
+training it copies one checkpoint to `huge_max_len/`, with `max_len` 10**12
+in its manifest.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -88,7 +91,21 @@ def write_string_labels_corpus(tree):
         json.dump({"label_names": "ab", "name": "string_labels"}, fh)
 
 
-def steps():
+def write_huge_max_len_checkpoint(tree):
+    """A copy of the text_plus_both checkpoint whose manifest declares max_len
+    10**12, which load must refuse before it allocates the position table."""
+    target = os.path.join(tree, "huge_max_len")
+    shutil.copytree(os.path.join(tree, "train_text_plus_both", "checkpoint"), target)
+    with open(os.path.join(target, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["encoder_config"]["max_len"] = 10 ** 12
+    with open(os.path.join(target, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+
+
+def steps(tree):
+    """Each step's name and arguments. main runs a step before it asks for the
+    next, so the code between two steps may read what the earlier ones wrote."""
     yield "synth", ["synth", *SYNTH, "--groups", "2", "--out", "synth"]
     yield "synth_wide", ["synth", "--annotators", "16", "--texts", "30", "--labels", "12",
                          "--vocab", "60", "--bias", "1.0", "--seed", "5", "--out", "synth_wide"]
@@ -151,6 +168,9 @@ def steps():
                               "--what", "stats", "--out", "bad_label_names"]
     yield "bad_data_dir", ["eval", "--checkpoint", "train_text_plus_both/checkpoint",
                            "--data", "split_a", "--out", "bad_data_dir"]
+    write_huge_max_len_checkpoint(tree)
+    yield "bad_max_len", ["eval", "--checkpoint", "huge_max_len", "--data", "split_a/test.jsonl",
+                          "--out", "bad_max_len"]
 
 
 def main(argv) -> int:
@@ -165,7 +185,7 @@ def main(argv) -> int:
     env = {key: value for key, value in os.environ.items() if key != "ANNEMBED_OUT"}
     env.update(PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    for name, args in steps():
+    for name, args in steps(tree):
         done = subprocess.run([sys.executable, "-m", "annembed.cli", *args], cwd=tree,
                               env=env, capture_output=True, text=True)
         log = os.path.join(tree, "_log", name)

@@ -174,7 +174,7 @@ def _train_one(split, args, seed, out):
     overhead = parameter_overhead(
         len(model.annotator_ids), len(model.label_names),
         model.encoder_config.hidden, model.mode,
-        base_parameters=sum(p.value.size for p in model.params.named_parameters().values()),
+        base_parameters=sum(p.value.size for p in model.params.values()),
     )
     corpus.write_json(os.path.join(out, "overhead.json"), overhead)
     return report

@@ -10,13 +10,13 @@ first ([CLS]) row of the token embedding matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from . import tensor
-from .encoder import INIT_STD
+from .encoder import draw_parameters
 from .tensor import Node
 
 
@@ -35,6 +35,16 @@ class CombinationMode(str, Enum):
         return self in (CombinationMode.TEXT_PLUS_ANNOTATOR, CombinationMode.TEXT_PLUS_BOTH)
 
 
+def bank_shapes(n_annotators: int, n_labels: int, hidden: int):
+    """(name, rows, cols, init) of every bank tensor, in the order
+    EmbeddingBank.init draws them."""
+    yield "annotator_rows", n_annotators, hidden, "normal"
+    yield "label_rows", n_labels, hidden, "normal"
+    yield "w_sentence", hidden, hidden, "normal"
+    yield "w_annotator", hidden, hidden, "normal"
+    yield "w_annotation", hidden, hidden, "normal"
+
+
 @dataclass
 class EmbeddingBank:
     """Learnable annotator rows, label rows, and the three gate matrices."""
@@ -48,25 +58,10 @@ class EmbeddingBank:
     @classmethod
     def init(cls, n_annotators: int, n_labels: int, hidden: int,
              rng: np.random.Generator) -> "EmbeddingBank":
-        def normal(rows, cols):
-            return tensor.parameter(rng.normal(0.0, INIT_STD, size=(rows, cols)))
-
-        return cls(
-            annotator_rows=normal(n_annotators, hidden),
-            label_rows=normal(n_labels, hidden),
-            w_sentence=normal(hidden, hidden),
-            w_annotator=normal(hidden, hidden),
-            w_annotation=normal(hidden, hidden),
-        )
+        return cls(**draw_parameters(bank_shapes(n_annotators, n_labels, hidden), rng))
 
     def named_parameters(self) -> dict[str, Node]:
-        return {
-            "bank.annotator_rows": self.annotator_rows,
-            "bank.w_annotator": self.w_annotator,
-            "bank.label_rows": self.label_rows,
-            "bank.w_annotation": self.w_annotation,
-            "bank.w_sentence": self.w_sentence,
-        }
+        return {f"bank.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 def label_coefficients(counts: np.ndarray | None, n_labels: int,
@@ -175,24 +170,18 @@ class OverheadReport:
 def parameter_overhead(n_annotators: int, n_labels: int, hidden: int,
                        mode: CombinationMode, base_parameters: int | None = None,
                        budget: int = 1_000_000) -> OverheadReport:
-    """Closed-form count of parameters the mechanism adds on top of the encoder.
-
-    Both embedding tables plus three H x H gate matrices in the full mode;
-    the single-embedding modes drop the unused table and its gate. The
-    report flags counts exceeding the advertised budget (default one
-    million) since large hidden sizes blow past it on the gate matrices
-    alone.
-    """
+    """Count of parameters the mechanism adds on top of the encoder: the bank
+    tensors the mode uses, which are the sentence gate for either embedding
+    and each used embedding's table and gate. The report flags counts
+    exceeding the advertised budget (default one million) since large hidden
+    sizes blow past it on the gate matrices alone."""
     if n_annotators <= 0 or n_labels <= 0 or hidden <= 0:
         raise ValueError("sizes must be positive")
-    if mode == CombinationMode.TEXT_ONLY:
-        added = 0
-    elif mode == CombinationMode.TEXT_PLUS_ANNOTATOR:
-        added = n_annotators * hidden + 2 * hidden * hidden
-    elif mode == CombinationMode.TEXT_PLUS_ANNOTATION:
-        added = n_labels * hidden + 2 * hidden * hidden
-    else:
-        added = (n_annotators + n_labels) * hidden + 3 * hidden * hidden
+    used = {"annotator_rows": mode.uses_annotator, "w_annotator": mode.uses_annotator,
+            "label_rows": mode.uses_annotation, "w_annotation": mode.uses_annotation,
+            "w_sentence": mode.uses_annotator or mode.uses_annotation}
+    added = sum(rows * cols for name, rows, cols, _ in bank_shapes(n_annotators, n_labels, hidden)
+                if used[name])
     ratio = added / base_parameters if base_parameters else None
     return OverheadReport(
         added_parameters=added,

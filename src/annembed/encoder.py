@@ -79,71 +79,57 @@ class EncoderConfig:
         if min(self.hidden, self.heads, self.ffn_mult) < 1 or self.layers < 0:
             raise ValueError("hidden, heads and ffn_mult must be at least 1, layers at least 0")
         if self.hidden % self.heads != 0:
-            raise ValueError("hidden size must be divisible by the head count")
+            raise ValueError(f"hidden {self.hidden} must be divisible by heads {self.heads}")
         if self.max_len < 2:
             raise ValueError("max_len must allow [CLS] and [SEP]")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
 
 
-class EncoderParams:
-    """All trainable tensors: embedding tables, block weights, and the head."""
+def encoder_shapes(config: EncoderConfig, n_labels: int):
+    """(name, rows, cols, init) of every encoder parameter, in the order
+    EncoderParams draws them; init is "normal", "zeros" or "ones"."""
+    h = config.hidden
+    ffn = h * config.ffn_mult
+    yield "word", config.vocab_size, h, "normal"
+    yield "position", config.max_len, h, "normal"
+    yield "segment", 2, h, "normal"
+    yield "emb_gamma", 1, h, "ones"
+    yield "emb_beta", 1, h, "zeros"
+    for i in range(config.layers):
+        block = f"block{i}."
+        yield block + "ln1_gamma", 1, h, "ones"
+        yield block + "ln1_beta", 1, h, "zeros"
+        for key in ("wq", "wk", "wv"):
+            for j in range(config.heads):
+                yield f"{block}{key}{j}", h, h // config.heads, "normal"
+        yield block + "wo", h, h, "normal"
+        yield block + "bo", 1, h, "zeros"
+        yield block + "ln2_gamma", 1, h, "ones"
+        yield block + "ln2_beta", 1, h, "zeros"
+        yield block + "w1", h, ffn, "normal"
+        yield block + "b1", 1, ffn, "zeros"
+        yield block + "w2", ffn, h, "normal"
+        yield block + "b2", 1, h, "zeros"
+    yield "head_w", h, n_labels, "normal"
+    yield "head_b", 1, n_labels, "zeros"
+
+
+def draw_parameters(shapes, rng: np.random.Generator) -> dict[str, Node]:
+    """One parameter per (name, rows, cols, init) entry, in table order: a
+    "normal" one is drawn from rng with INIT_STD, the others are filled."""
+    draw = {"normal": lambda shape: rng.normal(0.0, INIT_STD, size=shape),
+            "zeros": np.zeros, "ones": np.ones}
+    return {name: tensor.parameter(draw[init]((rows, cols))) for name, rows, cols, init in shapes}
+
+
+class EncoderParams(dict):
+    """Every trainable encoder tensor by its encoder_shapes name: embedding
+    tables, block weights ("block{i}.wq{j}" for head j), and the head."""
 
     def __init__(self, config: EncoderConfig, n_labels: int, rng: np.random.Generator):
-        h = config.hidden
-        dh = h // config.heads
-        ffn = h * config.ffn_mult
-
-        def normal(rows, cols):
-            return tensor.parameter(rng.normal(0.0, INIT_STD, size=(rows, cols)))
-
-        def zeros(rows, cols):
-            return tensor.parameter(np.zeros((rows, cols)))
-
-        def ones(rows, cols):
-            return tensor.parameter(np.ones((rows, cols)))
-
+        super().__init__(draw_parameters(encoder_shapes(config, n_labels), rng))
         self.config = config
-        self.n_labels = n_labels
-        self.word = normal(config.vocab_size, h)
-        self.position = normal(config.max_len, h)
-        self.segment = normal(2, h)
-        self.emb_gamma = ones(1, h)
-        self.emb_beta = zeros(1, h)
-        self.blocks = []
-        for _ in range(config.layers):
-            block = {
-                "ln1_gamma": ones(1, h), "ln1_beta": zeros(1, h),
-                "wq": [normal(h, dh) for _ in range(config.heads)],
-                "wk": [normal(h, dh) for _ in range(config.heads)],
-                "wv": [normal(h, dh) for _ in range(config.heads)],
-                "wo": normal(h, h), "bo": zeros(1, h),
-                "ln2_gamma": ones(1, h), "ln2_beta": zeros(1, h),
-                "w1": normal(h, ffn), "b1": zeros(1, ffn),
-                "w2": normal(ffn, h), "b2": zeros(1, h),
-            }
-            self.blocks.append(block)
-        self.head_w = normal(h, n_labels)
-        self.head_b = zeros(1, n_labels)
-
-    def named_parameters(self) -> dict[str, Node]:
-        params = {
-            "word": self.word,
-            "position": self.position,
-            "segment": self.segment,
-            "emb_gamma": self.emb_gamma,
-            "emb_beta": self.emb_beta,
-            "head_w": self.head_w,
-            "head_b": self.head_b,
-        }
-        for i, block in enumerate(self.blocks):
-            for key, value in block.items():
-                if isinstance(value, list):
-                    for j, node in enumerate(value):
-                        params[f"block{i}.{key}{j}"] = node
-                else:
-                    params[f"block{i}.{key}"] = value
-        return params
 
 
 def embed_tokens(ids, params: EncoderParams) -> Node:
@@ -154,30 +140,30 @@ def embed_tokens(ids, params: EncoderParams) -> Node:
         raise ValueError(f"sequence length {t} exceeds max_len {params.config.max_len}")
     if max(ids) >= params.config.vocab_size or min(ids) < 0:
         raise ValueError("token id out of vocabulary range")
-    words = tensor.gather_rows(params.word, ids)
-    positions = tensor.gather_rows(params.position, list(range(t)))
-    segments = tensor.gather_rows(params.segment, [0] * t)
+    words = tensor.gather_rows(params["word"], ids)
+    positions = tensor.gather_rows(params["position"], list(range(t)))
+    segments = tensor.gather_rows(params["segment"], [0] * t)
     return tensor.add(tensor.add(words, positions), segments)
 
 
-def _attention(x: Node, block, config: EncoderConfig) -> Node:
-    dh = config.hidden // config.heads
-    scale = 1.0 / np.sqrt(dh)
+def _attention(x: Node, params: EncoderParams, block: str) -> Node:
+    config = params.config
+    scale = 1.0 / np.sqrt(config.hidden // config.heads)
     head_outputs = []
     for h in range(config.heads):
-        q = tensor.matmul(x, block["wq"][h])
-        k = tensor.matmul(x, block["wk"][h])
-        v = tensor.matmul(x, block["wv"][h])
+        q = tensor.matmul(x, params[f"{block}wq{h}"])
+        k = tensor.matmul(x, params[f"{block}wk{h}"])
+        v = tensor.matmul(x, params[f"{block}wv{h}"])
         scores = tensor.scalar_scale(tensor.matmul(q, tensor.transpose(k)), scale)
         weights = tensor.row_softmax(scores)
         head_outputs.append(tensor.matmul(weights, v))
     ctx = tensor.concat_cols(*head_outputs)
-    return tensor.add(tensor.matmul(ctx, block["wo"]), block["bo"])
+    return tensor.add(tensor.matmul(ctx, params[block + "wo"]), params[block + "bo"])
 
 
-def _ffn(x: Node, block) -> Node:
-    hidden = tensor.gelu(tensor.add(tensor.matmul(x, block["w1"]), block["b1"]))
-    return tensor.add(tensor.matmul(hidden, block["w2"]), block["b2"])
+def _ffn(x: Node, params: EncoderParams, block: str) -> Node:
+    hidden = tensor.gelu(tensor.add(tensor.matmul(x, params[block + "w1"]), params[block + "b1"]))
+    return tensor.add(tensor.matmul(hidden, params[block + "w2"]), params[block + "b2"])
 
 
 def encode(combined: Node, params: EncoderParams, training: bool,
@@ -192,19 +178,20 @@ def encode(combined: Node, params: EncoderParams, training: bool,
         raise ValueError("combined embedding width does not match the encoder")
     if training and config.dropout > 0.0 and rng is None:
         raise ValueError("training-mode dropout needs a generator")
-    x = tensor.layer_norm(combined, params.emb_gamma, params.emb_beta)
+    x = tensor.layer_norm(combined, params["emb_gamma"], params["emb_beta"])
     x = tensor.dropout(x, config.dropout, rng, training)
-    for block in params.blocks:
-        attn_in = tensor.layer_norm(x, block["ln1_gamma"], block["ln1_beta"])
-        x = tensor.add(x, _attention(attn_in, block, config))
-        ffn_in = tensor.layer_norm(x, block["ln2_gamma"], block["ln2_beta"])
-        x = tensor.add(x, _ffn(ffn_in, block))
+    for i in range(config.layers):
+        block = f"block{i}."
+        attn_in = tensor.layer_norm(x, params[block + "ln1_gamma"], params[block + "ln1_beta"])
+        x = tensor.add(x, _attention(attn_in, params, block))
+        ffn_in = tensor.layer_norm(x, params[block + "ln2_gamma"], params[block + "ln2_beta"])
+        x = tensor.add(x, _ffn(ffn_in, params, block))
     return x
 
 
 def classify(cls_repr: Node, params: EncoderParams) -> Node:
     """Affine map from the encoded [CLS] row to label logits."""
-    return tensor.add(tensor.matmul(cls_repr, params.head_w), params.head_b)
+    return tensor.add(tensor.matmul(cls_repr, params["head_w"]), params["head_b"])
 
 
 def classification_loss(logits: Node, gold: int) -> Node:

@@ -184,7 +184,9 @@ def row_mean(a: Node) -> Node:
 def gather_rows(a: Node, indices) -> Node:
     """Fetch rows by index; repeated indices accumulate gradient on backward."""
     idx = np.asarray(indices).reshape(-1)
-    if idx.size and idx.dtype.kind not in "iu":
+    # np.asarray([2, True]) is an int array, so a list or tuple is checked for bools
+    if (idx.size and idx.dtype.kind not in "iu"
+            or isinstance(indices, (list, tuple)) and bool in map(type, indices)):
         raise ValueError(f"gather_rows indices must be integers, got {indices!r}")
     flat = idx.tolist()   # Python min/max over a short list beat two numpy reductions
     if flat and (min(flat) < 0 or max(flat) >= a.value.shape[0]):

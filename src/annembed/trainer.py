@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -23,10 +24,11 @@ from .embedding import (
     CombinationMode,
     EmbeddingBank,
     annotation_embedding,
+    bank_shapes,
     combine,
     label_coefficients,
 )
-from .encoder import INIT_STD, EncoderConfig, EncoderParams, Vocabulary
+from .encoder import INIT_STD, EncoderConfig, EncoderParams, Vocabulary, encoder_shapes
 
 
 class TrainingDiverged(RuntimeError):
@@ -88,7 +90,7 @@ class Model:
     def named_parameters(self) -> dict[str, tensor.Node]:
         """Every parameter of the model, whatever the mode; one the mode's loss
         never reaches keeps grad None, so Adam leaves its value unchanged."""
-        return {**self.params.named_parameters(), **self.bank.named_parameters()}
+        return {**self.params, **self.bank.named_parameters()}
 
     def _unseen_annotator_row(self, annotator_id: str) -> np.ndarray:
         # fresh untrained row, deterministic per (model seed, annotator id)
@@ -402,25 +404,34 @@ MANIFEST_KEYS = ("format_version", "encoder_config", "train_config", "label_name
                  "arrays")
 
 
-def checkpoint_layout(model: Model) -> dict[str, dict[str, int]]:
-    """Where each parameter array sits in params.bin: {name: {"offset",
-    "rows", "cols"}} in sorted-name order, packed back to back as float64."""
+def _model_shapes(encoder_config: EncoderConfig, n_labels: int, n_annotators: int):
+    """(name, rows, cols, init) of every parameter of Model.named_parameters."""
+    yield from encoder_shapes(encoder_config, n_labels)
+    for name, rows, cols, init in bank_shapes(n_annotators, n_labels, encoder_config.hidden):
+        yield f"bank.{name}", rows, cols, init
+
+
+def _packed(shapes) -> dict[str, dict[str, int]]:
     layout = {}
     offset = 0
-    for name, node in sorted(model.named_parameters().items()):
-        rows, cols = node.value.shape
+    for name, rows, cols, _ in sorted(shapes):
         layout[name] = {"offset": offset, "rows": rows, "cols": cols}
         offset += rows * cols * 8
     return layout
 
 
+def checkpoint_layout(encoder_config: EncoderConfig, n_labels: int,
+                      n_annotators: int) -> dict[str, dict[str, int]]:
+    """Where each parameter array sits in params.bin: {name: {"offset",
+    "rows", "cols"}} in sorted-name order, packed back to back as float64."""
+    return _packed(_model_shapes(encoder_config, n_labels, n_annotators))
+
+
 def save_checkpoint(model: Model, directory) -> None:
     os.makedirs(directory, exist_ok=True)
-    params = model.named_parameters()
-    layout = checkpoint_layout(model)
     with open(os.path.join(directory, CHECKPOINT_ARRAYS), "wb") as fh:
-        for name in layout:
-            fh.write(np.ascontiguousarray(params[name].value, dtype="<f8").tobytes())
+        for _, node in sorted(model.named_parameters().items()):   # checkpoint_layout's order
+            fh.write(np.ascontiguousarray(node.value, dtype="<f8").tobytes())
     write_json(os.path.join(directory, CHECKPOINT_MANIFEST), {
         "format_version": 1,
         "encoder_config": model.encoder_config,
@@ -431,7 +442,8 @@ def save_checkpoint(model: Model, directory) -> None:
         "seed": model.seed,
         "train_counts": model.train_counts,
         "train_label_totals": model.label_totals(),
-        "arrays": layout,
+        "arrays": checkpoint_layout(model.encoder_config, len(model.label_names),
+                                    len(model.annotator_ids)),
     })
 
 
@@ -481,9 +493,10 @@ def load_checkpoint(directory) -> Model:
     """Rebuild a saved model; ValueError if the manifest lacks a key, a config
     field, a registry, the vocabulary or the label counts fail their checks
     (train_counts keyed by annotator_ids, train_label_totals their column sums),
-    its array index is not checkpoint_layout's, or params.bin not that long."""
+    its array index is not checkpoint_layout's, or params.bin not that long;
+    those two are checked before the model is built, and so before it allocates."""
     manifest = read_json(os.path.join(directory, CHECKPOINT_MANIFEST), required=MANIFEST_KEYS)
-    if manifest["format_version"] != 1:
+    if type(manifest["format_version"]) is not int or manifest["format_version"] != 1:
         raise ValueError(f"{directory}: unsupported checkpoint format_version "
                          f"{manifest['format_version']!r} (expected 1)")
     encoder_config = _config_from_manifest(directory, manifest, "encoder_config", EncoderConfig)
@@ -491,8 +504,9 @@ def load_checkpoint(directory) -> Model:
     label_names = _unique_strings(directory, manifest, "label_names")
     annotator_ids = _unique_strings(directory, manifest, "annotator_ids")
     vocabulary = manifest["vocabulary"]
-    if not (isinstance(vocabulary, dict) and all(type(i) is int for i in vocabulary.values())
-            and sorted(vocabulary.values()) == list(range(encoder_config.vocab_size))):
+    if not (isinstance(vocabulary, dict) and len(vocabulary) == encoder_config.vocab_size
+            and all(type(i) is int for i in vocabulary.values())
+            and sorted(vocabulary.values()) == list(range(len(vocabulary)))):
         raise _manifest_error(directory, "vocabulary", "ids must be 0 to vocab_size - 1, each "
                               f"once (encoder_config vocab_size {encoder_config.vocab_size})")
     if type(manifest["seed"]) is not int:
@@ -505,7 +519,28 @@ def load_checkpoint(directory) -> Model:
     if missing or extra:
         raise _manifest_error(directory, "train_counts", "keys do not match annotator_ids "
                               f"(missing {missing}, unexpected {extra})")
-    m = len(label_names)
+    m, n = len(label_names), len(annotator_ids)
+    stored = manifest["arrays"] if isinstance(manifest["arrays"], dict) else {}
+    # one table entry past the index is enough to tell that the model needs
+    # more arrays than it lists, however many the configs declare
+    layout = _packed(islice(_model_shapes(encoder_config, m, n), len(stored) + 1))
+    if len(layout) > len(stored):
+        wrong = [f"the manifest lists {len(stored)} and the model needs more, among them "
+                 f"{sorted(set(layout) - set(stored))}"]
+    else:
+        wrong = [f"{name}: manifest has {stored.get(name, 'nothing')}, the model needs "
+                 f"{layout.get(name, 'nothing')}" for name in sorted(set(layout) | set(stored))
+                 if stored.get(name) != layout.get(name)]
+    if wrong:
+        raise _manifest_error(directory, "arrays", f"do not match the model of {encoder_config}, "
+                              f"{m} labels and {n} annotators: " + "; ".join(wrong))
+    path = os.path.join(directory, CHECKPOINT_ARRAYS)
+    size = sum(8 * entry["rows"] * entry["cols"] for entry in layout.values())
+    found = os.path.getsize(path)
+    if found != size:
+        state = "truncated" if found < size else "too long"
+        raise ValueError(f"{directory}: {CHECKPOINT_ARRAYS} is {state}: it has {found} "
+                         f"bytes, the arrays need {size}")
     model = Model(encoder_config, train_config, Vocabulary(token_to_id=vocabulary),
                   label_names, annotator_ids, manifest["seed"])
     model.train_counts = {a: _label_counts(directory, f"train_counts[{a!r}]", train_counts[a], m)
@@ -514,24 +549,8 @@ def load_checkpoint(directory) -> Model:
     if not np.array_equal(totals, model.label_totals()):
         raise _manifest_error(directory, "train_label_totals", f"{totals.tolist()} differs from "
                               f"the column sums of train_counts, {model.label_totals().tolist()}")
-    layout = checkpoint_layout(model)
-    stored = manifest["arrays"] if isinstance(manifest["arrays"], dict) else {}
-    wrong = [f"{name}: manifest has {stored.get(name, 'nothing')}, the model needs "
-             f"{layout.get(name, 'nothing')}" for name in sorted(set(layout) | set(stored))
-             if stored.get(name) != layout.get(name)]
-    if wrong:
-        raise ValueError(f"{directory}: checkpoint arrays do not match the model: "
-                         + "; ".join(wrong))
-    with open(os.path.join(directory, CHECKPOINT_ARRAYS), "rb") as fh:
-        blob = fh.read()
-    params = model.named_parameters()
-    size = sum(node.value.nbytes for node in params.values())
-    if len(blob) != size:
-        state = "truncated" if len(blob) < size else "too long"
-        raise ValueError(f"{directory}: {CHECKPOINT_ARRAYS} is {state}: it has {len(blob)} "
-                         f"bytes, the arrays need {size}")
-    flat = np.frombuffer(blob, dtype="<f8")
-    for name, node in params.items():
+    flat = np.fromfile(path, dtype="<f8")
+    for name, node in model.named_parameters().items():
         start = layout[name]["offset"] // 8
         node.value[...] = flat[start:start + node.value.size].reshape(node.value.shape)
     return model

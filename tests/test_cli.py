@@ -6,10 +6,12 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -787,16 +789,16 @@ def recorded_run(tmp_path_factory):
     return root
 
 
-def _mutations(value):
+def _mutations(value, huge=()):
     """Delete, rename, or replace with one value of each other JSON type: an
     int becomes the equal float, a float its integer part, and any other value
-    a small int and a small float."""
+    a small int and a small float; each number of huge is a further value."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         numbers = [float(value) if isinstance(value, int) else int(value)]
     else:
         numbers = [1, 0.5]
     others = [v for v in ("x", True, None, [], {}) if type(v) is not type(value)]
-    return ["delete", "rename"] + [("replace", v) for v in others + numbers]
+    return ["delete", "rename"] + [("replace", v) for v in others + numbers + list(huge)]
 
 
 def _mutate(obj: dict, key: str, mutation) -> None:
@@ -830,14 +832,24 @@ def test_mutated_synth_manifest_replays_or_exits_2(recorded_run, data):
         assert str(config) in err and key in err, err
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# a synth option of 10**12 is a valid request that would take forever, so only
+# the checkpoint, which load refuses before it allocates, gets these numbers
+HUGE = (10 ** 12, 10 ** 400)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_checkpoint_config_loads_or_exits_2(recorded_run, data):
+    """Every manifest key, and every field of its two configs."""
     source = recorded_run / "train" / "checkpoint"
     manifest = json.loads((source / "manifest.json").read_text())
-    section = manifest[data.draw(st.sampled_from(["encoder_config", "train_config"]))]
-    key = data.draw(st.sampled_from(sorted(section)))
-    _mutate(section, key, data.draw(st.sampled_from(_mutations(section[key]))))
+    section, key = data.draw(st.sampled_from(
+        [(None, key) for key in sorted(manifest)]
+        + [(name, key) for name in ("encoder_config", "train_config")
+           for key in sorted(manifest[name])]))
+    target = manifest if section is None else manifest[section]
+    mutation = data.draw(st.sampled_from(_mutations(target[key], HUGE)))
+    _mutate(target, key, mutation)
     work = Path(tempfile.mkdtemp(dir=recorded_run))
     checkpoint = work / "checkpoint"
     shutil.copytree(source, checkpoint)
@@ -847,11 +859,40 @@ def test_mutated_checkpoint_config_loads_or_exits_2(recorded_run, data):
                       "--out", str(work / "eval")])
     assert code in (0, 2)
     if code == 2:
-        assert f"{checkpoint}: manifest.json" in err and key in err, err
+        lacks = section is None and mutation in ("delete", "rename")
+        where = (f"{checkpoint / 'manifest.json'} lacks" if lacks
+                 else str(checkpoint) if key == "format_version"
+                 else f"{checkpoint}: manifest.json")
+        assert where in err and key in err, err
     else:
-        # load kept every value as it was: saved again, it records the mutation
+        # load kept every value as it was: saved again, it records the mutation,
+        # type included (True == 1 == 1.0 in Python, so the JSON texts are compared)
         save_checkpoint(load_checkpoint(checkpoint), work / "again")
-        assert json.loads((work / "again" / "manifest.json").read_text()) == manifest
+        again = json.loads((work / "again" / "manifest.json").read_text())
+        assert json.dumps(again, sort_keys=True) == json.dumps(manifest, sort_keys=True)
+
+
+@pytest.mark.parametrize("field, value", [("max_len", 10 ** 12), ("ffn_mult", 10 ** 9),
+                                          ("layers", 10 ** 5), ("vocab_size", 10 ** 8)])
+def test_checkpoint_declaring_a_huge_model_is_refused_before_it_allocates(
+        recorded_run, tmp_path, capsys, field, value):
+    checkpoint = tmp_path / "checkpoint"
+    shutil.copytree(recorded_run / "train" / "checkpoint", checkpoint)
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    manifest["encoder_config"][field] = value
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"{checkpoint}: manifest.json")):
+            load_checkpoint(checkpoint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert _run("eval", "--checkpoint", str(checkpoint),
+                "--data", str(recorded_run / "split" / "test.jsonl"),
+                "--out", str(tmp_path / "eval")) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_eval_of_checkpoint_with_a_count_too_large_for_a_float_exits_2(recorded_run, tmp_path,

@@ -297,6 +297,19 @@ def test_gradients_flow_only_into_active_banks():
         assert node in grads
 
 
+def test_bank_draws_each_tensor_in_turn_from_one_stream():
+    bank = _bank(n_annotators=3, n_labels=2, hidden=4, seed=5)
+    order = [("annotator_rows", 3, 4), ("label_rows", 2, 4), ("w_sentence", 4, 4),
+             ("w_annotator", 4, 4), ("w_annotation", 4, 4)]
+    draws = np.random.default_rng(5).normal(0.0, 0.02, size=sum(r * c for _, r, c in order))
+    start = 0
+    for name, rows, cols in order:
+        assert np.array_equal(getattr(bank, name).value,
+                              draws[start:start + rows * cols].reshape(rows, cols)), name
+        start += rows * cols
+    assert list(bank.named_parameters()) == [f"bank.{name}" for name, _, _ in order]
+
+
 def test_parameter_overhead_small_case():
     report = parameter_overhead(3, 5, 4, CombinationMode.TEXT_PLUS_BOTH)
     assert report.added_parameters == 80

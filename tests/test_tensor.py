@@ -175,8 +175,10 @@ def test_finite_difference_mixed_graph():
     assert err < 1e-6
 
 
-@pytest.mark.parametrize("indices", [[1.7], [True], np.array([0.9]), np.array([True, False])],
-                         ids=["float", "bool", "float_array", "bool_array"])
+@pytest.mark.parametrize("indices", [[1.7], [True], np.array([0.9]), np.array([True, False]),
+                                     [2, True], (False, 3)],
+                         ids=["float", "bool", "float_array", "bool_array", "int_then_bool",
+                              "bool_then_int_tuple"])
 def test_gather_rows_refuses_indices_that_are_not_integers(indices):
     table = parameter(np.arange(8.0).reshape(4, 2))
     with pytest.raises(ValueError, match="indices must be integers") as err:

@@ -613,7 +613,7 @@ def test_eval_forward_allocates_no_gradient():
     assert all(p.grad is None for p in model.named_parameters().values())
     tensor.backward(model.loss_for(ids, ex.annotator_id,
                                    model.test_coefficients(ex.annotator_id), ex.label))
-    assert model.params.head_w.grad is not None
+    assert model.params["head_w"].grad is not None
 
 
 def test_adam_treats_unreached_parameter_as_zero_gradient():
@@ -681,6 +681,15 @@ def test_checkpoint_rejects_unknown_format_version(tmp_path):
         load_checkpoint(directory)
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+def test_checkpoint_rejects_a_format_version_that_only_compares_equal_to_1(tmp_path, version):
+    # True == 1.0 == 1 in Python, so a plain comparison loaded both as version 1
+    directory = _saved_checkpoint(tmp_path)
+    _edit_manifest(directory, lambda m: m.update(format_version=version))
+    with pytest.raises(ValueError, match=rf"unsupported checkpoint format_version {version!r}"):
+        load_checkpoint(directory)
+
+
 def test_checkpoint_rejects_missing_array(tmp_path):
     directory = _saved_checkpoint(tmp_path)
     _edit_manifest(directory, lambda m: m["arrays"].pop("head_w"))
@@ -724,7 +733,8 @@ def test_checkpoint_layout_is_the_stored_index(tmp_path):
     directory = _saved_checkpoint(tmp_path)
     model = load_checkpoint(directory)
     stored = json.loads((directory / "manifest.json").read_text())["arrays"]
-    layout = trainer.checkpoint_layout(model)
+    layout = trainer.checkpoint_layout(model.encoder_config, len(model.label_names),
+                                       len(model.annotator_ids))
     assert list(layout) == sorted(layout) and layout == stored
     last = layout[list(layout)[-1]]
     end = last["offset"] + 8 * last["rows"] * last["cols"]
