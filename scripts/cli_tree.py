@@ -13,7 +13,11 @@ JSONL has blank and whitespace-only lines, CRLF line ends, lines padded with
 no-break spaces, repeated demographics and non-ASCII text, and
 `string_labels/`, whose manifest gives `label_names` as one string. After
 training it copies one checkpoint to `huge_max_len/`, with `max_len` 10**12
-in its manifest.
+in its manifest, the split `split_a/` to `split_seed_string/`, whose
+`split_manifest.json` has `seed` "1", and one `report.json` to
+`report_confusion_3/`, whose `confusion` is 3. Each of the four persisted
+records (dataset manifest, split manifest, checkpoint manifest, report) thus
+has one bad copy, read by an exit-2 step.
 """
 
 from __future__ import annotations
@@ -91,16 +95,33 @@ def write_string_labels_corpus(tree):
         json.dump({"label_names": "ab", "name": "string_labels"}, fh)
 
 
+def _edit_json(path, edit):
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    edit(obj)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+
+
 def write_huge_max_len_checkpoint(tree):
     """A copy of the text_plus_both checkpoint whose manifest declares max_len
     10**12, which load must refuse before it allocates the position table."""
     target = os.path.join(tree, "huge_max_len")
     shutil.copytree(os.path.join(tree, "train_text_plus_both", "checkpoint"), target)
-    with open(os.path.join(target, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    manifest["encoder_config"]["max_len"] = 10 ** 12
-    with open(os.path.join(target, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
+    _edit_json(os.path.join(target, "manifest.json"),
+               lambda m: m["encoder_config"].update(max_len=10 ** 12))
+
+
+def write_bad_split_and_report(tree):
+    """split_a with seed "1" in its split_manifest.json, and a report.json
+    whose confusion is 3."""
+    target = os.path.join(tree, "split_seed_string")
+    shutil.copytree(os.path.join(tree, "split_a"), target)
+    _edit_json(os.path.join(target, "split_manifest.json"), lambda m: m.update(seed="1"))
+    os.makedirs(os.path.join(tree, "report_confusion_3"))
+    report = os.path.join(tree, "report_confusion_3", "report.json")
+    shutil.copyfile(os.path.join(tree, "eval_seen", "report.json"), report)
+    _edit_json(report, lambda r: r.update(confusion=3))
 
 
 def steps(tree):
@@ -171,6 +192,10 @@ def steps(tree):
     write_huge_max_len_checkpoint(tree)
     yield "bad_max_len", ["eval", "--checkpoint", "huge_max_len", "--data", "split_a/test.jsonl",
                           "--out", "bad_max_len"]
+    write_bad_split_and_report(tree)
+    yield "bad_split_manifest", ["train", "--data", "split_seed_string", *TINY,
+                                 "--out", "bad_split_manifest"]
+    yield "bad_report", ["report", "report_confusion_3/report.json", "--out", "bad_report"]
 
 
 def main(argv) -> int:

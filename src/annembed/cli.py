@@ -65,20 +65,13 @@ def _write_run_manifest(out, args) -> None:
                       {"command": args.command, "options": options})
 
 
-def _manifest_for(data_path: str, override: str | None) -> dict:
-    if override:
-        return corpus.read_manifest(override)
-    seed_path = data_path[:-len(".jsonl")] + ".manifest.json" if data_path.endswith(".jsonl") \
-        else data_path + ".manifest.json"
-    if not os.path.exists(seed_path):
-        raise CliError(f"no dataset manifest found at {seed_path}; pass --manifest")
-    return corpus.read_manifest(seed_path)
-
-
 def _load_data(args) -> corpus.Dataset:
-    manifest = _manifest_for(args.data, args.manifest)
-    return corpus.load_dataset(args.data, manifest["label_names"],
-                               name=manifest.get("name"))
+    """args.data under --manifest, or else the <stem>.manifest.json beside it."""
+    path = args.manifest or args.data.removesuffix(".jsonl") + ".manifest.json"
+    if not args.manifest and not os.path.exists(path):
+        raise CliError(f"no dataset manifest found at {path}; pass --manifest")
+    manifest = corpus.read_record(path, corpus.DatasetManifest)
+    return corpus.load_dataset(args.data, manifest.label_names, name=manifest.name)
 
 
 # ---------------------------------------------------------------------------
@@ -123,37 +116,25 @@ def cmd_split(args, out):
     if split.dev is not None:
         corpus.write_dataset(split.dev, os.path.join(out, "dev.jsonl"))
     corpus.write_manifest(dataset, os.path.join(out, "schema.manifest.json"))
-    corpus.write_json(os.path.join(out, "split_manifest.json"), {
-        "kind": split.kind,
-        "seed": split.seed,
-        "train_frac": args.train_frac,
-        "dev_frac": args.dev_frac,
-        "source": args.data,
-        "counts": {
-            "train": len(split.train),
-            "dev": len(split.dev) if split.dev else 0,
-            "test": len(split.test),
-        },
-    })
-    print(f"split {len(dataset)} annotations -> train {len(split.train)} / "
-          f"dev {len(split.dev) if split.dev else 0} / test {len(split.test)}")
+    counts = {"train": len(split.train), "dev": len(split.dev) if split.dev else 0,
+              "test": len(split.test)}
+    corpus.write_json(os.path.join(out, "split_manifest.json"), corpus.SplitManifest(
+        kind=split.kind, seed=split.seed, train_frac=args.train_frac, dev_frac=args.dev_frac,
+        source=args.data, counts=counts))
+    print(f"split {len(dataset)} annotations -> train {counts['train']} / "
+          f"dev {counts['dev']} / test {counts['test']}")
 
 
 def _load_split(split_dir: str) -> corpus.Split:
-    schema = corpus.read_manifest(os.path.join(split_dir, "schema.manifest.json"))
-    meta_path = os.path.join(split_dir, "split_manifest.json")
-    meta = corpus.read_json(meta_path, required=("kind", "seed"))
-    try:
-        corpus.check_type("kind", meta["kind"], str, corpus.SPLIT_KINDS)
-        corpus.check_type("seed", meta["seed"], int)
-    except ValueError as err:
-        raise CliError(f"{meta_path}: {err}") from None
-    labels = schema["label_names"]
+    labels = corpus.read_record(os.path.join(split_dir, "schema.manifest.json"),
+                                corpus.DatasetManifest).label_names
+    meta = corpus.read_record(os.path.join(split_dir, "split_manifest.json"),
+                              corpus.SplitManifest)
     train = corpus.load_dataset(os.path.join(split_dir, "train.jsonl"), labels, name="train")
     test = corpus.load_dataset(os.path.join(split_dir, "test.jsonl"), labels, name="test")
     dev_path = os.path.join(split_dir, "dev.jsonl")
     dev = corpus.load_dataset(dev_path, labels, name="dev") if os.path.exists(dev_path) else None
-    return corpus.Split(train=train, test=test, dev=dev, kind=meta["kind"], seed=meta["seed"])
+    return corpus.Split(train=train, test=test, dev=dev, kind=meta.kind, seed=meta.seed)
 
 
 def _write_report(out, report, label_names) -> None:
@@ -339,14 +320,8 @@ def _write_matrix_csv(path, names, values):
 
 def cmd_report(args, out):
     reports = []
-    fields = [f.name for f in dataclasses.fields(trainer.EvalReport)]
     for path in args.inputs:
-        obj = corpus.read_json(path, required=fields)
-        reports.append(trainer.EvalReport(**{name: obj[name] for name in fields}))
-        try:
-            corpus.check_fields(reports[-1])
-        except ValueError as err:
-            raise corpus.CorpusError(f"{path}: {err}") from None
+        reports.append(corpus.read_record(path, trainer.EvalReport))
         print(f"== {path}")
         print(reports[-1].to_text())
     if len(reports) > 1:
@@ -476,7 +451,7 @@ def _recorded_options(path, command) -> dict:
         raise CliError(f"{path}: options must be a JSON object")
     recorded = manifest.get("command", command)
     if recorded != command:
-        raise CliError(f"manifest was recorded for {recorded!r}, not {command!r}")
+        raise CliError(f"{path}: manifest was recorded for {recorded!r}, not {command!r}")
     if options is manifest:
         options = {k: v for k, v in options.items() if k != "command"}
     return options

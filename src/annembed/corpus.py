@@ -1,6 +1,6 @@
 """Loading, validation, splitting, and statistics for multi-annotator datasets,
-plus the package's one JSON file reader and writer and its one type rule for
-recorded options and config fields.
+plus the package's one JSON file reader and writer, its one reader of a
+persisted record, and its one type rule for options, configs and records.
 
 A dataset is a flat list of annotations: each record pairs one text with one
 annotator's label. The on-disk format is JSON Lines (one annotation per line,
@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from itertools import compress
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -115,7 +115,8 @@ class Dataset:
         return len(self.examples)
 
 
-SPLIT_KINDS = ("annotation", "annotator")
+SplitKind = Literal["annotation", "annotator"]
+SPLIT_KINDS = get_args(SplitKind)
 
 
 @dataclass
@@ -161,6 +162,10 @@ def _record_fault(obj, line_no) -> CorpusError:
     return CorpusError(f"line {line_no}: unknown label {obj['label']!r}")
 
 
+def _not_utf8(path, err: UnicodeDecodeError) -> CorpusError:
+    return CorpusError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x}: {err.reason})")
+
+
 def load_dataset(path, label_names, name=None) -> Dataset:
     """Load a JSONL annotation file against a declared label schema.
 
@@ -169,8 +174,9 @@ def load_dataset(path, label_names, name=None) -> Dataset:
     must hold exactly one JSON value, parsed by read_json's rule with NaN and
     Infinity rejected; the record is an object whose example_id, text and
     annotator_id are strings and whose label is a declared name. CorpusError
-    names the line and its first fault. Records that repeat a text, an id or
-    a demographics dict share one object for it.
+    names the line and its first fault, or the file if it is not UTF-8.
+    Records that repeat a text, an id or a demographics dict share one object
+    for it.
 
     Lines are scanned one at a time, never joined into one array: a record
     split across lines, or two records on one line, would decode as valid
@@ -182,46 +188,51 @@ def load_dataset(path, label_names, name=None) -> Dataset:
     shared: dict = {}
     examples = []
     scan = _LINE_DECODER.scan_once
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            # JSONDecoder.decode of a stripped line is this scan and this end check
-            try:
-                obj, end = scan(line, 0)
-            except StopIteration:
-                raise CorpusError(f"line {line_no}: malformed JSON (Expecting value)") from None
-            except json.JSONDecodeError as err:
-                raise CorpusError(f"line {line_no}: malformed JSON ({err.msg})") from err
-            except CorpusError as err:
-                raise CorpusError(f"line {line_no}: {err}") from err
-            if end != len(line):
-                raise CorpusError(f"line {line_no}: malformed JSON (Extra data)")
-            try:
-                example_id, text = obj["example_id"], obj["text"]
-                annotator_id, label = obj["annotator_id"], label_index[obj["label"]]
-                if type(example_id) is not str or type(text) is not str or (
-                        type(annotator_id) is not str):
-                    raise TypeError
-            except (KeyError, TypeError):
-                # no object, a field missing or no string, an unknown or unhashable label
-                raise _record_fault(obj, line_no) from None
-            demo = obj.get("demographics")
-            if demo is not None:
-                # a file repeats one dict per annotator: check only a dict not seen before
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                # JSONDecoder.decode of a stripped line is this scan and this end check
                 try:
-                    demo = shared[tuple(demo.items())]
-                except (AttributeError, KeyError, TypeError):   # no dict, unseen, or unhashable
-                    if not isinstance(demo, dict) or not all(
-                        isinstance(k, str) and isinstance(v, str) for k, v in demo.items()
-                    ):
-                        raise CorpusError(
-                            f"line {line_no}: demographics must map strings to strings") from None
-                    shared[tuple(demo.items())] = demo
-            examples.append(AnnotatedExample(
-                shared.setdefault(example_id, example_id), shared.setdefault(text, text),
-                shared.setdefault(annotator_id, annotator_id), label, demo))
+                    obj, end = scan(line, 0)
+                except StopIteration:
+                    raise CorpusError(
+                        f"line {line_no}: malformed JSON (Expecting value)") from None
+                except json.JSONDecodeError as err:
+                    raise CorpusError(f"line {line_no}: malformed JSON ({err.msg})") from err
+                except CorpusError as err:
+                    raise CorpusError(f"line {line_no}: {err}") from err
+                if end != len(line):
+                    raise CorpusError(f"line {line_no}: malformed JSON (Extra data)")
+                try:
+                    example_id, text = obj["example_id"], obj["text"]
+                    annotator_id, label = obj["annotator_id"], label_index[obj["label"]]
+                    if type(example_id) is not str or type(text) is not str or (
+                            type(annotator_id) is not str):
+                        raise TypeError
+                except (KeyError, TypeError):
+                    # no object, a field missing or no string, an unknown or unhashable label
+                    raise _record_fault(obj, line_no) from None
+                demo = obj.get("demographics")
+                if demo is not None:
+                    # a file repeats one dict per annotator: check only a dict not seen
+                    # before; the except is for no dict, an unseen or an unhashable one
+                    try:
+                        demo = shared[tuple(demo.items())]
+                    except (AttributeError, KeyError, TypeError):
+                        if not isinstance(demo, dict) or not all(
+                            isinstance(k, str) and isinstance(v, str) for k, v in demo.items()
+                        ):
+                            raise CorpusError(f"line {line_no}: demographics must map "
+                                              "strings to strings") from None
+                        shared[tuple(demo.items())] = demo
+                examples.append(AnnotatedExample(
+                    shared.setdefault(example_id, example_id), shared.setdefault(text, text),
+                    shared.setdefault(annotator_id, annotator_id), label, demo))
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
     if name is None:
         name = str(path)
     return Dataset.from_examples(examples, label_names, name)
@@ -357,10 +368,10 @@ def write_json(path, obj) -> None:
         raise CorpusError(f"{path}: {err}") from err
 
 
-def read_json(path, required=()) -> dict:
-    """Read a JSON file that must hold an object with every key in required;
-    CorpusError names the file and every missing key, and rejects the
-    non-standard NaN and Infinity literals."""
+def read_json(path) -> dict:
+    """Read a JSON file that must hold an object; CorpusError names the file,
+    and rejects the non-standard NaN and Infinity literals and a byte that is
+    not UTF-8."""
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh, parse_constant=_reject_constant)
@@ -368,22 +379,22 @@ def read_json(path, required=()) -> dict:
             raise CorpusError(f"{path}: malformed JSON ({err})") from err
         except CorpusError as err:
             raise CorpusError(f"{path}: {err}") from err
+        except UnicodeDecodeError as err:
+            raise _not_utf8(path, err) from None
     if not isinstance(obj, dict):
         raise CorpusError(f"{path}: expected a JSON object, found {type(obj).__name__}")
-    missing = [key for key in required if key not in obj]
-    if missing:
-        raise CorpusError(f"{path} lacks {missing}")
     return obj
 
 
 def check_type(name: str, value, kind, choices=None) -> None:
-    """The one type rule for a recorded option or config field. An int takes
-    an integer, never a bool or a float such as 2.0; a float takes a finite
-    number, never a bool; a bool takes a bool; a str or a str-valued Enum
-    takes a string, one of choices or of the Enum's values; a list takes a
-    list of strings. Optional[X] takes null or what X takes; list[X] takes a
-    list and dict[str, X] an object, each item checked by X's rule under its
-    index or key. ValueError names the field and the value."""
+    """The one type rule for a recorded option, a config or a record field.
+    An int takes an integer, never a bool or a float such as 2.0; a float a
+    finite number, never a bool; a bool a bool; a str, a Literal or a
+    str-valued Enum a string, one of choices or of their values; a list a list
+    of strings. Optional[X] takes null or what X takes; list[X] a list,
+    dict[str, X] an object and a dataclass an object of exactly its fields,
+    each item checked by its own rule under its index, key or name.field.
+    ValueError names the key path and the value."""
     origin, args = get_origin(kind), get_args(kind)
     if origin is Union:   # Optional[X]: args is (X, NoneType)
         if value is not None:
@@ -396,6 +407,20 @@ def check_type(name: str, value, kind, choices=None) -> None:
         for key, item in (enumerate(value) if origin is list else value.items()):
             check_type(f"{name}[{key!r}]", item, args[-1])
         return
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be an object, found {value!r}")
+        hints, prefix = get_type_hints(kind), f"{name}." if name else ""
+        for key in hints:
+            if key not in value:
+                raise ValueError(f"{prefix}{key} is missing")
+        for key, item in value.items():
+            if key not in hints:
+                raise ValueError(f"{prefix}{key} is not a field of {kind.__name__}")
+            check_type(prefix + key, item, hints[key])
+        return
+    if origin is Literal:
+        kind, choices = str, args
     if isinstance(kind, type) and issubclass(kind, Enum):
         kind, choices = str, [member.value for member in kind]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -421,21 +446,56 @@ def check_fields(config) -> None:
         check_type(name, getattr(config, name), kind)
 
 
-def write_manifest(dataset: Dataset, path) -> None:
-    write_json(path, {"name": dataset.name, "label_names": dataset.label_names})
-
-
-def read_manifest(path) -> dict:
-    """A dataset manifest, whose label_names must be a list of unique strings."""
-    manifest = read_json(path, required=("label_names",))
-    names = manifest["label_names"]
+def _build(cls, obj: dict, name: str):
+    """cls(**obj), each dataclass field built first and named in its errors."""
+    hints = get_type_hints(cls)
+    values = {key: _build(hints[key], item, f"{name}.{key}" if name else key)
+              if is_dataclass(hints[key]) else item for key, item in obj.items()}
     try:
-        check_type("label_names", names, list[str])
+        return cls(**values)
+    except ValueError as err:
+        raise ValueError(f"{name} {err}" if name else str(err)) from None
+
+
+def read_record(path, cls):
+    """The one reader of a persisted JSON file, declared as the dataclass cls:
+    check_type of the object as cls, then cls's own __post_init__. CorpusError
+    reads "<path>: <key path> <problem>"; write_json writes the record back
+    as the same JSON text."""
+    obj = read_json(path)
+    try:
+        check_type("", obj, cls)
+        return _build(cls, obj, "")
     except ValueError as err:
         raise CorpusError(f"{path}: {err}") from None
-    if len(set(names)) != len(names):
-        raise CorpusError(f"{path}: label_names must be unique, found {names!r}")
-    return manifest
+
+
+@dataclass
+class DatasetManifest:
+    """<stem>.manifest.json beside a JSONL corpus: its name and label schema."""
+
+    name: str
+    label_names: list[str]
+
+    def __post_init__(self):
+        if len(set(self.label_names)) != len(self.label_names):
+            raise ValueError(f"label_names must be unique, found {self.label_names!r}")
+
+
+@dataclass
+class SplitManifest:
+    """split_manifest.json: how a split was made, and the size of each part."""
+
+    kind: SplitKind
+    seed: int
+    train_frac: float
+    dev_frac: float
+    source: str
+    counts: dict[str, int]
+
+
+def write_manifest(dataset: Dataset, path) -> None:
+    write_json(path, DatasetManifest(dataset.name, dataset.label_names))
 
 
 def _subset(dataset: Dataset, keep: np.ndarray, suffix) -> Dataset:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Optional
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import tensor
-from .corpus import Dataset, Split, check_fields, check_type, read_json, write_json
+from .corpus import Dataset, Split, check_fields, read_record, write_json
 from .embedding import (
     AnnotationIndex,
     CombinationMode,
@@ -399,9 +399,50 @@ def ablation_eval(model: Model, dataset: Dataset, variant: str) -> EvalReport:
 
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_ARRAYS = "params.bin"
-MANIFEST_KEYS = ("format_version", "encoder_config", "train_config", "label_names",
-                 "annotator_ids", "vocabulary", "seed", "train_counts", "train_label_totals",
-                 "arrays")
+
+
+@dataclass
+class CheckpointManifest:
+    """A checkpoint's manifest.json; __post_init__ holds the rules that are not
+    types, such as train_label_totals = train_counts' sums in annotator_ids order."""
+
+    format_version: int
+    encoder_config: EncoderConfig
+    train_config: TrainConfig
+    label_names: list[str]
+    annotator_ids: list[str]
+    vocabulary: dict[str, int]
+    seed: int
+    train_counts: dict[str, list[float]]
+    train_label_totals: list[float]
+    arrays: dict[str, dict[str, int]]
+
+    def __post_init__(self):
+        if self.format_version != 1:
+            raise ValueError(f"format_version must be 1, found {self.format_version!r}")
+        for key in ("label_names", "annotator_ids"):
+            names = getattr(self, key)
+            if len(set(names)) != len(names):
+                raise ValueError(f"{key} must be unique, found {names!r}")
+        size = self.encoder_config.vocab_size
+        if len(self.vocabulary) != size or sorted(self.vocabulary.values()) != list(range(size)):
+            raise ValueError("vocabulary ids must be 0 to vocab_size - 1, each once "
+                             f"(encoder_config vocab_size {size})")
+        missing = sorted(set(self.annotator_ids) - set(self.train_counts))
+        extra = sorted(set(self.train_counts) - set(self.annotator_ids))
+        if missing or extra:
+            raise ValueError("train_counts keys do not match annotator_ids "
+                             f"(missing {missing}, unexpected {extra})")
+        m = len(self.label_names)
+        rows = {f"train_counts[{a!r}]": self.train_counts[a] for a in self.annotator_ids}
+        for key, row in {**rows, "train_label_totals": self.train_label_totals}.items():
+            if len(row) != m or min(row, default=0.0) < 0:
+                raise ValueError(f"{key} must be {m} finite, non-negative numbers, one per "
+                                 f"label_names entry, found {row!r}")
+        sums = sum((np.asarray(row, np.float64) for row in rows.values()), np.zeros(m))
+        if not np.array_equal(self.train_label_totals, sums):
+            raise ValueError(f"train_label_totals {list(self.train_label_totals)} differs from "
+                             f"the column sums of train_counts, {sums.tolist()}")
 
 
 def _model_shapes(encoder_config: EncoderConfig, n_labels: int, n_annotators: int):
@@ -432,95 +473,22 @@ def save_checkpoint(model: Model, directory) -> None:
     with open(os.path.join(directory, CHECKPOINT_ARRAYS), "wb") as fh:
         for _, node in sorted(model.named_parameters().items()):   # checkpoint_layout's order
             fh.write(np.ascontiguousarray(node.value, dtype="<f8").tobytes())
-    write_json(os.path.join(directory, CHECKPOINT_MANIFEST), {
-        "format_version": 1,
-        "encoder_config": model.encoder_config,
-        "train_config": model.train_config,
-        "label_names": model.label_names,
-        "annotator_ids": model.annotator_ids,
-        "vocabulary": model.vocab.token_to_id,
-        "seed": model.seed,
-        "train_counts": model.train_counts,
-        "train_label_totals": model.label_totals(),
-        "arrays": checkpoint_layout(model.encoder_config, len(model.label_names),
-                                    len(model.annotator_ids)),
-    })
-
-
-def _manifest_error(directory, key: str, problem: str) -> ValueError:
-    return ValueError(f"{directory}: {CHECKPOINT_MANIFEST} {key} {problem}")
-
-
-def _unique_strings(directory, manifest: dict, key: str) -> list[str]:
-    names = manifest[key]
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
-            and len(set(names)) == len(names)):
-        raise _manifest_error(directory, key, "must be a list of unique strings")
-    return names
-
-
-def _label_counts(directory, key: str, row, n_labels: int) -> np.ndarray:
-    problem = f"must be {n_labels} finite, non-negative numbers, found {row!r}"
-    if not (isinstance(row, list) and len(row) == n_labels):
-        raise _manifest_error(directory, key, problem)
-    try:
-        for count in row:   # check_type rejects an int too large for a float
-            check_type(key, count, float)
-    except ValueError:
-        raise _manifest_error(directory, key, problem) from None
-    counts = np.asarray(row, dtype=np.float64)
-    if (counts < 0).any():
-        raise _manifest_error(directory, key, problem)
-    return counts
-
-
-def _config_from_manifest(directory, manifest: dict, key: str, cls):
-    section = manifest[key]
-    if not isinstance(section, dict):
-        raise _manifest_error(directory, key, "must be an object")
-    names = {f.name for f in fields(cls)}
-    missing, extra = sorted(names - set(section)), sorted(set(section) - names)
-    if missing or extra:
-        raise _manifest_error(directory, key, f"does not match {cls.__name__} "
-                              f"(missing {missing}, unexpected {extra})")
-    try:
-        return cls(**section)
-    except ValueError as err:
-        raise _manifest_error(directory, key, str(err)) from None
+    write_json(os.path.join(directory, CHECKPOINT_MANIFEST), CheckpointManifest(
+        format_version=1, encoder_config=model.encoder_config, train_config=model.train_config,
+        label_names=model.label_names, annotator_ids=model.annotator_ids,
+        vocabulary=model.vocab.token_to_id, seed=model.seed, train_counts=model.train_counts,
+        train_label_totals=model.label_totals(), arrays=checkpoint_layout(
+            model.encoder_config, len(model.label_names), len(model.annotator_ids))))
 
 
 def load_checkpoint(directory) -> Model:
-    """Rebuild a saved model; ValueError if the manifest lacks a key, a config
-    field, a registry, the vocabulary or the label counts fail their checks
-    (train_counts keyed by annotator_ids, train_label_totals their column sums),
-    its array index is not checkpoint_layout's, or params.bin not that long;
-    those two are checked before the model is built, and so before it allocates."""
-    manifest = read_json(os.path.join(directory, CHECKPOINT_MANIFEST), required=MANIFEST_KEYS)
-    if type(manifest["format_version"]) is not int or manifest["format_version"] != 1:
-        raise ValueError(f"{directory}: unsupported checkpoint format_version "
-                         f"{manifest['format_version']!r} (expected 1)")
-    encoder_config = _config_from_manifest(directory, manifest, "encoder_config", EncoderConfig)
-    train_config = _config_from_manifest(directory, manifest, "train_config", TrainConfig)
-    label_names = _unique_strings(directory, manifest, "label_names")
-    annotator_ids = _unique_strings(directory, manifest, "annotator_ids")
-    vocabulary = manifest["vocabulary"]
-    if not (isinstance(vocabulary, dict) and len(vocabulary) == encoder_config.vocab_size
-            and all(type(i) is int for i in vocabulary.values())
-            and sorted(vocabulary.values()) == list(range(len(vocabulary)))):
-        raise _manifest_error(directory, "vocabulary", "ids must be 0 to vocab_size - 1, each "
-                              f"once (encoder_config vocab_size {encoder_config.vocab_size})")
-    if type(manifest["seed"]) is not int:
-        raise _manifest_error(directory, "seed", "must be an integer")
-    train_counts = manifest["train_counts"]
-    if not isinstance(train_counts, dict):
-        raise _manifest_error(directory, "train_counts", "must be an object")
-    missing = sorted(set(annotator_ids) - set(train_counts))
-    extra = sorted(set(train_counts) - set(annotator_ids))
-    if missing or extra:
-        raise _manifest_error(directory, "train_counts", "keys do not match annotator_ids "
-                              f"(missing {missing}, unexpected {extra})")
-    m, n = len(label_names), len(annotator_ids)
-    stored = manifest["arrays"] if isinstance(manifest["arrays"], dict) else {}
+    """Rebuild a saved model; ValueError if its CheckpointManifest's array index
+    is not checkpoint_layout's or params.bin not that long, both checked
+    before the model is built, and so before it allocates."""
+    manifest = os.path.join(directory, CHECKPOINT_MANIFEST)
+    record = read_record(manifest, CheckpointManifest)
+    encoder_config, stored = record.encoder_config, record.arrays
+    m, n = len(record.label_names), len(record.annotator_ids)
     # one table entry past the index is enough to tell that the model needs
     # more arrays than it lists, however many the configs declare
     layout = _packed(islice(_model_shapes(encoder_config, m, n), len(stored) + 1))
@@ -532,8 +500,8 @@ def load_checkpoint(directory) -> Model:
                  f"{layout.get(name, 'nothing')}" for name in sorted(set(layout) | set(stored))
                  if stored.get(name) != layout.get(name)]
     if wrong:
-        raise _manifest_error(directory, "arrays", f"do not match the model of {encoder_config}, "
-                              f"{m} labels and {n} annotators: " + "; ".join(wrong))
+        raise ValueError(f"{manifest}: arrays do not match the model of {encoder_config}, "
+                         f"{m} labels and {n} annotators: " + "; ".join(wrong))
     path = os.path.join(directory, CHECKPOINT_ARRAYS)
     size = sum(8 * entry["rows"] * entry["cols"] for entry in layout.values())
     found = os.path.getsize(path)
@@ -541,14 +509,10 @@ def load_checkpoint(directory) -> Model:
         state = "truncated" if found < size else "too long"
         raise ValueError(f"{directory}: {CHECKPOINT_ARRAYS} is {state}: it has {found} "
                          f"bytes, the arrays need {size}")
-    model = Model(encoder_config, train_config, Vocabulary(token_to_id=vocabulary),
-                  label_names, annotator_ids, manifest["seed"])
-    model.train_counts = {a: _label_counts(directory, f"train_counts[{a!r}]", train_counts[a], m)
-                          for a in annotator_ids}
-    totals = _label_counts(directory, "train_label_totals", manifest["train_label_totals"], m)
-    if not np.array_equal(totals, model.label_totals()):
-        raise _manifest_error(directory, "train_label_totals", f"{totals.tolist()} differs from "
-                              f"the column sums of train_counts, {model.label_totals().tolist()}")
+    model = Model(encoder_config, record.train_config, Vocabulary(token_to_id=record.vocabulary),
+                  record.label_names, record.annotator_ids, record.seed)
+    model.train_counts = {a: np.asarray(record.train_counts[a], dtype=np.float64)
+                          for a in record.annotator_ids}
     flat = np.fromfile(path, dtype="<f8")
     for name, node in model.named_parameters().items():
         start = layout[name]["offset"] // 8

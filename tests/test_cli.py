@@ -12,7 +12,9 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,18 @@ from hypothesis import strategies as st
 import annembed
 from annembed import synthgen
 from annembed.cli import main
-from annembed.corpus import Dataset, load_dataset, write_dataset, write_manifest
-from annembed.trainer import load_checkpoint, save_checkpoint
+from annembed.corpus import (
+    CorpusError,
+    Dataset,
+    DatasetManifest,
+    SplitManifest,
+    load_dataset,
+    read_record,
+    write_dataset,
+    write_json,
+    write_manifest,
+)
+from annembed.trainer import CheckpointManifest, EvalReport, load_checkpoint, save_checkpoint
 
 FAST_TRAIN = [
     "--epochs", "2", "--batch-size", "16", "--lr", "2e-3",
@@ -402,25 +414,43 @@ def test_path_of_the_wrong_kind_exit_code(tmp_path, corpus_dir, split_dir, train
     assert named.format(**dirs) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, label_names, labels, message", [
-    ("analyze", "ab", ["a", "b"], "label_names must be a list, found 'ab'"),
-    ("split", [0, 1], [0, 1], "label_names[0] must be a string, found 0"),
-    ("analyze", [["L0"], "L1"], ["L1"], "label_names[0] must be a string, found ['L0']"),
-    ("split", ["L0", "L0"], ["L0"], "label_names must be unique, found ['L0', 'L0']"),
-], ids=["string", "integers", "nested_list", "repeated"])
+@pytest.mark.parametrize("command, fields, labels, message", [
+    ("analyze", {"label_names": "ab"}, ["a", "b"], "label_names must be a list, found 'ab'"),
+    ("split", {"label_names": [0, 1]}, [0, 1], "label_names[0] must be a string, found 0"),
+    ("analyze", {"label_names": [["L0"], "L1"]}, ["L1"],
+     "label_names[0] must be a string, found ['L0']"),
+    ("split", {"label_names": ["L0", "L0"]}, ["L0"],
+     "label_names must be unique, found ['L0', 'L0']"),
+    ("analyze", {"name": 5}, ["a", "b"], "name must be a string, found 5"),
+], ids=["string", "integers", "nested_list", "repeated", "integer_name"])
 def test_manifest_label_names_not_unique_strings_exit_code(tmp_path, capsys, command,
-                                                           label_names, labels, message):
-    # every corpus label is one of the manifest's label_names
+                                                           fields, labels, message):
+    # every corpus label is one of the manifest's label_names, unless fields
+    # gives label_names another value
     data = tmp_path / "corpus.jsonl"
     data.write_text("".join(
         json.dumps({"example_id": f"t{t}", "text": f"text {t}", "annotator_id": ann,
                     "label": labels[(t + k) % len(labels)]}) + "\n"
         for t in range(4) for k, ann in enumerate(("a", "b"))))
     manifest = tmp_path / "corpus.manifest.json"
-    manifest.write_text(json.dumps({"name": "corpus", "label_names": label_names}))
+    manifest.write_text(json.dumps({"name": "corpus", "label_names": labels, **fields}))
     args = ["--what", "stats"] if command == "analyze" else []
     assert _run(command, "--data", str(data), *args, "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+
+
+@pytest.mark.parametrize("stray", ["manifest", "corpus"])
+def test_file_with_a_byte_that_is_not_utf8_exit_code(tmp_path, capsys, stray):
+    data = tmp_path / "corpus.jsonl"
+    data.write_text('{"example_id": "t0", "text": "x", "annotator_id": "a", "label": "A"}\n')
+    manifest = tmp_path / "corpus.manifest.json"
+    manifest.write_text('{"name": "corpus", "label_names": ["A", "B"]}\n')
+    bad = manifest if stray == "manifest" else data
+    bad.write_bytes(bad.read_bytes().replace(b'"A"', b'"A\xff"', 1))
+    assert _run("analyze", "--data", str(data), "--what", "stats",
+                "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == \
+        f"error: {bad}: not UTF-8 text (byte 0xff: invalid start byte)\n"
 
 
 def test_corpus_with_nan_exit_code(tmp_path, capsys):
@@ -515,7 +545,7 @@ def test_failed_run_records_the_error(tmp_path, split_dir, train_dir):
                 "--data", str(split_dir / "test.jsonl"), "--out", str(out)) == 2
     lines = (out / "FAILED").read_text().splitlines()
     assert lines[0] == "run failed; outputs may be partial"
-    assert lines[1].startswith("ValueError: ") and "format_version" in lines[1]
+    assert lines[1].startswith("CorpusError: ") and "format_version" in lines[1]
 
 
 def test_eval_of_checkpoint_missing_manifest_key_exit_code(tmp_path, split_dir, train_dir,
@@ -538,9 +568,9 @@ def test_eval_of_checkpoint_missing_manifest_key_exit_code(tmp_path, split_dir, 
     (lambda m: m.update(train_label_totals=[0.0, 0.0, 1e6]),
      "train_label_totals [0.0, 0.0, 1000000.0] differs from the column sums"),
     (lambda m: m["encoder_config"].update(hidden="16"),
-     "encoder_config hidden must be an integer, found '16'"),
+     "encoder_config.hidden must be an integer, found '16'"),
     (lambda m: m["train_config"].update(epochs=1.5),
-     "train_config epochs must be an integer, found 1.5"),
+     "train_config.epochs must be an integer, found 1.5"),
 ], ids=["nan_literal", "list_train_counts", "renamed_annotator", "wrong_totals",
         "string_hidden", "float_epochs"])
 def test_eval_of_checkpoint_with_malformed_manifest_exit_code(tmp_path, split_dir, train_dir,
@@ -656,6 +686,14 @@ def test_split_config_with_unknown_kind_exit_code(tmp_path, corpus_dir, capsys):
     assert _run("split", "--config", str(config), "--out", str(tmp_path / "s")) == 2
     assert f"{config}: option kind must be one of ['annotation', 'annotator']" \
         in capsys.readouterr().err
+
+
+def test_config_recorded_for_another_command_names_the_file(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"command": "split", "options": {}}')
+    assert _run("synth", "--config", str(config), "--out", str(tmp_path / "s")) == 2
+    assert capsys.readouterr().err == \
+        f"error: {config}: manifest was recorded for 'split', not 'synth'\n"
 
 
 def test_bare_config_object_may_name_its_command(tmp_path):
@@ -859,17 +897,75 @@ def test_mutated_checkpoint_config_loads_or_exits_2(recorded_run, data):
                       "--out", str(work / "eval")])
     assert code in (0, 2)
     if code == 2:
-        lacks = section is None and mutation in ("delete", "rename")
-        where = (f"{checkpoint / 'manifest.json'} lacks" if lacks
-                 else str(checkpoint) if key == "format_version"
-                 else f"{checkpoint}: manifest.json")
-        assert where in err and key in err, err
+        assert f"{checkpoint / 'manifest.json'}: " in err and key in err, err
     else:
         # load kept every value as it was: saved again, it records the mutation,
         # type included (True == 1 == 1.0 in Python, so the JSON texts are compared)
         save_checkpoint(load_checkpoint(checkpoint), work / "again")
         again = json.loads((work / "again" / "manifest.json").read_text())
         assert json.dumps(again, sort_keys=True) == json.dumps(manifest, sort_keys=True)
+
+
+# each declared record, and a file of it that the recorded run wrote
+RECORDS = {"synth/corpus.manifest.json": DatasetManifest,
+           "split/split_manifest.json": SplitManifest, "train/report.json": EvalReport,
+           "train/checkpoint/manifest.json": CheckpointManifest}
+
+
+def _key_paths(obj: dict, kind, prefix=""):
+    """(keys, name) of every key of obj and of the objects nested in it, named
+    as read_record names them: name.field in a record, name['key'] in a
+    mapping. kind is obj's declared type, None below an undeclared key."""
+    for key, value in obj.items():
+        if is_dataclass(kind):
+            name, child = (f"{prefix}.{key}" if prefix else key), get_type_hints(kind).get(key)
+        else:
+            name, child = f"{prefix}[{key!r}]", kind and get_args(kind)[-1]
+        yield (key,), name
+        if isinstance(value, dict):
+            for keys, inner in _key_paths(value, child, name):
+                yield (key, *keys), inner
+
+
+def _at(obj: dict, keys):
+    for key in keys:
+        obj = obj[key]
+    return obj
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_record_is_refused_by_key_path_or_written_back_as_is(recorded_run, data):
+    """One key path of a recorded file of each record deleted, renamed, given
+    a value of another JSON type, or given an unknown key beside it."""
+    relative = data.draw(st.sampled_from(sorted(RECORDS)))
+    path, cls = recorded_run / relative, RECORDS[relative]
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    paths = dict(_key_paths(obj, cls))
+    if data.draw(st.booleans()):
+        keys = data.draw(st.sampled_from(
+            [()] + [keys for keys in paths if isinstance(_at(obj, keys), dict)]))
+        _at(obj, keys)["unknown"] = 1
+        keys += ("unknown",)
+    else:
+        keys = data.draw(st.sampled_from(list(paths)))
+        parent = _at(obj, keys[:-1])
+        _mutate(parent, keys[-1], data.draw(st.sampled_from(_mutations(parent[keys[-1]]))))
+    # the mutated key path and each of its ancestors, as read_record names them
+    named = {**paths, **dict(_key_paths(obj, cls))}
+    names = [named[keys[:i]] for i in range(1, len(keys) + 1)]
+    work = Path(tempfile.mkdtemp(dir=recorded_run))
+    mutated = work / path.name
+    mutated.write_text(json.dumps(obj), encoding="utf-8")
+    try:
+        record = read_record(mutated, cls)
+    except CorpusError as err:
+        assert any(str(err).startswith(f"{mutated}: {name} ") for name in names), (names, err)
+    else:
+        # read_record kept every value as it was, type included
+        write_json(work / "record.json", record)
+        write_json(work / "mutated.json", obj)
+        assert (work / "record.json").read_text() == (work / "mutated.json").read_text()
 
 
 @pytest.mark.parametrize("field, value", [("max_len", 10 ** 12), ("ffn_mult", 10 ** 9),
@@ -883,7 +979,7 @@ def test_checkpoint_declaring_a_huge_model_is_refused_before_it_allocates(
     (checkpoint / "manifest.json").write_text(json.dumps(manifest))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=re.escape(f"{checkpoint}: manifest.json")):
+        with pytest.raises(ValueError, match=re.escape(f"{checkpoint / 'manifest.json'}: ")):
             load_checkpoint(checkpoint)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -907,7 +1003,7 @@ def test_eval_of_checkpoint_with_a_count_too_large_for_a_float_exits_2(recorded_
                 "--data", str(recorded_run / "split" / "test.jsonl"),
                 "--out", str(tmp_path / "eval")) == 2
     err = capsys.readouterr().err
-    assert f"{checkpoint}: manifest.json train_counts[{annotator!r}] must be" in err, err
+    assert f"{checkpoint / 'manifest.json'}: train_counts[{annotator!r}][0] must be" in err, err
 
 
 # runs the pipeline in a fresh interpreter where every scipy import fails
