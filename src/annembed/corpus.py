@@ -9,6 +9,7 @@ UTF-8) with string labels that must resolve against a declared label schema.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -351,20 +352,34 @@ def _write_value(write, value, indent: str) -> None:
         write(_SCALAR_ENCODER.encode(value))
 
 
+@contextlib.contextmanager
+def replaced_file(path, mode: str = "w", **kwargs):
+    """Write path + ".tmp" in the block, then move it onto path with
+    os.replace; if the block raises, path keeps its old bytes. Nothing is
+    flushed to disk, so after an OS crash path may hold a torn new file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def write_json(path, obj) -> None:
     """Write obj as JSON with sorted keys, 2-space indent, non-ASCII kept and a
     trailing newline; every JSON file the package writes goes through here,
     and its bytes are those of json.dump(indent=2, sort_keys=True,
-    ensure_ascii=False, allow_nan=False). Dataclasses, arrays and enums are
-    encoded by _plain, NaN becomes null, and an infinity raises CorpusError
-    naming the file, which is not left behind."""
+    ensure_ascii=False, allow_nan=False), replaced whole. Dataclasses, arrays
+    and enums are encoded by _plain, NaN becomes null, and an infinity raises
+    CorpusError naming the file, which is left as it was."""
     plain = _plain(obj)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replaced_file(path, encoding="utf-8") as fh:
             _write_value(fh.write, plain, "")
             fh.write("\n")
     except ValueError as err:
-        os.remove(path)
         raise CorpusError(f"{path}: {err}") from err
 
 
@@ -389,12 +404,13 @@ def read_json(path) -> dict:
 def check_type(name: str, value, kind, choices=None) -> None:
     """The one type rule for a recorded option, a config or a record field.
     An int takes an integer, never a bool or a float such as 2.0; a float a
-    finite number, never a bool; a bool a bool; a str, a Literal or a
-    str-valued Enum a string, one of choices or of their values; a list a list
-    of strings. Optional[X] takes null or what X takes; list[X] a list,
-    dict[str, X] an object and a dataclass an object of exactly its fields,
-    each item checked by its own rule under its index, key or name.field.
-    ValueError names the key path and the value."""
+    finite number, never a bool; a bool a bool; a str or a str-valued Enum a
+    string, one of choices or of their values; a Literal one of its values; a
+    list a list of strings. Optional[X] takes null or what X takes; list[X] a
+    list, dict[str, X] an object and a dataclass an object of exactly its
+    fields, each item checked by its own rule under its index, key or
+    name.field, a dataclass's fields in their declared order. ValueError
+    names the key path and the value."""
     origin, args = get_origin(kind), get_args(kind)
     if origin is Union:   # Optional[X]: args is (X, NoneType)
         if value is not None:
@@ -411,16 +427,16 @@ def check_type(name: str, value, kind, choices=None) -> None:
         if not isinstance(value, dict):
             raise ValueError(f"{name} must be an object, found {value!r}")
         hints, prefix = get_type_hints(kind), f"{name}." if name else ""
-        for key in hints:
+        for key, hint in hints.items():
             if key not in value:
                 raise ValueError(f"{prefix}{key} is missing")
-        for key, item in value.items():
+            check_type(prefix + key, value[key], hint)
+        for key in value:
             if key not in hints:
                 raise ValueError(f"{prefix}{key} is not a field of {kind.__name__}")
-            check_type(prefix + key, item, hints[key])
         return
     if origin is Literal:
-        kind, choices = str, args
+        kind, choices = type(args[0]), args
     if isinstance(kind, type) and issubclass(kind, Enum):
         kind, choices = str, [member.value for member in kind]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -434,8 +450,10 @@ def check_type(name: str, value, kind, choices=None) -> None:
         ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
         want = "a list of strings"
     else:
-        ok = isinstance(value, str) and (choices is None or value in choices)
+        ok = isinstance(value, str)
         want = "a string" if choices is None else f"one of {list(choices)}"
+    if ok and choices is not None and value not in choices:
+        ok, want = False, f"one of {list(choices)}"
     if not ok:
         raise ValueError(f"{name} must be {want}, found {value!r}")
 

@@ -10,13 +10,12 @@ first ([CLS]) row of the token embedding matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import tensor
-from .encoder import draw_parameters
 from .tensor import Node
 
 
@@ -37,7 +36,7 @@ class CombinationMode(str, Enum):
 
 def bank_shapes(n_annotators: int, n_labels: int, hidden: int):
     """(name, rows, cols, init) of every bank tensor, in the order
-    EmbeddingBank.init draws them."""
+    draw_parameters draws them."""
     yield "annotator_rows", n_annotators, hidden, "normal"
     yield "label_rows", n_labels, hidden, "normal"
     yield "w_sentence", hidden, hidden, "normal"
@@ -54,14 +53,6 @@ class EmbeddingBank:
     w_sentence: Node       # H x H
     w_annotator: Node      # H x H
     w_annotation: Node     # H x H
-
-    @classmethod
-    def init(cls, n_annotators: int, n_labels: int, hidden: int,
-             rng: np.random.Generator) -> "EmbeddingBank":
-        return cls(**draw_parameters(bank_shapes(n_annotators, n_labels, hidden), rng))
-
-    def named_parameters(self) -> dict[str, Node]:
-        return {f"bank.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 def label_coefficients(counts: np.ndarray | None, n_labels: int,

@@ -88,7 +88,7 @@ class EncoderConfig:
 
 def encoder_shapes(config: EncoderConfig, n_labels: int):
     """(name, rows, cols, init) of every encoder parameter, in the order
-    EncoderParams draws them; init is "normal", "zeros" or "ones"."""
+    draw_parameters draws them; init is "normal", "zeros" or "ones"."""
     h = config.hidden
     ffn = h * config.ffn_mult
     yield "word", config.vocab_size, h, "normal"
@@ -115,20 +115,25 @@ def encoder_shapes(config: EncoderConfig, n_labels: int):
     yield "head_b", 1, n_labels, "zeros"
 
 
-def draw_parameters(shapes, rng: np.random.Generator) -> dict[str, Node]:
-    """One parameter per (name, rows, cols, init) entry, in table order: a
-    "normal" one is drawn from rng with INIT_STD, the others are filled."""
-    draw = {"normal": lambda shape: rng.normal(0.0, INIT_STD, size=shape),
-            "zeros": np.zeros, "ones": np.ones}
-    return {name: tensor.parameter(draw[init]((rows, cols))) for name, rows, cols, init in shapes}
+def draw_parameters(shapes, rng: np.random.Generator, nodes: dict[str, Node]) -> None:
+    """Fill nodes[name] for each (name, rows, cols, init) entry, in table
+    order: a "normal" one is drawn from rng with INIT_STD, the others are
+    filled with ones or zeros."""
+    for name, _, _, init in shapes:
+        value = nodes[name].value
+        if init == "normal":   # rng.normal(0.0, INIT_STD)'s doubles, drawn in place
+            rng.standard_normal(out=value)
+            value *= INIT_STD
+        else:
+            value.fill(1.0 if init == "ones" else 0.0)
 
 
 class EncoderParams(dict):
     """Every trainable encoder tensor by its encoder_shapes name: embedding
     tables, block weights ("block{i}.wq{j}" for head j), and the head."""
 
-    def __init__(self, config: EncoderConfig, n_labels: int, rng: np.random.Generator):
-        super().__init__(draw_parameters(encoder_shapes(config, n_labels), rng))
+    def __init__(self, config: EncoderConfig, nodes: dict[str, Node]):
+        super().__init__(nodes)
         self.config = config
 
 

@@ -4,6 +4,9 @@ Every annotation is its own training and evaluation example: the same text
 can carry different gold labels for different annotators. A model bundles
 the encoder parameters, the embedding bank, the vocabulary, and the
 annotator/label registries; checkpoints round-trip all of it bit-exactly.
+Every parameter is a view of one float64 vector theta, laid out by
+checkpoint_layout: Adam, the divergence check, dev selection, save and load
+each act on theta whole.
 """
 
 from __future__ import annotations
@@ -12,13 +15,13 @@ import hashlib
 import os
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
 from . import encoder as enc
 from . import tensor
-from .corpus import Dataset, Split, check_fields, read_record, write_json
+from .corpus import Dataset, Split, check_fields, read_record, replaced_file, write_json
 from .embedding import (
     AnnotationIndex,
     CombinationMode,
@@ -28,7 +31,7 @@ from .embedding import (
     combine,
     label_coefficients,
 )
-from .encoder import INIT_STD, EncoderConfig, EncoderParams, Vocabulary, encoder_shapes
+from .encoder import INIT_STD, EncoderConfig, EncoderParams, Vocabulary, draw_parameters
 
 
 class TrainingDiverged(RuntimeError):
@@ -63,10 +66,13 @@ class TrainConfig:
 
 
 class Model:
-    """Encoder + embedding bank + registries, ready for forward passes."""
+    """Encoder + embedding bank + registries, ready for forward passes. Its
+    parameters are views of theta, drawn from seed unless _theta, a stored
+    theta that load_checkpoint read, is given."""
 
     def __init__(self, encoder_config: EncoderConfig, train_config: TrainConfig,
-                 vocab: Vocabulary, label_names, annotator_ids, seed: int):
+                 vocab: Vocabulary, label_names, annotator_ids, seed: int,
+                 _theta: Optional[np.ndarray] = None):
         self.encoder_config = encoder_config
         self.train_config = train_config
         self.vocab = vocab
@@ -74,12 +80,23 @@ class Model:
         self.annotator_ids = list(annotator_ids)
         self.annotator_index = {a: i for i, a in enumerate(self.annotator_ids)}
         self.seed = seed
-        # independent init streams so the bank never perturbs the encoder
-        streams = np.random.SeedSequence(seed).spawn(2)
-        self.params = EncoderParams(encoder_config, len(self.label_names),
-                                    np.random.default_rng(streams[0]))
-        self.bank = EmbeddingBank.init(len(self.annotator_ids), len(self.label_names),
-                                       encoder_config.hidden, np.random.default_rng(streams[1]))
+        m, n, h = len(self.label_names), len(self.annotator_ids), encoder_config.hidden
+        layout = checkpoint_layout(encoder_config, m, n)
+        self.theta = (np.zeros(sum(e["rows"] * e["cols"] for e in layout.values()))
+                      if _theta is None else _theta)
+        self._parameters = {name: tensor.parameter(np.ndarray(
+            (e["rows"], e["cols"]), buffer=self.theta, offset=e["offset"]))
+            for name, e in layout.items()}
+        self.params = EncoderParams(encoder_config, {
+            name: self._parameters[name] for name, *_ in enc.encoder_shapes(encoder_config, m)})
+        self.bank = EmbeddingBank(**{
+            name: self._parameters[f"bank.{name}"] for name, *_ in bank_shapes(n, m, h)})
+        if _theta is None:   # independent init streams so the bank never perturbs the encoder
+            streams = np.random.SeedSequence(seed).spawn(2)
+            draw_parameters(enc.encoder_shapes(encoder_config, m),
+                            np.random.default_rng(streams[0]), self.params)
+            draw_parameters(bank_shapes(n, m, h), np.random.default_rng(streams[1]),
+                            vars(self.bank))
         # training label counts keyed by annotator_ids, filled in by train()
         self.train_counts: dict[str, np.ndarray] = {}
 
@@ -88,9 +105,10 @@ class Model:
         return self.train_config.mode
 
     def named_parameters(self) -> dict[str, tensor.Node]:
-        """Every parameter of the model, whatever the mode; one the mode's loss
-        never reaches keeps grad None, so Adam leaves its value unchanged."""
-        return {**self.params, **self.bank.named_parameters()}
+        """Every parameter of the model, whatever the mode, in theta's order;
+        one the mode's loss never reaches keeps grad None, which Adam counts
+        as a zero gradient."""
+        return dict(self._parameters)
 
     def _unseen_annotator_row(self, annotator_id: str) -> np.ndarray:
         # fresh untrained row, deterministic per (model seed, annotator id)
@@ -134,29 +152,45 @@ class Model:
 
 
 class Adam:
-    def __init__(self, params: dict[str, tensor.Node], lr: float, beta1: float,
-                 beta2: float, eps: float):
+    """Adam on a vector theta whose named views, params, lie back to back in
+    its order; m, v and the gathered gradient are vectors of theta's length."""
+
+    def __init__(self, theta: np.ndarray, params: dict[str, tensor.Node], lr: float,
+                 beta1: float, beta2: float, eps: float):
+        self.theta = theta
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
+        self.grad = np.empty_like(theta)
+        self._scratch = np.empty_like(theta)
 
-    def step(self):
-        """One update from each parameter's grad, which is then cleared;
-        a parameter the loss did not reach (grad None) counts as zero."""
+    def gather(self) -> np.ndarray:
+        """The step's gradient as one vector, each parameter's grad at its
+        slice and zero for one the loss did not reach (grad None)."""
+        return np.concatenate([np.zeros(p.value.size) if p.grad is None else p.grad.ravel()
+                               for p in self.params.values()], out=self.grad)
+
+    def step(self) -> None:
+        """One update of theta from the vector gather() filled, which then
+        serves as scratch; each parameter's grad is cleared. Whole-vector steps
+        in place, with the per-element rounding of Adam's per-array formula."""
         self.t += 1
-        for key, param in self.params.items():
-            g = 0.0 if param.grad is None else param.grad
+        for param in self.params.values():
             param.grad = None
-            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * (g * g)
-            m_hat = self.m[key] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[key] / (1 - self.beta2 ** self.t)
-            param.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        grad, m, v, s = self.grad, self.m, self.v, self._scratch
+        m *= self.beta1                                   # b1 m + (1 - b1) g
+        m += np.multiply(grad, 1 - self.beta1, out=s)
+        v *= self.beta2                                   # b2 v + (1 - b2) g g
+        v += np.multiply(np.multiply(grad, grad, out=s), 1 - self.beta2, out=s)
+        root = np.sqrt(np.divide(v, 1 - self.beta2 ** self.t, out=grad), out=grad)
+        root += self.eps                                  # sqrt(v_hat) + eps
+        s = np.multiply(np.divide(m, 1 - self.beta1 ** self.t, out=s), self.lr, out=s)
+        self.theta -= np.divide(s, root, out=s)           # lr m_hat / (sqrt(v_hat) + eps)
 
 
 def _prepare(dataset: Dataset, model: Model, mode: CombinationMode,
@@ -195,9 +229,11 @@ def _train_step(model: Model, optimizer: Adam, batch: list, rng: np.random.Gener
     if not np.isfinite(step_loss):
         raise TrainingDiverged(f"non-finite loss {context}: {step_loss!r}")
     tensor.backward(mean_loss)
-    for name, param in optimizer.params.items():
-        if param.grad is not None and not np.isfinite(param.grad).all():
-            raise TrainingDiverged(f"non-finite gradient for {name} {context}")
+    grad = optimizer.gather()
+    if not np.isfinite(grad).all():
+        name = next(name for name, param in optimizer.params.items()
+                    if param.grad is not None and not np.isfinite(param.grad).all())
+        raise TrainingDiverged(f"non-finite gradient for {name} {context}")
     optimizer.step()
     return step_loss
 
@@ -231,12 +267,12 @@ def train(split: Split, cfg: TrainConfig,
     rng_dropout = np.random.default_rng(streams[3])
 
     items = _prepare(split.train, model, cfg.mode, index)
-    params = model.named_parameters()
-    optimizer = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    optimizer = Adam(model.theta, model.named_parameters(), cfg.learning_rate, cfg.beta1,
+                     cfg.beta2, cfg.adam_eps)
 
     trace: list[float] = []
     best_dev = -1.0
-    best_values: Optional[dict[str, np.ndarray]] = None
+    best_theta: Optional[np.ndarray] = None
     n = len(items)
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(n)
@@ -251,10 +287,9 @@ def train(split: Split, cfg: TrainConfig,
             report = evaluate(model, split.dev)
             if report.em_accuracy > best_dev:
                 best_dev = report.em_accuracy
-                best_values = {k: p.value.copy() for k, p in params.items()}
-    if best_values is not None:
-        for key, param in params.items():
-            param.value[...] = best_values[key]
+                best_theta = model.theta.copy()
+    if best_theta is not None:
+        model.theta[...] = best_theta
     return model, trace
 
 
@@ -395,7 +430,7 @@ def ablation_eval(model: Model, dataset: Dataset, variant: str) -> EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialization: JSON manifest + raw little-endian float64 arrays
+# checkpoint serialization: JSON manifest + theta as raw little-endian float64
 
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_ARRAYS = "params.bin"
@@ -403,10 +438,11 @@ CHECKPOINT_ARRAYS = "params.bin"
 
 @dataclass
 class CheckpointManifest:
-    """A checkpoint's manifest.json; __post_init__ holds the rules that are not
+    """A checkpoint's manifest.json. read_record checks format_version, the
+    first field, before any other; __post_init__ holds the rules that are not
     types, such as train_label_totals = train_counts' sums in annotator_ids order."""
 
-    format_version: int
+    format_version: Literal[1]
     encoder_config: EncoderConfig
     train_config: TrainConfig
     label_names: list[str]
@@ -418,8 +454,6 @@ class CheckpointManifest:
     arrays: dict[str, dict[str, int]]
 
     def __post_init__(self):
-        if self.format_version != 1:
-            raise ValueError(f"format_version must be 1, found {self.format_version!r}")
         for key in ("label_names", "annotator_ids"):
             names = getattr(self, key)
             if len(set(names)) != len(names):
@@ -447,7 +481,7 @@ class CheckpointManifest:
 
 def _model_shapes(encoder_config: EncoderConfig, n_labels: int, n_annotators: int):
     """(name, rows, cols, init) of every parameter of Model.named_parameters."""
-    yield from encoder_shapes(encoder_config, n_labels)
+    yield from enc.encoder_shapes(encoder_config, n_labels)
     for name, rows, cols, init in bank_shapes(n_annotators, n_labels, encoder_config.hidden):
         yield f"bank.{name}", rows, cols, init
 
@@ -463,16 +497,17 @@ def _packed(shapes) -> dict[str, dict[str, int]]:
 
 def checkpoint_layout(encoder_config: EncoderConfig, n_labels: int,
                       n_annotators: int) -> dict[str, dict[str, int]]:
-    """Where each parameter array sits in params.bin: {name: {"offset",
-    "rows", "cols"}} in sorted-name order, packed back to back as float64."""
+    """Where each parameter sits in a model's theta and in params.bin: {name:
+    {"offset", "rows", "cols"}} in sorted-name order, packed back to back."""
     return _packed(_model_shapes(encoder_config, n_labels, n_annotators))
 
 
 def save_checkpoint(model: Model, directory) -> None:
+    """Write theta to params.bin in one call, then manifest.json, each
+    replacing the old file only once it is written whole."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, CHECKPOINT_ARRAYS), "wb") as fh:
-        for _, node in sorted(model.named_parameters().items()):   # checkpoint_layout's order
-            fh.write(np.ascontiguousarray(node.value, dtype="<f8").tobytes())
+    with replaced_file(os.path.join(directory, CHECKPOINT_ARRAYS), "wb") as fh:
+        fh.write(model.theta.astype("<f8", copy=False))
     write_json(os.path.join(directory, CHECKPOINT_MANIFEST), CheckpointManifest(
         format_version=1, encoder_config=model.encoder_config, train_config=model.train_config,
         label_names=model.label_names, annotator_ids=model.annotator_ids,
@@ -482,9 +517,9 @@ def save_checkpoint(model: Model, directory) -> None:
 
 
 def load_checkpoint(directory) -> Model:
-    """Rebuild a saved model; ValueError if its CheckpointManifest's array index
-    is not checkpoint_layout's or params.bin not that long, both checked
-    before the model is built, and so before it allocates."""
+    """Rebuild a saved model around theta as params.bin holds it; ValueError if
+    its CheckpointManifest's array index is not checkpoint_layout's or
+    params.bin not that long, both checked before the model is built."""
     manifest = os.path.join(directory, CHECKPOINT_MANIFEST)
     record = read_record(manifest, CheckpointManifest)
     encoder_config, stored = record.encoder_config, record.arrays
@@ -510,11 +545,8 @@ def load_checkpoint(directory) -> Model:
         raise ValueError(f"{directory}: {CHECKPOINT_ARRAYS} is {state}: it has {found} "
                          f"bytes, the arrays need {size}")
     model = Model(encoder_config, record.train_config, Vocabulary(token_to_id=record.vocabulary),
-                  record.label_names, record.annotator_ids, record.seed)
+                  record.label_names, record.annotator_ids, record.seed,
+                  _theta=np.fromfile(path, dtype="<f8").astype(np.float64, copy=False))
     model.train_counts = {a: np.asarray(record.train_counts[a], dtype=np.float64)
                           for a in record.annotator_ids}
-    flat = np.fromfile(path, dtype="<f8")
-    for name, node in model.named_parameters().items():
-        start = layout[name]["offset"] // 8
-        node.value[...] = flat[start:start + node.value.size].reshape(node.value.shape)
     return model

@@ -26,11 +26,20 @@ from annembed.embedding import (
     CombinationMode,
     EmbeddingBank,
     annotation_embedding,
+    bank_shapes,
     gate_weight,
     label_coefficients,
     parameter_overhead,
 )
-from annembed.encoder import EncoderConfig, Vocabulary, classify, embed_tokens, encode, tokenize
+from annembed.encoder import (
+    EncoderConfig,
+    Vocabulary,
+    classify,
+    draw_parameters,
+    embed_tokens,
+    encode,
+    tokenize,
+)
 from annembed.synthgen import PopulationConfig, generate_population
 from annembed.trainer import (
     Model,
@@ -56,7 +65,10 @@ def test_criterion_1_algebraic_identities():
     dataset, _ = generate_population(pop)
     split = make_annotation_split(dataset, 0.7, seed=17)
     index = AnnotationIndex(split.train)
-    bank = EmbeddingBank.init(50, 4, 16, np.random.default_rng(1))
+    shapes = list(bank_shapes(50, 4, 16))
+    nodes = {name: tensor.parameter(np.empty((rows, cols))) for name, rows, cols, _ in shapes}
+    draw_parameters(shapes, np.random.default_rng(1), nodes)
+    bank = EmbeddingBank(**nodes)
 
     # leave-one-out means over every training annotation reproduce the
     # test-time embedding, per annotator

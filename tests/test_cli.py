@@ -1,6 +1,8 @@
+import builtins
 import contextlib
 import csv
 import dataclasses
+import errno
 import gc
 import hashlib
 import io
@@ -163,6 +165,51 @@ def test_eval_checkpoint(tmp_path, split_dir, train_dir):
     b = json.loads((train_dir / "report.json").read_text())
     assert a["em_accuracy"] == b["em_accuracy"]
     assert a["confusion"] == b["confusion"]
+
+
+class _HalfWriter:
+    """A file that takes half of its first write and then fails, as a full
+    disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_params_write_leaves_the_old_checkpoint_whole(tmp_path, split_dir, train_dir,
+                                                             monkeypatch):
+    checkpoint = train_dir / "checkpoint"
+    eval_args = ["eval", "--checkpoint", str(checkpoint), "--data", str(split_dir / "test.jsonl")]
+    assert _run(*eval_args, "--out", str(tmp_path / "before")) == 0
+    model = load_checkpoint(checkpoint)
+    for param in model.named_parameters().values():
+        param.value += 1.0   # a save that went through would change every byte
+    real_open = builtins.open
+
+    def open_failing_params(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(str(path)).startswith("params.bin"):
+            return _HalfWriter(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_failing_params)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(model, checkpoint)
+    monkeypatch.undo()
+    assert sorted(os.listdir(checkpoint)) == ["manifest.json", "params.bin"]
+    assert _run(*eval_args, "--out", str(tmp_path / "after")) == 0
+    assert ((tmp_path / "after" / "report.json").read_bytes()
+            == (tmp_path / "before" / "report.json").read_bytes())
 
 
 def test_eval_twice_identical(tmp_path, split_dir, train_dir):

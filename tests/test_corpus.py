@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 from typing import Optional
 
@@ -591,6 +592,16 @@ def test_write_json_rejects_infinity(tmp_path):
     with pytest.raises(CorpusError, match="out.json"):
         write_json(path, {"loss": [0.5, math.inf]})
     assert not path.exists()
+
+
+def test_write_json_refusing_an_infinity_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"loss": [0.5]})
+    old = path.read_bytes()
+    with pytest.raises(CorpusError, match="out.json"):
+        write_json(path, {"loss": [0.5, math.inf]})
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["out.json"]
 
 
 def test_read_json_rejects_nan_literal(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,14 @@ from annembed.embedding import (
     CombinationMode,
     EmbeddingBank,
     annotation_embedding,
+    bank_shapes,
     combine,
     gate_weight,
     label_coefficients,
     parameter_overhead,
     sentence_embedding,
 )
+from annembed.encoder import draw_parameters
 
 from gradcheck import sum_all
 
@@ -24,7 +28,10 @@ M = 3
 
 
 def _bank(n_annotators=2, n_labels=M, hidden=H, seed=0):
-    return EmbeddingBank.init(n_annotators, n_labels, hidden, np.random.default_rng(seed))
+    shapes = list(bank_shapes(n_annotators, n_labels, hidden))
+    nodes = {name: tensor.parameter(np.empty((rows, cols))) for name, rows, cols, _ in shapes}
+    draw_parameters(shapes, np.random.default_rng(seed), nodes)
+    return EmbeddingBank(**nodes)
 
 
 def _dataset(pairs, n_labels=M):
@@ -307,7 +314,7 @@ def test_bank_draws_each_tensor_in_turn_from_one_stream():
         assert np.array_equal(getattr(bank, name).value,
                               draws[start:start + rows * cols].reshape(rows, cols)), name
         start += rows * cols
-    assert list(bank.named_parameters()) == [f"bank.{name}" for name, _, _ in order]
+    assert [f.name for f in dataclasses.fields(bank)] == [name for name, _, _ in order]
 
 
 def test_parameter_overhead_small_case():

@@ -11,8 +11,10 @@ from annembed.encoder import (
     Vocabulary,
     classification_loss,
     classify,
+    draw_parameters,
     embed_tokens,
     encode,
+    encoder_shapes,
     split_text,
     tokenize,
 )
@@ -31,7 +33,10 @@ def _params(vocab_size=12, hidden=8, layers=1, heads=2, max_len=10, dropout=0.0,
             n_labels=3, seed=0):
     config = EncoderConfig(hidden=hidden, layers=layers, heads=heads, max_len=max_len,
                            ffn_mult=2, dropout=dropout, vocab_size=vocab_size)
-    return EncoderParams(config, n_labels, np.random.default_rng(seed))
+    shapes = list(encoder_shapes(config, n_labels))
+    nodes = {name: tensor.parameter(np.empty((rows, cols))) for name, rows, cols, _ in shapes}
+    draw_parameters(shapes, np.random.default_rng(seed), nodes)
+    return EncoderParams(config, nodes)
 
 
 def test_tokenize_splits_punctuation():

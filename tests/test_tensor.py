@@ -312,7 +312,7 @@ def test_concat_cols_forward_and_backward():
 # parameters from the test and returns the built node.
 _GRAPH_CASES = {
     "constant": lambda x, w, s, rng: tensor.add(x, tensor.constant(np.ones((3, 4)))),
-    "parameter": lambda x, w, s, rng: tensor.parameter(x.value.copy()),
+    "parameter": lambda x, w, s, rng: tensor.parameter(np.ones(x.value.shape)),
     "matmul": lambda x, w, s, rng: tensor.matmul(x, w),
     "add": lambda x, w, s, rng: tensor.add(x, tensor.gather_rows(w, [1])),
     "scalar_scale": lambda x, w, s, rng: tensor.scalar_scale(x, 0.5),
@@ -424,3 +424,72 @@ def test_backward_releases_interior_gradients_and_keeps_leaf_ones():
         assert np.array_equal(second[leaf], g)
         assert second[leaf] is leaf.grad
     assert all(node.grad is None for node in interior)
+
+
+# the parameters of a drawn program, adjacent views of one θ in this order
+_THETA_SHAPES = {"x": (3, 4), "w": (4, 4), "s": (1, 1)}
+
+
+def _theta_views(theta):
+    views, offset = {}, 0
+    for name, (rows, cols) in _THETA_SHAPES.items():
+        views[name] = parameter(theta[offset:offset + rows * cols].reshape(rows, cols))
+        offset += rows * cols
+    return views
+
+
+@st.composite
+def _programs(draw):
+    """2 to 8 operations over every public -> Node function, each as (name,
+    whether it reads the previous output); one that does not, or whose
+    predecessor's output is not 3 x 4, reads x. The first and one other
+    operation read x, so x always feeds two operations."""
+    names = draw(st.lists(st.sampled_from(_node_builders()), min_size=2, max_size=8))
+    chained = draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)))
+    chained[0] = chained[draw(st.integers(1, len(names) - 1))] = False
+    return list(zip(names, chained))
+
+
+def _program_loss(program, params, seed):
+    """The program's graph: each output reduced by fixed random row and column
+    weights, and the reductions added. Rebuilt the same for a seed, dropout
+    masks included."""
+    rng = np.random.default_rng(seed)
+    weights = np.random.default_rng(seed + 1)
+    x, w, s = params["x"], params["w"], params["s"]
+    out, loss = x, None
+    for name, chained in program:
+        out = _GRAPH_CASES[name](out if chained and out.value.shape == (3, 4) else x, w, s, rng)
+        rows, cols = out.value.shape
+        term = tensor.matmul(tensor.matmul(constant(weights.uniform(0.5, 1.5, (1, rows))), out),
+                             constant(weights.uniform(0.5, 1.5, (cols, 1))))
+        loss = term if loss is None else tensor.add(loss, term)
+    return loss
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(program=_programs(), seed=st.integers(0, 2 ** 16))
+def test_random_programs_over_theta_views_match_finite_differences(program, seed):
+    theta = np.random.default_rng(seed).normal(size=sum(r * c for r, c in _THETA_SHAPES.values()))
+    before = theta.copy()
+    params = _theta_views(theta)
+    assert all(np.shares_memory(p.value, theta) for p in params.values())
+    tensor.gelu(params["x"])   # its first call builds the CDF table: keep that out of gc
+    gc.collect()
+    gc.disable()
+    try:
+        loss = _program_loss(program, params, seed)
+        grads = backward(loss)
+        nodes = _graph_nodes(loss)
+        assert all(node.grad is None for node in nodes if node.parents)
+        leaves = {node for node in nodes if node.needs_grad and not node.parents}
+        assert set(grads) == leaves and params["x"] in leaves
+        for leaf, g in grads.items():
+            assert leaf.grad is g
+        del loss, grads, nodes, leaves
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    err = finite_difference_check(lambda: _program_loss(program, params, seed), params)
+    assert err < 1e-6, program
+    assert theta.tobytes() == before.tobytes()

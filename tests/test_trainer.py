@@ -1,9 +1,13 @@
 import gc
 import json
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annembed import encoder, tensor, trainer
 from annembed.corpus import (
@@ -616,20 +620,79 @@ def test_eval_forward_allocates_no_gradient():
     assert model.params["head_w"].grad is not None
 
 
+def _flat(values: dict):
+    """θ holding the given arrays back to back in their order, and its views."""
+    arrays = [np.asarray(value, dtype=np.float64) for value in values.values()]
+    theta = np.concatenate([a.ravel() for a in arrays])
+    offsets = np.cumsum([0] + [a.nbytes for a in arrays])
+    return theta, {name: tensor.parameter(np.ndarray(a.shape, buffer=theta, offset=offset))
+                   for name, a, offset in zip(values, arrays, offsets.tolist())}
+
+
 def test_adam_treats_unreached_parameter_as_zero_gradient():
-    p = tensor.parameter([[1.0, -2.0]])
-    q = tensor.parameter([[0.5, 3.0]])
-    opt = trainer.Adam({"p": p, "q": q}, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    theta, params = _flat({"p": [[1.0, -2.0]], "q": [[0.5, 3.0]]})
+    p, q = params["p"], params["q"]
+    opt = trainer.Adam(theta, params, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
     tensor.backward(sum_all(tensor.add(p, q)))
+    opt.gather()
     opt.step()
     assert p.grad is None and q.grad is None
-    m_q, v_q = opt.m["q"].copy(), opt.v["q"].copy()
+    m_q, v_q = opt.m[2:].copy(), opt.v[2:].copy()   # q's slice of θ
     # the second loss does not reach q: its step must use a zero gradient,
     # not the first step's
     tensor.backward(sum_all(p))
+    opt.gather()
     opt.step()
-    assert np.array_equal(opt.m["q"], 0.9 * m_q)
-    assert np.array_equal(opt.v["q"], 0.999 * v_q)
+    assert np.array_equal(opt.m[2:], 0.9 * m_q)
+    assert np.array_equal(opt.v[2:], 0.999 * v_q)
+
+
+class _ReferenceAdam:
+    """Adam one array at a time, with its m and v kept per parameter name."""
+
+    def __init__(self, params, lr, beta1, beta2, eps):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
+
+    def step(self):
+        self.t += 1
+        for key, param in self.params.items():
+            g = 0.0 if param.grad is None else param.grad
+            param.grad = None
+            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
+            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * (g * g)
+            m_hat = self.m[key] / (1 - self.beta1 ** self.t)
+            v_hat = self.v[key] / (1 - self.beta2 ** self.t)
+            param.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def test_flat_adam_matches_the_per_array_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    start = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2)),
+             "c": rng.normal(size=(1, 2))}
+    theta, flat = _flat(start)
+    offsets = {name: (node.value.ctypes.data - theta.ctypes.data) // 8
+               for name, node in flat.items()}
+    reference = {name: tensor.parameter(value.copy()) for name, value in start.items()}
+    adam = trainer.Adam(theta, flat, lr=0.05, beta1=0.8, beta2=0.99, eps=1e-8)
+    ref = _ReferenceAdam(reference, lr=0.05, beta1=0.8, beta2=0.99, eps=1e-8)
+    for step in range(3):
+        for params in (flat, reference):
+            out = tensor.matmul(params["a"], params["b"])
+            if step != 1:   # step 2's loss does not reach c
+                out = tensor.add(out, params["c"])
+            tensor.backward(sum_all(tensor.gelu(out)))
+        assert (flat["c"].grad is None) == (step == 1)
+        adam.gather()
+        adam.step()
+        ref.step()
+        for name, node in flat.items():
+            assert node.value.tobytes() == reference[name].value.tobytes(), (step, name)
+            part = slice(offsets[name], offsets[name] + node.value.size)
+            assert adam.m[part].tobytes() == ref.m[name].tobytes(), (step, name)
+            assert adam.v[part].tobytes() == ref.v[name].tobytes(), (step, name)
 
 
 def test_non_finite_gradient_raises_before_update(monkeypatch):
@@ -678,6 +741,16 @@ def test_checkpoint_rejects_unknown_format_version(tmp_path):
     directory = _saved_checkpoint(tmp_path)
     _edit_manifest(directory, lambda m: m.update(format_version=2))
     with pytest.raises(ValueError, match="format_version"):
+        load_checkpoint(directory)
+
+
+def test_checkpoint_of_another_version_is_refused_by_its_version(tmp_path):
+    # the shape format 2 plans: no train_label_totals, and a key version 1 lacks
+    directory = _saved_checkpoint(tmp_path)
+    _edit_manifest(directory, lambda m: (m.pop("train_label_totals"),
+                                         m.update(format_version=2, params_sha256="0" * 64)))
+    with pytest.raises(ValueError, match=r"ckpt/manifest.json: format_version must be one of "
+                                         r"\[1\], found 2$"):
         load_checkpoint(directory)
 
 
@@ -738,7 +811,56 @@ def test_checkpoint_layout_is_the_stored_index(tmp_path):
     assert list(layout) == sorted(layout) and layout == stored
     last = layout[list(layout)[-1]]
     end = last["offset"] + 8 * last["rows"] * last["cols"]
-    assert end == (directory / "params.bin").stat().st_size
+    assert end == (directory / "params.bin").stat().st_size == model.theta.nbytes
+    # each parameter is the view of θ at its layout offset
+    assert list(model.named_parameters()) == list(layout)
+    for name, node in model.named_parameters().items():
+        entry = layout[name]
+        assert node.value.shape == (entry["rows"], entry["cols"])
+        assert node.value.ctypes.data == model.theta.ctypes.data + entry["offset"], name
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(list(CombinationMode)), hidden_per_head=st.integers(1, 3),
+       heads=st.integers(1, 2), layers=st.integers(0, 2), max_len=st.integers(2, 6),
+       ffn_mult=st.integers(1, 2), n_labels=st.integers(1, 4), n_annotators=st.integers(1, 5),
+       n_tokens=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_checkpoint_roundtrip_keeps_theta_and_its_views(mode, hidden_per_head, heads, layers,
+                                                        max_len, ffn_mult, n_labels,
+                                                        n_annotators, n_tokens, seed):
+    vocab = encoder.Vocabulary()
+    for i in range(n_tokens):
+        vocab.token_to_id[f"w{i}"] = len(vocab.token_to_id)
+    config = EncoderConfig(hidden=hidden_per_head * heads, layers=layers, heads=heads,
+                           max_len=max_len, ffn_mult=ffn_mult, vocab_size=vocab.size)
+    annotators = [f"a{i}" for i in range(n_annotators)]
+    model = trainer.Model(config, TrainConfig(mode=mode, seed=seed), vocab,
+                          [f"L{i}" for i in range(n_labels)], annotators, seed)
+    model.theta += np.random.default_rng(seed).normal(size=model.theta.size)   # off the init
+    model.train_counts = {a: np.arange(n_labels, dtype=np.float64) + i
+                          for i, a in enumerate(annotators)}
+    with tempfile.TemporaryDirectory() as directory:
+        save_checkpoint(model, directory)
+        reloaded = load_checkpoint(directory)
+        assert sorted(os.listdir(directory)) == ["manifest.json", "params.bin"]
+    assert reloaded.theta.tobytes() == model.theta.tobytes()
+    assert reloaded.mode is mode
+    for name, node in reloaded.named_parameters().items():
+        assert np.shares_memory(node.value, reloaded.theta), name
+
+
+def test_load_checkpoint_draws_no_random_init(tmp_path, monkeypatch):
+    model, _ = _trained_model(epochs=1)
+    save_checkpoint(model, tmp_path / "ckpt")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random init")
+
+    for owner in (encoder, trainer):
+        monkeypatch.setattr(owner, "draw_parameters", refuse, raising=False)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    reloaded = load_checkpoint(tmp_path / "ckpt")
+    assert reloaded.theta.tobytes() == model.theta.tobytes()
 
 
 def test_checkpoint_rejects_missing_manifest_key(tmp_path):
