@@ -105,6 +105,9 @@ def cmd_synth(args, out):
 
 
 def cmd_split(args, out):
+    if args.kind == "annotator" and args.dev_frac != 0.0:
+        raise CliError("--dev-frac must be 0 for --kind annotator, which makes no dev part, "
+                       f"got {args.dev_frac}")
     dataset = _load_data(args)
     if args.kind == "annotation":
         split = corpus.make_annotation_split(dataset, args.train_frac, args.seed,
@@ -167,7 +170,7 @@ def cmd_train(args, out):
     split = _load_split(args.data)
     if args.select_on_dev and split.dev is None:
         raise CliError(f"--select-on-dev needs a dev split, and {args.data} has no dev.jsonl "
-                       "(split with --dev-frac above 0)")
+                       "(split with --kind annotation --dev-frac above 0)")
     if args.runs == 1:
         report = _train_one(split, args, args.seed, out)
         print(report.to_text(split.train.label_names))
@@ -473,7 +476,7 @@ def _apply_config(parser, argv):
             action = actions.get(key)
             if action is None:
                 raise CliError(f"{args.config}: {args.command} has no option {key!r}")
-            kind = bool if action.nargs == 0 else list if action.nargs == "*" else action.type
+            kind = bool if action.nargs == 0 else list[str] if action.nargs == "*" else action.type
             try:
                 if value is not None or action.default is not None:
                     corpus.check_type(key, value, kind or str, action.choices)

@@ -405,12 +405,11 @@ def check_type(name: str, value, kind, choices=None) -> None:
     """The one type rule for a recorded option, a config or a record field.
     An int takes an integer, never a bool or a float such as 2.0; a float a
     finite number, never a bool; a bool a bool; a str or a str-valued Enum a
-    string, one of choices or of their values; a Literal one of its values; a
-    list a list of strings. Optional[X] takes null or what X takes; list[X] a
-    list, dict[str, X] an object and a dataclass an object of exactly its
-    fields, each item checked by its own rule under its index, key or
-    name.field, a dataclass's fields in their declared order. ValueError
-    names the key path and the value."""
+    string, one of choices or of their values; a Literal one of its values.
+    Optional[X] takes null or what X takes; list[X] a list, dict[str, X] an
+    object and a dataclass an object of exactly its fields, each item checked
+    by its own rule under its index, key or name.field, a dataclass's fields
+    in their declared order. ValueError names the key path and the value."""
     origin, args = get_origin(kind), get_args(kind)
     if origin is Union:   # Optional[X]: args is (X, NoneType)
         if value is not None:
@@ -446,9 +445,6 @@ def check_type(name: str, value, kind, choices=None) -> None:
         ok, want = number and isinstance(value, int), "an integer"
     elif kind is float:   # abs(): math.isfinite raises on an int too large for a float
         ok, want = number and abs(value) <= sys.float_info.max, "a finite number"
-    elif kind is list:
-        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-        want = "a list of strings"
     else:
         ok = isinstance(value, str)
         want = "a string" if choices is None else f"one of {list(choices)}"
@@ -475,15 +471,19 @@ def _build(cls, obj: dict, name: str):
         raise ValueError(f"{name} {err}" if name else str(err)) from None
 
 
-def read_record(path, cls):
+def read_record(path, cls, upgrade=None):
     """The one reader of a persisted JSON file, declared as the dataclass cls:
-    check_type of the object as cls, then cls's own __post_init__. CorpusError
-    reads "<path>: <key path> <problem>"; write_json writes the record back
-    as the same JSON text."""
-    obj = read_json(path)
-    try:
+    check_type of the object as cls, then cls's own __post_init__. upgrade,
+    for a file of an older format, takes the parsed object and that reader
+    of an object and returns the record. CorpusError reads "<path>: <key
+    path> <problem>"; write_json writes the record back as the same JSON text."""
+    def read(obj):
         check_type("", obj, cls)
         return _build(cls, obj, "")
+
+    obj = read_json(path)
+    try:
+        return upgrade(obj, read) if upgrade else read(obj)
     except ValueError as err:
         raise CorpusError(f"{path}: {err}") from None
 

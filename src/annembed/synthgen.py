@@ -24,6 +24,10 @@ import numpy as np
 from .corpus import AnnotatedExample, Dataset, check_fields
 
 
+# the tokens of each text from its base label's signal pool, then the filler pool
+SIGNAL_TOKENS_PER_TEXT, FILLER_TOKENS_PER_TEXT = 4, 2
+
+
 class SynthError(ValueError):
     pass
 
@@ -38,8 +42,6 @@ class PopulationConfig:
     bias_strength: float = 0.5
     annotations_per_text: int = 0
     seed: int = 0
-    signal_tokens_per_text: int = 4
-    filler_tokens_per_text: int = 2
 
     def __post_init__(self):
         check_fields(self)
@@ -138,8 +140,8 @@ def generate_population(cfg: PopulationConfig) -> tuple[Dataset, GroundTruth]:
         example_id = f"t{t:05d}"
         base = t % m
         base_labels[example_id] = base
-        tokens = rng.choice(signal_pools[base], size=cfg.signal_tokens_per_text).tolist()
-        tokens += rng.choice(filler_pool, size=cfg.filler_tokens_per_text).tolist()
+        tokens = rng.choice(signal_pools[base], size=SIGNAL_TOKENS_PER_TEXT).tolist()
+        tokens += rng.choice(filler_pool, size=FILLER_TOKENS_PER_TEXT).tolist()
         text = " ".join(tokens)
         if cfg.annotations_per_text == cfg.n_annotators:
             chosen = everyone

@@ -21,7 +21,15 @@ import numpy as np
 
 from . import encoder as enc
 from . import tensor
-from .corpus import Dataset, Split, check_fields, read_record, replaced_file, write_json
+from .corpus import (
+    Dataset,
+    Split,
+    check_fields,
+    check_type,
+    read_record,
+    replaced_file,
+    write_json,
+)
 from .embedding import (
     AnnotationIndex,
     CombinationMode,
@@ -38,17 +46,17 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+# Adam's decay rates and epsilon, at their published values (Kingma & Ba, 2015)
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class TrainConfig:
     mode: CombinationMode = CombinationMode.TEXT_PLUS_BOTH
     epochs: int = 20
     batch_size: int = 32
     learning_rate: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    eval_every: int = 0
     select_on_dev: bool = False
 
     def __post_init__(self):
@@ -56,13 +64,8 @@ class TrainConfig:
         self.mode = CombinationMode(self.mode)
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
-        if self.eval_every < 0:
-            raise ValueError(f"eval_every must be non-negative, got {self.eval_every!r}")
-        if min(self.learning_rate, self.adam_eps) <= 0.0:
-            raise ValueError("learning_rate and adam_eps must be positive, got "
-                             f"{self.learning_rate!r} and {self.adam_eps!r}")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie strictly inside (0, 1)")
+        if self.learning_rate <= 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
 
 
 class Model:
@@ -123,11 +126,6 @@ class Model:
             return tensor.constant(self._unseen_annotator_row(annotator_id))
         return tensor.gather_rows(self.bank.annotator_rows, [idx])
 
-    def label_totals(self) -> np.ndarray:
-        """Training label counts summed over annotators, in annotator_ids order."""
-        return sum((self.train_counts[a] for a in self.annotator_ids),
-                   np.zeros(len(self.label_names)))
-
     def test_coefficients(self, annotator_id: str) -> np.ndarray:
         return label_coefficients(self.train_counts.get(annotator_id), len(self.label_names))
 
@@ -155,14 +153,10 @@ class Adam:
     """Adam on a vector theta whose named views, params, lie back to back in
     its order; m, v and the gathered gradient are vectors of theta's length."""
 
-    def __init__(self, theta: np.ndarray, params: dict[str, tensor.Node], lr: float,
-                 beta1: float, beta2: float, eps: float):
+    def __init__(self, theta: np.ndarray, params: dict[str, tensor.Node], lr: float):
         self.theta = theta
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
@@ -183,13 +177,13 @@ class Adam:
         for param in self.params.values():
             param.grad = None
         grad, m, v, s = self.grad, self.m, self.v, self._scratch
-        m *= self.beta1                                   # b1 m + (1 - b1) g
-        m += np.multiply(grad, 1 - self.beta1, out=s)
-        v *= self.beta2                                   # b2 v + (1 - b2) g g
-        v += np.multiply(np.multiply(grad, grad, out=s), 1 - self.beta2, out=s)
-        root = np.sqrt(np.divide(v, 1 - self.beta2 ** self.t, out=grad), out=grad)
-        root += self.eps                                  # sqrt(v_hat) + eps
-        s = np.multiply(np.divide(m, 1 - self.beta1 ** self.t, out=s), self.lr, out=s)
+        m *= BETA1                                        # b1 m + (1 - b1) g
+        m += np.multiply(grad, 1 - BETA1, out=s)
+        v *= BETA2                                        # b2 v + (1 - b2) g g
+        v += np.multiply(np.multiply(grad, grad, out=s), 1 - BETA2, out=s)
+        root = np.sqrt(np.divide(v, 1 - BETA2 ** self.t, out=grad), out=grad)
+        root += ADAM_EPS                                  # sqrt(v_hat) + eps
+        s = np.multiply(np.divide(m, 1 - BETA1 ** self.t, out=s), self.lr, out=s)
         self.theta -= np.divide(s, root, out=s)           # lr m_hat / (sqrt(v_hat) + eps)
 
 
@@ -246,9 +240,8 @@ def train(split: Split, cfg: TrainConfig,
     Returns the trained model and the per-step mean-loss trace. Fully
     deterministic for a given cfg.seed: initialization, shuffling, and
     dropout each draw from their own spawned stream. select_on_dev keeps the
-    parameters of the epoch with the best dev EM, checked every eval_every
-    epochs (every epoch for 0) and after the last; ValueError if the split
-    has no dev part.
+    parameters of the epoch with the best dev EM, checked after every epoch;
+    ValueError if the split has no dev part.
     """
     if not split.train.examples:
         raise ValueError("empty train split")
@@ -267,8 +260,7 @@ def train(split: Split, cfg: TrainConfig,
     rng_dropout = np.random.default_rng(streams[3])
 
     items = _prepare(split.train, model, cfg.mode, index)
-    optimizer = Adam(model.theta, model.named_parameters(), cfg.learning_rate, cfg.beta1,
-                     cfg.beta2, cfg.adam_eps)
+    optimizer = Adam(model.theta, model.named_parameters(), cfg.learning_rate)
 
     trace: list[float] = []
     best_dev = -1.0
@@ -282,8 +274,7 @@ def train(split: Split, cfg: TrainConfig,
                        f"(lr={cfg.learning_rate}, batch={cfg.batch_size})")
             trace.append(_train_step(model, optimizer, [items[i] for i in batch],
                                      rng_dropout, context))
-        if cfg.select_on_dev and (cfg.eval_every == 0 or (epoch + 1) % cfg.eval_every == 0
-                                  or epoch + 1 == cfg.epochs):
+        if cfg.select_on_dev:
             report = evaluate(model, split.dev)
             if report.em_accuracy > best_dev:
                 best_dev = report.em_accuracy
@@ -384,7 +375,7 @@ def evaluate(model: Model, dataset: Dataset, mode: Optional[CombinationMode] = N
         per_class_f1=per_class,
     )
     if with_baselines:
-        majority = int(np.argmax(model.label_totals()))
+        majority = int(np.argmax(sum(model.train_counts[a] for a in model.annotator_ids)))
         rand_em, maj_em = baselines(dataset, seed=model.seed, majority_label=majority)
         report.baseline_random = rand_em
         report.baseline_majority = maj_em
@@ -438,11 +429,12 @@ CHECKPOINT_ARRAYS = "params.bin"
 
 @dataclass
 class CheckpointManifest:
-    """A checkpoint's manifest.json. read_record checks format_version, the
+    """A checkpoint's manifest.json as format 2 writes it, and as
+    _from_format_1 reads format 1. read_record checks format_version, the
     first field, before any other; __post_init__ holds the rules that are not
-    types, such as train_label_totals = train_counts' sums in annotator_ids order."""
+    types. params_sha256, the sha256 of params.bin, is null only for format 1."""
 
-    format_version: Literal[1]
+    format_version: Literal[1, 2]
     encoder_config: EncoderConfig
     train_config: TrainConfig
     label_names: list[str]
@@ -450,8 +442,8 @@ class CheckpointManifest:
     vocabulary: dict[str, int]
     seed: int
     train_counts: dict[str, list[float]]
-    train_label_totals: list[float]
     arrays: dict[str, dict[str, int]]
+    params_sha256: Optional[str]
 
     def __post_init__(self):
         for key in ("label_names", "annotator_ids"):
@@ -468,15 +460,45 @@ class CheckpointManifest:
             raise ValueError("train_counts keys do not match annotator_ids "
                              f"(missing {missing}, unexpected {extra})")
         m = len(self.label_names)
-        rows = {f"train_counts[{a!r}]": self.train_counts[a] for a in self.annotator_ids}
-        for key, row in {**rows, "train_label_totals": self.train_label_totals}.items():
+        for a in self.annotator_ids:
+            row = self.train_counts[a]
             if len(row) != m or min(row, default=0.0) < 0:
-                raise ValueError(f"{key} must be {m} finite, non-negative numbers, one per "
-                                 f"label_names entry, found {row!r}")
-        sums = sum((np.asarray(row, np.float64) for row in rows.values()), np.zeros(m))
-        if not np.array_equal(self.train_label_totals, sums):
-            raise ValueError(f"train_label_totals {list(self.train_label_totals)} differs from "
-                             f"the column sums of train_counts, {sums.tolist()}")
+                raise ValueError(f"train_counts[{a!r}] must be {m} finite, non-negative "
+                                 f"numbers, one per label_names entry, found {row!r}")
+
+
+def _from_format_1(obj: dict, read) -> CheckpointManifest:
+    """read_record's upgrade: a format-1 manifest is read with a null
+    params_sha256 and without the five keys that format 2 dropped, which are
+    then checked against the record; train_label_totals must be the column
+    sums of train_counts. Another version is read as it is."""
+    if type(obj.get("format_version")) is not int or obj["format_version"] != 1:
+        return read(obj)
+    if "params_sha256" in obj:
+        raise ValueError("params_sha256 is not a field of format 1")
+    # the train_config keys that format 2 dropped, at the one value each that
+    # every format-1 checkpoint holds
+    retired = {"beta1": BETA1, "beta2": BETA2, "adam_eps": ADAM_EPS, "eval_every": 0}
+    config, totals = obj.get("train_config"), obj.get("train_label_totals")
+    upgraded = {key: value for key, value in obj.items() if key != "train_label_totals"}
+    upgraded["params_sha256"] = None
+    if isinstance(config, dict):   # else the record's own check refuses it
+        upgraded["train_config"] = {key: value for key, value in config.items()
+                                    if key not in retired}
+    record = read(upgraded)
+    for key, value in retired.items():
+        if key not in config:
+            raise ValueError(f"train_config.{key} is missing")
+        check_type(f"train_config.{key}", config[key], Literal[value])
+    if "train_label_totals" not in obj:
+        raise ValueError("train_label_totals is missing")
+    check_type("train_label_totals", totals, list[float])
+    sums = sum((np.asarray(record.train_counts[a], np.float64) for a in record.annotator_ids),
+               np.zeros(len(record.label_names)))
+    if not np.array_equal(totals, sums):
+        raise ValueError(f"train_label_totals {totals} differs from the column sums of "
+                         f"train_counts, {sums.tolist()}")
+    return record
 
 
 def _model_shapes(encoder_config: EncoderConfig, n_labels: int, n_annotators: int):
@@ -503,25 +525,28 @@ def checkpoint_layout(encoder_config: EncoderConfig, n_labels: int,
 
 
 def save_checkpoint(model: Model, directory) -> None:
-    """Write theta to params.bin in one call, then manifest.json, each
-    replacing the old file only once it is written whole."""
+    """Write theta to params.bin in one call, then manifest.json with its
+    sha256, each replacing the old file only once it is written whole."""
     os.makedirs(directory, exist_ok=True)
+    theta = model.theta.astype("<f8", copy=False)
     with replaced_file(os.path.join(directory, CHECKPOINT_ARRAYS), "wb") as fh:
-        fh.write(model.theta.astype("<f8", copy=False))
+        fh.write(theta)
     write_json(os.path.join(directory, CHECKPOINT_MANIFEST), CheckpointManifest(
-        format_version=1, encoder_config=model.encoder_config, train_config=model.train_config,
+        format_version=2, encoder_config=model.encoder_config, train_config=model.train_config,
         label_names=model.label_names, annotator_ids=model.annotator_ids,
         vocabulary=model.vocab.token_to_id, seed=model.seed, train_counts=model.train_counts,
-        train_label_totals=model.label_totals(), arrays=checkpoint_layout(
-            model.encoder_config, len(model.label_names), len(model.annotator_ids))))
+        arrays=checkpoint_layout(model.encoder_config, len(model.label_names),
+                                 len(model.annotator_ids)),
+        params_sha256=hashlib.sha256(theta).hexdigest()))
 
 
 def load_checkpoint(directory) -> Model:
     """Rebuild a saved model around theta as params.bin holds it; ValueError if
-    its CheckpointManifest's array index is not checkpoint_layout's or
-    params.bin not that long, both checked before the model is built."""
+    its CheckpointManifest's array index is not checkpoint_layout's, or
+    params.bin is not that long or, from format 2 on, has another sha256, all
+    checked before the model is built."""
     manifest = os.path.join(directory, CHECKPOINT_MANIFEST)
-    record = read_record(manifest, CheckpointManifest)
+    record = read_record(manifest, CheckpointManifest, _from_format_1)
     encoder_config, stored = record.encoder_config, record.arrays
     m, n = len(record.label_names), len(record.annotator_ids)
     # one table entry past the index is enough to tell that the model needs
@@ -544,9 +569,14 @@ def load_checkpoint(directory) -> Model:
         state = "truncated" if found < size else "too long"
         raise ValueError(f"{directory}: {CHECKPOINT_ARRAYS} is {state}: it has {found} "
                          f"bytes, the arrays need {size}")
+    theta = np.fromfile(path, dtype="<f8")
+    digest = hashlib.sha256(theta).hexdigest()
+    if record.format_version > 1 and digest != record.params_sha256:
+        raise ValueError(f"{manifest}: params_sha256 {record.params_sha256} differs from the "
+                         f"sha256 of {CHECKPOINT_ARRAYS}, {digest}")
     model = Model(encoder_config, record.train_config, Vocabulary(token_to_id=record.vocabulary),
                   record.label_names, record.annotator_ids, record.seed,
-                  _theta=np.fromfile(path, dtype="<f8").astype(np.float64, copy=False))
+                  _theta=theta.astype(np.float64, copy=False))
     model.train_counts = {a: np.asarray(record.train_counts[a], dtype=np.float64)
                           for a in record.annotator_ids}
     return model

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import annembed
 from annembed import synthgen
-from annembed.cli import main
+from annembed.cli import CONFIG_FLAGS, main
 from annembed.corpus import (
     CorpusError,
     Dataset,
@@ -36,7 +36,16 @@ from annembed.corpus import (
     write_json,
     write_manifest,
 )
-from annembed.trainer import CheckpointManifest, EvalReport, load_checkpoint, save_checkpoint
+from annembed.encoder import EncoderConfig
+from annembed.trainer import (
+    CheckpointManifest,
+    EvalReport,
+    TrainConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
+
+from format1 import RETIRED_TRAIN_KEYS, to_format_1
 
 FAST_TRAIN = [
     "--epochs", "2", "--batch-size", "16", "--lr", "2e-3",
@@ -137,6 +146,28 @@ def test_split_annotator_kind_three_way(tmp_path, corpus_dir):
     assert not train & test
 
 
+@pytest.mark.parametrize("dev_frac", ["5", "0.2", "-1", "nan"])
+def test_split_annotator_kind_with_a_dev_frac_exit_code(tmp_path, corpus_dir, capsys,
+                                                        dev_frac):
+    # the annotator split makes no dev part, so no --dev-frac but 0 is its own
+    out = tmp_path / "annsplit"
+    assert _run("split", "--data", str(corpus_dir / "corpus.jsonl"), "--kind", "annotator",
+                "--dev-frac", dev_frac, "--out", str(out)) == 2
+    assert ("--dev-frac must be 0 for --kind annotator, which makes no dev part, "
+            f"got {float(dev_frac)}") in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["FAILED", "manifest.json"]
+
+
+@pytest.mark.parametrize("dev_frac", ["1", "-0.5"])
+def test_split_annotation_kind_with_a_dev_frac_out_of_range_exit_code(tmp_path, corpus_dir,
+                                                                      capsys, dev_frac):
+    out = tmp_path / "split"
+    assert _run("split", "--data", str(corpus_dir / "corpus.jsonl"),
+                "--dev-frac", dev_frac, "--out", str(out)) == 2
+    assert "dev_frac must lie in [0, 1)" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["FAILED", "manifest.json"]
+
+
 def test_train_outputs(train_dir):
     assert (train_dir / "checkpoint" / "params.bin").exists()
     report = json.loads((train_dir / "report.json").read_text())
@@ -210,6 +241,43 @@ def test_failed_params_write_leaves_the_old_checkpoint_whole(tmp_path, split_dir
     assert _run(*eval_args, "--out", str(tmp_path / "after")) == 0
     assert ((tmp_path / "after" / "report.json").read_bytes()
             == (tmp_path / "before" / "report.json").read_bytes())
+
+
+def test_format_1_checkpoint_and_its_format_2_resave_evaluate_alike(tmp_path, split_dir,
+                                                                    train_dir):
+    # the manifest of format 1 as its writer wrote it: write_json's bytes
+    old = tmp_path / "format1"
+    shutil.copytree(train_dir / "checkpoint", old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    to_format_1(manifest)
+    write_json(old / "manifest.json", manifest)
+    resaved = tmp_path / "resaved"
+    save_checkpoint(load_checkpoint(old), resaved)
+    assert json.loads((resaved / "manifest.json").read_text())["format_version"] == 2
+    assert (resaved / "params.bin").read_bytes() == (old / "params.bin").read_bytes()
+    reports = []
+    for checkpoint in (old, resaved):
+        out = tmp_path / f"eval_{checkpoint.name}"
+        assert _run("eval", "--checkpoint", str(checkpoint),
+                    "--data", str(split_dir / "test.jsonl"), "--out", str(out)) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("section, key", [
+    *(("train_config", key) for key in RETIRED_TRAIN_KEYS), (None, "train_label_totals")])
+def test_eval_of_format_1_checkpoint_with_a_format_1_key_of_another_value_exit_code(
+        tmp_path, split_dir, train_dir, capsys, section, key):
+    checkpoint = train_dir / "checkpoint"
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    to_format_1(manifest)
+    target = manifest if section is None else manifest[section]
+    target[key] = [0.5] * len(target[key]) if section is None else target[key] + 0.5
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    assert _run("eval", "--checkpoint", str(checkpoint),
+                "--data", str(split_dir / "test.jsonl"), "--out", str(tmp_path / "eval")) == 2
+    name = key if section is None else f"{section}.{key}"
+    assert f"error: {checkpoint / 'manifest.json'}: {name} " in capsys.readouterr().err
 
 
 def test_eval_twice_identical(tmp_path, split_dir, train_dir):
@@ -585,7 +653,7 @@ def test_main_runs_with_collector_paused_and_restores_it(tmp_path, monkeypatch, 
 def test_failed_run_records_the_error(tmp_path, split_dir, train_dir):
     checkpoint = train_dir / "checkpoint"
     manifest = json.loads((checkpoint / "manifest.json").read_text())
-    manifest["format_version"] = 2
+    manifest["format_version"] = 3
     (checkpoint / "manifest.json").write_text(json.dumps(manifest))
     out = tmp_path / "eval"
     assert _run("eval", "--checkpoint", str(checkpoint),
@@ -608,11 +676,11 @@ def test_eval_of_checkpoint_missing_manifest_key_exit_code(tmp_path, split_dir, 
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda m: m["train_label_totals"].__setitem__(0, float("nan")), "NaN"),
+    (lambda m: m["train_counts"]["a000"].__setitem__(0, float("nan")), "NaN"),
     (lambda m: m.update(train_counts=[1, 2]), "train_counts"),
     (lambda m: m["train_counts"].__setitem__("zzz", m["train_counts"].pop("a000")),
      "(missing ['a000'], unexpected ['zzz'])"),
-    (lambda m: m.update(train_label_totals=[0.0, 0.0, 1e6]),
+    (lambda m: (to_format_1(m), m.update(train_label_totals=[0.0, 0.0, 1e6])),
      "train_label_totals [0.0, 0.0, 1000000.0] differs from the column sums"),
     (lambda m: m["encoder_config"].update(hidden="16"),
      "encoder_config.hidden must be an integer, found '16'"),
@@ -686,6 +754,7 @@ def test_train_select_on_dev_without_dev_split_exit_code(tmp_path, split_dir, ca
                 *FAST_TRAIN) == 2
     err = capsys.readouterr().err
     assert "--select-on-dev" in err and "dev.jsonl" in err
+    assert "(split with --kind annotation --dev-frac above 0)" in err
     assert not (out / "checkpoint").exists()
 
 
@@ -733,6 +802,24 @@ def test_split_config_with_unknown_kind_exit_code(tmp_path, corpus_dir, capsys):
     assert _run("split", "--config", str(config), "--out", str(tmp_path / "s")) == 2
     assert f"{config}: option kind must be one of ['annotation', 'annotator']" \
         in capsys.readouterr().err
+
+
+def test_report_config_with_an_input_that_is_no_string_exit_code(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "report", "options": {"inputs": [1]}}))
+    assert _run("report", "--config", str(config)) == 2
+    assert capsys.readouterr().err == \
+        f"error: {config}: option inputs[0] must be a string, found 1\n"
+
+
+def test_every_config_field_is_a_flag():
+    # a field no flag sets would be a setting that no run can record
+    others = {synthgen.PopulationConfig: {"seed"}, TrainConfig: {"seed"},
+              EncoderConfig: {"vocab_size"}}
+    assert set(CONFIG_FLAGS) == set(others)
+    for cls, flags in CONFIG_FLAGS.items():
+        fields = [f.name for f in dataclasses.fields(cls)]
+        assert sorted(fields) == sorted([*flags.values(), *others[cls]]), cls
 
 
 def test_config_recorded_for_another_command_names_the_file(tmp_path, capsys):
@@ -926,8 +1013,23 @@ HUGE = (10 ** 12, 10 ** 400)
 @given(data=st.data())
 def test_mutated_checkpoint_config_loads_or_exits_2(recorded_run, data):
     """Every manifest key, and every field of its two configs."""
+    _check_mutated_checkpoint(recorded_run, data, lambda manifest: None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_format_1_checkpoint_loads_or_exits_2(recorded_run, data):
+    """The same property for the manifest that format 1 wrote."""
+    _check_mutated_checkpoint(recorded_run, data, to_format_1)
+
+
+def _check_mutated_checkpoint(recorded_run, data, rewrite):
+    """Mutate one key of the recorded manifest, rewritten in place by rewrite:
+    eval exits 0 or 2, and 2 names the key; a manifest that loads is saved
+    again, rewritten the same way, as it was."""
     source = recorded_run / "train" / "checkpoint"
     manifest = json.loads((source / "manifest.json").read_text())
+    rewrite(manifest)
     section, key = data.draw(st.sampled_from(
         [(None, key) for key in sorted(manifest)]
         + [(name, key) for name in ("encoder_config", "train_config")
@@ -950,6 +1052,7 @@ def test_mutated_checkpoint_config_loads_or_exits_2(recorded_run, data):
         # type included (True == 1 == 1.0 in Python, so the JSON texts are compared)
         save_checkpoint(load_checkpoint(checkpoint), work / "again")
         again = json.loads((work / "again" / "manifest.json").read_text())
+        rewrite(again)
         assert json.dumps(again, sort_keys=True) == json.dumps(manifest, sort_keys=True)
 
 

@@ -152,8 +152,8 @@ def _reference_population(cfg):
         example_id = f"t{t:05d}"
         base = t % m
         base_labels[example_id] = base
-        tokens = list(rng.choice(signal_pools[base], size=cfg.signal_tokens_per_text))
-        tokens += list(rng.choice(filler_pool, size=cfg.filler_tokens_per_text))
+        tokens = list(rng.choice(signal_pools[base], size=synthgen.SIGNAL_TOKENS_PER_TEXT))
+        tokens += list(rng.choice(filler_pool, size=synthgen.FILLER_TOKENS_PER_TEXT))
         text = " ".join(tokens)
         if cfg.annotations_per_text == cfg.n_annotators:
             chosen = annotator_ids

@@ -1,4 +1,7 @@
+import errno
 import gc
+import hashlib
+import inspect
 import json
 import os
 import tempfile
@@ -33,6 +36,7 @@ from annembed.trainer import (
     train,
 )
 
+from format1 import to_format_1
 from gradcheck import sum_all
 
 FAST_ENC = dict(hidden=16, layers=1, heads=2, max_len=12, ffn_mult=2, dropout=0.0)
@@ -96,13 +100,6 @@ def test_empty_train_split_rejected():
 def test_train_config_rejects_bad_learning_rate(lr):
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=lr)
-
-
-@pytest.mark.parametrize("eps", [0.0, -1e-8])
-def test_train_config_rejects_non_positive_adam_eps(eps):
-    # with eps 0 a parameter the loss never reaches gets 0 / 0 from Adam
-    with pytest.raises(ValueError, match="adam_eps must be positive"):
-        TrainConfig(adam_eps=eps)
 
 
 def test_divergence_aborts():
@@ -269,34 +266,6 @@ def test_select_on_dev_returns_the_best_epoch(monkeypatch, ems):
     if best != len(seen) - 1:
         assert any(not np.array_equal(seen[-1][1][k], p.value)
                    for k, p in model.named_parameters().items())
-
-
-@pytest.mark.parametrize("epochs, eval_every, checked", [(2, 3, [2]), (3, 2, [2, 3])],
-                         ids=["eval_every_past_the_end", "last_epoch_off_the_period"])
-def test_select_on_dev_checks_the_last_epoch(monkeypatch, epochs, eval_every, checked):
-    """The dev check runs every eval_every epochs and after the last one, and
-    the parameters of the best checked epoch come back."""
-    split = _dev_split()
-    base = dict(mode=CombinationMode.TEXT_PLUS_BOTH, batch_size=8, learning_rate=2e-2,
-                seed=2)
-    # training for fewer epochs draws the same shuffles and dropout masks
-    per_epoch = {n: train(split, TrainConfig(epochs=n, **base), EncoderConfig(**FAST_ENC))[0]
-                 for n in checked}
-    ems = [0.9] + [0.1] * (len(checked) - 1)
-    seen = _recording_evaluate(monkeypatch, ems)
-    cfg = TrainConfig(epochs=epochs, eval_every=eval_every, select_on_dev=True, **base)
-    model, _ = train(split, cfg, EncoderConfig(**FAST_ENC))
-    assert len(seen) == len(checked)
-    for (_, values), n in zip(seen, checked):
-        for key, param in per_epoch[n].named_parameters().items():
-            assert np.array_equal(values[key], param.value), (n, key)
-    for key, param in model.named_parameters().items():
-        assert np.array_equal(param.value, seen[0][1][key]), key
-
-
-def test_train_config_rejects_negative_eval_every():
-    with pytest.raises(ValueError, match="eval_every must be non-negative, got -1"):
-        TrainConfig(eval_every=-1)
 
 
 def test_macro_f1_hand_case():
@@ -632,7 +601,7 @@ def _flat(values: dict):
 def test_adam_treats_unreached_parameter_as_zero_gradient():
     theta, params = _flat({"p": [[1.0, -2.0]], "q": [[0.5, 3.0]]})
     p, q = params["p"], params["q"]
-    opt = trainer.Adam(theta, params, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = trainer.Adam(theta, params, lr=0.1)
     tensor.backward(sum_all(tensor.add(p, q)))
     opt.gather()
     opt.step()
@@ -676,8 +645,9 @@ def test_flat_adam_matches_the_per_array_reference_bit_for_bit():
     offsets = {name: (node.value.ctypes.data - theta.ctypes.data) // 8
                for name, node in flat.items()}
     reference = {name: tensor.parameter(value.copy()) for name, value in start.items()}
-    adam = trainer.Adam(theta, flat, lr=0.05, beta1=0.8, beta2=0.99, eps=1e-8)
-    ref = _ReferenceAdam(reference, lr=0.05, beta1=0.8, beta2=0.99, eps=1e-8)
+    adam = trainer.Adam(theta, flat, lr=0.05)
+    # Adam's published constants (Kingma & Ba, 2015), which trainer.Adam uses
+    ref = _ReferenceAdam(reference, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
     for step in range(3):
         for params in (flat, reference):
             out = tensor.matmul(params["a"], params["b"])
@@ -739,18 +709,18 @@ def _edit_manifest(directory, edit):
 
 def test_checkpoint_rejects_unknown_format_version(tmp_path):
     directory = _saved_checkpoint(tmp_path)
-    _edit_manifest(directory, lambda m: m.update(format_version=2))
+    _edit_manifest(directory, lambda m: m.update(format_version=3))
     with pytest.raises(ValueError, match="format_version"):
         load_checkpoint(directory)
 
 
 def test_checkpoint_of_another_version_is_refused_by_its_version(tmp_path):
-    # the shape format 2 plans: no train_label_totals, and a key version 1 lacks
+    # a later format may drop a key and add one that format 2 lacks
     directory = _saved_checkpoint(tmp_path)
-    _edit_manifest(directory, lambda m: (m.pop("train_label_totals"),
-                                         m.update(format_version=2, params_sha256="0" * 64)))
+    _edit_manifest(directory, lambda m: (m.pop("params_sha256"),
+                                         m.update(format_version=3, params_blake2b="0" * 128)))
     with pytest.raises(ValueError, match=r"ckpt/manifest.json: format_version must be one of "
-                                         r"\[1\], found 2$"):
+                                         r"\[1, 2\], found 3$"):
         load_checkpoint(directory)
 
 
@@ -800,6 +770,59 @@ def test_checkpoint_rejects_trailing_params_bytes(tmp_path):
         fh.write(bytes(8))
     with pytest.raises(ValueError, match="params.bin is too long"):
         load_checkpoint(directory)
+
+
+def test_checkpoint_records_the_sha256_of_params_bin(tmp_path):
+    directory = _saved_checkpoint(tmp_path)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    assert manifest["format_version"] == 2
+    blob = (directory / "params.bin").read_bytes()
+    assert manifest["params_sha256"] == hashlib.sha256(blob).hexdigest()
+
+
+def test_checkpoint_rejects_a_flipped_params_byte(tmp_path):
+    directory = _saved_checkpoint(tmp_path)
+    blob = bytearray((directory / "params.bin").read_bytes())
+    blob[len(blob) // 2] ^= 1
+    (directory / "params.bin").write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=r"ckpt/manifest.json: params_sha256 [0-9a-f]{64} "
+                                         r"differs from the sha256 of params.bin, [0-9a-f]{64}$"):
+        load_checkpoint(directory)
+
+
+def test_params_bin_under_the_manifest_of_another_save_is_refused(tmp_path, monkeypatch):
+    # saving B over A fails at the manifest's replace, after B's params.bin
+    # has replaced A's: A's manifest must not pass B's parameters off as A's
+    model_a, _ = _trained_model(epochs=1)
+    model_b = trainer.Model(model_a.encoder_config, model_a.train_config, model_a.vocab,
+                            model_a.label_names, model_a.annotator_ids, model_a.seed + 1)
+    model_b.train_counts = model_a.train_counts
+    directory = tmp_path / "ckpt"
+    save_checkpoint(model_a, directory)
+    real_replace, targets = os.replace, []
+
+    def failing_second_replace(src, dst):
+        targets.append(os.path.basename(dst))
+        if len(targets) == 2:
+            raise OSError(errno.EIO, "Input/output error")
+        real_replace(src, dst)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", failing_second_replace)
+        with pytest.raises(OSError, match="Input/output error"):
+            save_checkpoint(model_b, directory)
+    assert targets == ["params.bin", "manifest.json"]
+    assert (directory / "params.bin").read_bytes() == model_b.theta.tobytes()
+    digest_a, digest_b = (hashlib.sha256(m.theta).hexdigest() for m in (model_a, model_b))
+    with pytest.raises(ValueError, match=rf"params_sha256 {digest_a} differs from the sha256 "
+                                         rf"of params.bin, {digest_b}$"):
+        load_checkpoint(directory)
+
+
+def test_adam_takes_no_beta_or_eps():
+    # Adam's constants are the module's, at their published values
+    assert list(inspect.signature(trainer.Adam).parameters) == ["theta", "params", "lr"]
+    assert (trainer.BETA1, trainer.BETA2, trainer.ADAM_EPS) == (0.9, 0.999, 1e-8)
 
 
 def test_checkpoint_layout_is_the_stored_index(tmp_path):
@@ -885,7 +908,8 @@ def test_checkpoint_rejects_config_field_mismatch(tmp_path, section, edit, key):
     (lambda m: m.update(train_counts=[1, 2]), r"train_counts must be an object"),
     (lambda m: m["train_counts"]["a000"].pop(), r"train_counts\['a000'\] must be 3 finite"),
     (lambda m: m["train_counts"]["a001"].__setitem__(0, -1.0), r"train_counts\['a001'\]"),
-    (lambda m: m["train_label_totals"].append(0.0), r"train_label_totals must be 3 finite"),
+    (lambda m: (to_format_1(m), m["train_label_totals"].append(0.0)),
+     r"train_label_totals \[\d+\.0, \d+\.0, \d+\.0, 0\.0\] differs from the column sums"),
     (lambda m: m["annotator_ids"].__setitem__(1, "a000"), r"annotator_ids must be unique"),
     (lambda m: m["label_names"].__setitem__(0, 7), r"label_names\[0\] must be a string"),
     (lambda m: m["vocabulary"].update(extra=len(m["vocabulary"])), r"vocabulary ids"),
@@ -893,9 +917,20 @@ def test_checkpoint_rejects_config_field_mismatch(tmp_path, section, edit, key):
     (lambda m: m.update(seed="x"), r"seed must be an integer"),
     (lambda m: m["train_counts"].__setitem__("zzz", m["train_counts"].pop("a000")),
      r"train_counts keys do not match annotator_ids \(missing \['a000'\], unexpected \['zzz'\]\)"),
-    (lambda m: m.update(train_label_totals=[0.0, 0.0, 1e6]),
+    (lambda m: (to_format_1(m), m.update(train_label_totals=[0.0, 0.0, 1e6])),
      r"train_label_totals \[0.0, 0.0, 1000000.0\] differs from the column sums of train_counts, "
      r"\[\d+\.0, \d+\.0, \d+\.0\]$"),
+    (lambda m: (to_format_1(m), m["train_config"].update(beta1=0.8)),
+     r"train_config\.beta1 must be one of \[0\.9\], found 0\.8$"),
+    (lambda m: (to_format_1(m), m["train_config"].pop("eval_every")),
+     r"train_config\.eval_every is missing$"),
+    (lambda m: (to_format_1(m), m["train_config"].update(eval_every=False)),
+     r"train_config\.eval_every must be an integer, found False$"),
+    (lambda m: (to_format_1(m), m.pop("train_label_totals")), r"train_label_totals is missing$"),
+    (lambda m: (to_format_1(m), m["train_label_totals"].__setitem__(0, "1")),
+     r"train_label_totals\[0\] must be a finite number, found '1'$"),
+    (lambda m: (to_format_1(m), m.update(params_sha256="0" * 64)),
+     r"params_sha256 is not a field of format 1$"),
     (lambda m: m["encoder_config"].update(hidden="8"),
      r"encoder_config\.hidden must be an integer, found '8'$"),
     (lambda m: m["encoder_config"].update(dropout=None),
@@ -908,7 +943,9 @@ def test_checkpoint_rejects_config_field_mismatch(tmp_path, section, edit, key):
      r"train_counts\['a000'\]\[0\] must be"),
 ], ids=["list_train_counts", "short_row", "negative_count", "long_totals",
         "duplicate_annotator", "non_string_label", "vocabulary_size", "number_config",
-        "string_seed", "renamed_annotator", "wrong_totals", "string_hidden", "null_dropout",
+        "string_seed", "renamed_annotator", "wrong_totals", "format_1_beta1",
+        "format_1_no_eval_every", "format_1_bool_eval_every", "format_1_no_totals",
+        "format_1_string_total", "format_1_sha256", "string_hidden", "null_dropout",
         "float_heads", "float_epochs", "bool_count"])
 def test_checkpoint_rejects_manifest_of_wrong_type_or_size(tmp_path, edit, message):
     directory = _saved_checkpoint(tmp_path)
