@@ -277,10 +277,18 @@ def demographic_alignment(clusters: ClusterResult, dataset: Dataset) -> Demograp
     summed over clusters returns N for every value. Annotators missing a
     dimension are excluded from it and counted.
     """
+    # each annotator's dicts merged in annotation order, as dict.update does:
+    # a key takes its value from the last annotation whose dict holds it, so
+    # each distinct (annotator, dict) pair is applied once, at its last use
+    n_dicts = len(dataset.demographics) + 1            # index -1 is no dict
+    pairs = dataset.annotator_index.astype(np.int64) * n_dicts + dataset.demographics_index + 1
+    last = len(pairs) - 1 - np.unique(pairs[::-1], return_index=True)[1]
     demo_by_ann: dict[str, dict[str, str]] = {}
-    for ex in dataset.examples:
-        if ex.demographics:
-            demo_by_ann.setdefault(ex.annotator_id, {}).update(ex.demographics)
+    for pos in np.sort(last).tolist():
+        demo = dataset.demographics_index[pos]
+        if demo >= 0 and dataset.demographics[demo]:
+            annotator_id = dataset.annotator_ids[dataset.annotator_index[pos]]
+            demo_by_ann.setdefault(annotator_id, {}).update(dataset.demographics[demo])
     members = list(clusters.assignments)
     dimensions = sorted({d for a in members for d in demo_by_ann.get(a, {})})
     if not dimensions:

@@ -17,7 +17,6 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from itertools import compress
 from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -44,58 +43,159 @@ class AnnotatedExample:
 _INTEGER_TYPES = frozenset({int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])})
 
 
-@dataclass
-class Dataset:
-    """Annotations under a label schema, and one integer view derived from
-    them: annotation i is by annotator_ids[annotator_index[i]] on the text
-    example_ids[example_index[i]], with the label labels[i]. The registries
-    are in first-appearance order; the three arrays are read-only."""
+def label_dtype(n_labels: int) -> np.dtype:
+    """The smallest signed type that holds every label index and -1."""
+    return np.min_scalar_type(-max(n_labels, 1))
 
-    examples: list[AnnotatedExample]
+
+class _Registry(dict):
+    """value -> its index, a value not seen before numbered on its first
+    lookup; iterating gives the values in first-appearance order."""
+
+    def __missing__(self, value):
+        self[value] = index = len(self)
+        return index
+
+
+def renumbered(registry: list, index: np.ndarray) -> tuple[list, np.ndarray]:
+    """The entries of registry that index uses, in the order of their first
+    use, and index renumbered into that list as int32."""
+    n = len(index)
+    first = np.full(len(registry), n)
+    np.minimum.at(first, index, np.arange(n))
+    order = np.argsort(first, kind="stable")[:np.count_nonzero(first < n)]
+    renumber = np.empty(len(registry), np.int32)
+    renumber[order] = np.arange(len(order), dtype=np.int32)
+    return [registry[i] for i in order.tolist()], renumber[index]
+
+
+@dataclass(eq=False)
+class Dataset:
+    """Annotations under a label schema, held as columns: annotation i is by
+    annotator_ids[annotator_index[i]] on the example example_ids[example_index[i]]
+    with the text texts[text_index[i]], the label labels[i] and the
+    demographics demographics[demographics_index[i]], or none where that
+    index is -1. The registries annotator_ids and example_ids are in
+    first-appearance order. The tables texts and demographics may hold
+    entries that no annotation uses; an example id may carry several texts
+    and an annotator several dicts. The four index arrays are int32 and
+    labels has label_dtype; all five are read-only. The checks are array
+    operations, with no pass in Python: CorpusError names an index array
+    of another length than labels or with an entry outside its registry or
+    table, else the first annotation whose label is out of range or whose
+    (example_id, annotator_id) pair came before."""
+
     label_names: list[str]
+    annotator_ids: list[str]
+    example_ids: list[str]
+    texts: tuple[str, ...]
+    demographics: tuple[dict, ...]
+    annotator_index: np.ndarray = field(repr=False)
+    example_index: np.ndarray = field(repr=False)
+    text_index: np.ndarray = field(repr=False)
+    demographics_index: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)
     name: str = "dataset"
-    annotator_ids: list[str] = field(init=False)
-    example_ids: list[str] = field(init=False)
-    annotator_index: np.ndarray = field(init=False, compare=False)
-    example_index: np.ndarray = field(init=False, compare=False)
-    labels: np.ndarray = field(init=False, compare=False)
+    # the examples: those handed to from_examples, or built on first access
+    _examples: Optional[tuple] = field(default=None, repr=False)
+    # a part's source dataset and its positions there: the part's examples
+    # are then the source's objects, which the two share
+    _source: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         m = len(self.label_names)
         if len(set(self.label_names)) != m:
             raise CorpusError(f"duplicate label names in {self.label_names}")
-        n, annotators, texts = len(self.examples), {}, {}
-        self.annotator_index = np.fromiter((annotators.setdefault(ex.annotator_id, len(annotators))
-                                            for ex in self.examples), np.int32, n)
-        self.example_index = np.fromiter((texts.setdefault(ex.example_id, len(texts))
-                                          for ex in self.examples), np.int32, n)
-        self.annotator_ids, self.example_ids = list(annotators), list(texts)
-        # the smallest signed type that holds every label index and -1, which
-        # marks a label that is no integer or out of range
-        self.labels = np.fromiter(
-            (ex.label if type(ex.label) in _INTEGER_TYPES and 0 <= ex.label < m else -1
-             for ex in self.examples), np.min_scalar_type(-max(m, 1)), n)
-        # every annotation but the first of its (example, annotator) pair
-        key = self.example_index.astype(np.int64) * len(annotators) + self.annotator_index
-        repeated = np.ones(n, np.bool_)
-        repeated[np.unique(key, return_index=True)[1]] = False
-        faults = np.flatnonzero((self.labels < 0) | repeated)
-        if faults.size:
-            ex = self.examples[faults[0]]
-            annotation = (ex.example_id, ex.annotator_id)
-            if self.labels[faults[0]] >= 0:
-                raise CorpusError(f"duplicate annotation {annotation}")
-            if type(ex.label) not in _INTEGER_TYPES:
-                raise CorpusError(
-                    f"label of annotation {annotation} must be an integer, found {ex.label!r}")
-            raise CorpusError(f"label index {ex.label} out of range for {m} labels")
-        for array in (self.annotator_index, self.example_index, self.labels):
+        n = len(self.labels)
+        for name, size in (("annotator_index", len(self.annotator_ids)),
+                           ("example_index", len(self.example_ids)),
+                           ("text_index", len(self.texts)),
+                           ("demographics_index", len(self.demographics))):
+            index, low = getattr(self, name), -1 if name == "demographics_index" else 0
+            if len(index) != n or (n and not low <= index.min() <= index.max() < size):
+                raise CorpusError(f"{name} must hold {n} indices in [{low}, {size})")
+        key = self.example_index.astype(np.int64) * len(self.annotator_ids) + self.annotator_index
+        ordered = np.sort(key)
+        if (ordered[1:] == ordered[:-1]).any() or ((self.labels < 0) | (self.labels >= m)).any():
+            raise CorpusError(self._fault(key))
+        for array in (self.annotator_index, self.example_index, self.text_index,
+                      self.demographics_index, self.labels):
             array.setflags(write=False)
+
+    def _fault(self, key: np.ndarray) -> str:
+        """The message for the first annotation whose label is out of range,
+        or whose (example, annotator) key occurred before."""
+        m = len(self.label_names)
+        repeated = np.ones(len(key), np.bool_)
+        repeated[np.unique(key, return_index=True)[1]] = False
+        i = np.flatnonzero((self.labels < 0) | (self.labels >= m) | repeated)[0]
+        annotation = (self.example_ids[self.example_index[i]],
+                      self.annotator_ids[self.annotator_index[i]])
+        if 0 <= self.labels[i] < m:
+            return f"duplicate annotation {annotation}"
+        label = int(self.labels[i]) if self._examples is None else self._examples[i].label
+        if type(label) not in _INTEGER_TYPES:
+            return f"label of annotation {annotation} must be an integer, found {label!r}"
+        return f"label index {label} out of range for {m} labels"
 
     @classmethod
     def from_examples(cls, examples, label_names, name="dataset"):
-        """A dataset over copies of the examples and label_names lists."""
-        return cls(list(examples), list(label_names), name)
+        """The dataset of these examples, kept as its examples tuple, under a
+        copy of label_names. Equal texts share one table entry, and so does
+        each demographics object; -1 marks a label that is no integer or out
+        of range, and the error then names the example's own label."""
+        examples, label_names = tuple(examples), list(label_names)
+        m = len(label_names)
+        annotators, example_ids, texts = _Registry(), _Registry(), _Registry()
+        # each demographics object once, by identity, in first-appearance order
+        demographics = {id(ex.demographics): ex.demographics for ex in examples
+                        if ex.demographics is not None}
+        position = {key: i for i, key in enumerate(demographics)}
+
+        def column(index_of) -> np.ndarray:
+            return np.fromiter(map(index_of, examples), np.int32, len(examples))
+
+        return cls(
+            label_names=label_names,
+            annotator_index=column(lambda ex: annotators[ex.annotator_id]),
+            example_index=column(lambda ex: example_ids[ex.example_id]),
+            text_index=column(lambda ex: texts[ex.text]),
+            demographics_index=column(lambda ex: position.get(id(ex.demographics), -1)),
+            labels=np.fromiter((ex.label if type(ex.label) in _INTEGER_TYPES and 0 <= ex.label < m
+                                else -1 for ex in examples), label_dtype(m), len(examples)),
+            annotator_ids=list(annotators), example_ids=list(example_ids), texts=tuple(texts),
+            demographics=tuple(demographics.values()), name=name, _examples=examples)
+
+    @property
+    def examples(self) -> tuple[AnnotatedExample, ...]:
+        """One AnnotatedExample per annotation, built on first access; for
+        callers that want objects, never for the pipeline's own paths."""
+        if self._examples is None:
+            source = self._source
+            if source is not None:
+                dataset, positions = source
+                examples = tuple(map(dataset.examples.__getitem__, positions.tolist()))
+            else:
+                def column(table, index):    # table[index] per annotation, with no int objects
+                    return np.fromiter(table, object, len(table))[index]
+
+                examples = tuple(map(
+                    AnnotatedExample, column(self.example_ids, self.example_index),
+                    column(self.texts, self.text_index),
+                    column(self.annotator_ids, self.annotator_index), self.labels.tolist(),
+                    # index -1 is no demographics
+                    column((*self.demographics, None), self.demographics_index)))
+            # two threads may both build them: either tuple serves
+            self._examples, self._source = examples, None
+        return self._examples
+
+    def __eq__(self, other):
+        """Equal name, label names, registries and examples."""
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return ((self.name, self.label_names, self.annotator_ids, self.example_ids)
+                == (other.name, other.label_names, other.annotator_ids, other.example_ids)
+                and self.examples == other.examples)
 
     def label_counts(self) -> np.ndarray:
         """A fresh N x M int64 table: row i counts each label among the
@@ -113,7 +213,7 @@ class Dataset:
         return len(self.label_names)
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.labels)
 
 
 SplitKind = Literal["annotation", "annotator"]
@@ -176,8 +276,8 @@ def load_dataset(path, label_names, name=None) -> Dataset:
     Infinity rejected; the record is an object whose example_id, text and
     annotator_id are strings and whose label is a declared name. CorpusError
     names the line and its first fault, or the file if it is not UTF-8.
-    Records that repeat a text, an id or a demographics dict share one object
-    for it.
+    Each distinct text and each distinct demographics dict, with its items
+    in file order, is one table entry.
 
     Lines are scanned one at a time, never joined into one array: a record
     split across lines, or two records on one line, would decode as valid
@@ -185,9 +285,13 @@ def load_dataset(path, label_names, name=None) -> Dataset:
     """
     label_names = list(label_names)
     label_index = {name: i for i, name in enumerate(label_names)}
-    # each string and each demographics dict already seen in this file
-    shared: dict = {}
-    examples = []
+    annotators, example_ids, texts = _Registry(), _Registry(), _Registry()
+    # tuple(items) of each demographics dict seen -> its index in the table
+    seen_demographics: dict[tuple, int] = {}
+    demographics: list[dict] = []
+    columns = ([], [], [], [], [])    # annotator, example, text and demographics indices, labels
+    add_annotator, add_example, add_text, add_demographics, add_label = (
+        column.append for column in columns)
     scan = _LINE_DECODER.scan_once
     try:
         with open(path, encoding="utf-8") as fh:
@@ -217,33 +321,50 @@ def load_dataset(path, label_names, name=None) -> Dataset:
                     # no object, a field missing or no string, an unknown or unhashable label
                     raise _record_fault(obj, line_no) from None
                 demo = obj.get("demographics")
-                if demo is not None:
+                if demo is None:
+                    demo = -1
+                else:
                     # a file repeats one dict per annotator: check only a dict not seen
                     # before; the except is for no dict, an unseen or an unhashable one
                     try:
-                        demo = shared[tuple(demo.items())]
+                        demo = seen_demographics[tuple(demo.items())]
                     except (AttributeError, KeyError, TypeError):
                         if not isinstance(demo, dict) or not all(
                             isinstance(k, str) and isinstance(v, str) for k, v in demo.items()
                         ):
                             raise CorpusError(f"line {line_no}: demographics must map "
                                               "strings to strings") from None
-                        shared[tuple(demo.items())] = demo
-                examples.append(AnnotatedExample(
-                    shared.setdefault(example_id, example_id), shared.setdefault(text, text),
-                    shared.setdefault(annotator_id, annotator_id), label, demo))
+                        seen_demographics[tuple(demo.items())] = len(demographics)
+                        demographics.append(demo)
+                        demo = len(demographics) - 1
+                add_annotator(annotators[annotator_id])
+                add_example(example_ids[example_id])
+                add_text(texts[text])
+                add_demographics(demo)
+                add_label(label)
     except UnicodeDecodeError as err:
         raise _not_utf8(path, err) from None
-    if name is None:
-        name = str(path)
-    return Dataset.from_examples(examples, label_names, name)
+    annotator_index, example_index, text_index, demographics_index = (
+        np.array(column, np.int32) for column in columns[:4])
+    return Dataset(
+        label_names=label_names, annotator_ids=list(annotators), example_ids=list(example_ids),
+        texts=tuple(texts), demographics=tuple(demographics),
+        annotator_index=annotator_index, example_index=example_index, text_index=text_index,
+        demographics_index=demographics_index,
+        labels=np.array(columns[4], label_dtype(len(label_names))),
+        name=str(path) if name is None else name)
 
 
 class _Encoded(dict):
-    """string -> _LINE_ENCODER.encode(string), each distinct string encoded once."""
+    """index -> prefix + _LINE_ENCODER.encode(table[index]), each entry
+    encoded once, when it is first asked for."""
 
-    def __missing__(self, value):
-        self[value] = text = _LINE_ENCODER.encode(value)
+    def __init__(self, table, prefix=""):
+        super().__init__()
+        self.table, self.prefix = table, prefix
+
+    def __missing__(self, index):
+        self[index] = text = self.prefix + _LINE_ENCODER.encode(self.table[index])
         return text
 
 
@@ -251,23 +372,20 @@ def write_dataset(dataset: Dataset, path) -> None:
     """Write a dataset back to JSONL; load_dataset round-trips it record-for-record.
 
     Each line is _LINE_ENCODER.encode of the annotation's record, put together
-    in sorted-key order from the encodings of its values, so that a string or
-    a demographics dict repeated across annotations is encoded once.
+    in sorted-key order from the encodings of its values; each registry and
+    table entry that the dataset uses is encoded once.
     """
-    strings = _Encoded()
-    labels = [strings[name] for name in dataset.label_names]
-    # a dict is keyed by identity: the examples hold every one until the write ends
-    demographics: dict[int, str] = {}
+    annotators, examples = _Encoded(dataset.annotator_ids), _Encoded(dataset.example_ids)
+    labels, texts = _Encoded(dataset.label_names), _Encoded(dataset.texts)
+    demographics = _Encoded(dataset.demographics, ', "demographics": ')
+    demographics[-1] = ""
+    columns = zip(dataset.annotator_index.tolist(), dataset.demographics_index.tolist(),
+                  dataset.example_index.tolist(), dataset.labels.tolist(),
+                  dataset.text_index.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in dataset.examples:
-            head = '{"annotator_id": ' + strings[ex.annotator_id]
-            if ex.demographics is not None:
-                key = id(ex.demographics)
-                if key not in demographics:
-                    demographics[key] = _LINE_ENCODER.encode(ex.demographics)
-                head += ', "demographics": ' + demographics[key]
-            fh.write(f'{head}, "example_id": {strings[ex.example_id]}, '
-                     f'"label": {labels[ex.label]}, "text": {strings[ex.text]}}}\n')
+        fh.writelines(f'{{"annotator_id": {annotators[a]}{demographics[d]}, "example_id": '
+                      f'{examples[e]}, "label": {labels[label]}, "text": {texts[t]}}}\n'
+                      for a, d, e, label, t in columns)
 
 
 def _plain(value):
@@ -409,7 +527,8 @@ def check_type(name: str, value, kind, choices=None) -> None:
     Optional[X] takes null or what X takes; list[X] a list, dict[str, X] an
     object and a dataclass an object of exactly its fields, each item checked
     by its own rule under its index, key or name.field, a dataclass's fields
-    in their declared order. ValueError names the key path and the value."""
+    in their declared order. ValueError names the key path and the value;
+    TypeError, a kind that is none of these, such as a bare list."""
     origin, args = get_origin(kind), get_args(kind)
     if origin is Union:   # Optional[X]: args is (X, NoneType)
         if value is not None:
@@ -445,9 +564,11 @@ def check_type(name: str, value, kind, choices=None) -> None:
         ok, want = number and isinstance(value, int), "an integer"
     elif kind is float:   # abs(): math.isfinite raises on an int too large for a float
         ok, want = number and abs(value) <= sys.float_info.max, "a finite number"
-    else:
+    elif kind is str:
         ok = isinstance(value, str)
         want = "a string" if choices is None else f"one of {list(choices)}"
+    else:
+        raise TypeError(f"{name}: check_type knows no kind {kind!r}")
     if ok and choices is not None and value not in choices:
         ok, want = False, f"one of {list(choices)}"
     if not ok:
@@ -517,9 +638,22 @@ def write_manifest(dataset: Dataset, path) -> None:
 
 
 def _subset(dataset: Dataset, keep: np.ndarray, suffix) -> Dataset:
-    """The annotations where the boolean mask keep is set, in dataset order."""
-    examples = list(compress(dataset.examples, keep.tobytes()))
-    return Dataset.from_examples(examples, dataset.label_names, f"{dataset.name}-{suffix}")
+    """The annotations where the boolean mask keep is set, in dataset order:
+    the arrays indexed, both registries renumbered to their first appearance
+    in the part, and the text and demographics tables and the examples
+    shared."""
+    positions = np.flatnonzero(keep)
+    annotator_ids, annotator_index = renumbered(dataset.annotator_ids,
+                                                dataset.annotator_index[positions])
+    example_ids, example_index = renumbered(dataset.example_ids, dataset.example_index[positions])
+    return Dataset(
+        label_names=list(dataset.label_names), annotator_ids=annotator_ids,
+        example_ids=example_ids, texts=dataset.texts, demographics=dataset.demographics,
+        annotator_index=annotator_index, example_index=example_index,
+        text_index=dataset.text_index[positions],
+        demographics_index=dataset.demographics_index[positions],
+        labels=dataset.labels[positions], name=f"{dataset.name}-{suffix}",
+        _source=(dataset, positions))
 
 
 def make_annotation_split(dataset: Dataset, train_frac: float, seed: int,
@@ -604,7 +738,7 @@ class StatisticsReport:
 
 def dataset_statistics(dataset: Dataset) -> StatisticsReport:
     """Count annotations per annotator and distinct labels per example."""
-    if not dataset.examples:
+    if not len(dataset):
         raise CorpusError("empty dataset")
     counts = dataset.label_counts()
     # which labels each text received; the histogram counts texts by how many
@@ -616,5 +750,5 @@ def dataset_statistics(dataset: Dataset) -> StatisticsReport:
         disagreement_histogram=dict(zip(sizes.tolist(), frequency.tolist())),
         label_usage=dict(zip(dataset.label_names, counts.sum(axis=0).tolist())),
         n_examples=len(dataset.example_ids),
-        n_annotations=len(dataset.examples),
+        n_annotations=len(dataset),
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import AnnotatedExample, Dataset, check_fields
+from .corpus import Dataset, check_fields, label_dtype, renumbered
 
 
 # the tokens of each text from its base label's signal pool, then the filler pool
@@ -124,9 +124,6 @@ def generate_population(cfg: PopulationConfig) -> tuple[Dataset, GroundTruth]:
         }
 
     annotator_ids = list(group_ids)
-    demographics = [
-        {"cohort": f"g{g}"} if cfg.group_count > 0 else None for g in group_ids.values()
-    ]
     # cdf[base, i] is the cumulative bias row of annotator i for that base
     # label, normalised as Generator.choice(m, p=row) does before its one
     # uniform draw; a label is then the count of cdf entries <= that draw
@@ -134,34 +131,46 @@ def generate_population(cfg: PopulationConfig) -> tuple[Dataset, GroundTruth]:
     cdf /= cdf[:, :, -1:]
     everyone = np.arange(cfg.n_annotators)
     base_labels: dict[str, int] = {}
-    examples: list[AnnotatedExample] = []
+    # row t: text t's annotators (indices into annotator_ids) and their labels
+    n_texts, per_text = max(cfg.n_texts, 0), cfg.annotations_per_text
+    annotators = np.empty((n_texts, per_text), np.int64)
+    labels = np.empty((n_texts, per_text), label_dtype(m))
+    # each distinct text's index in the text table, and each text's index there
+    texts: dict[str, int] = {}
+    text_of = []
 
-    for t in range(cfg.n_texts):
+    for t in range(n_texts):
         example_id = f"t{t:05d}"
         base = t % m
         base_labels[example_id] = base
         tokens = rng.choice(signal_pools[base], size=SIGNAL_TOKENS_PER_TEXT).tolist()
         tokens += rng.choice(filler_pool, size=FILLER_TOKENS_PER_TEXT).tolist()
-        text = " ".join(tokens)
+        text_of.append(texts.setdefault(" ".join(tokens), len(texts)))
         if cfg.annotations_per_text == cfg.n_annotators:
             chosen = everyone
         else:
             chosen = np.sort(rng.choice(cfg.n_annotators, size=cfg.annotations_per_text,
                                         replace=False))
         draws = rng.random(len(chosen))
-        labels = (cdf[base, chosen] <= draws[:, None]).sum(axis=1)
-        for i, label in zip(chosen.tolist(), labels.tolist()):
-            examples.append(AnnotatedExample(
-                example_id=example_id,
-                text=text,
-                annotator_id=annotator_ids[i],
-                label=label,
-                demographics=demographics[i],
-            ))
+        annotators[t] = chosen
+        labels[t] = (cdf[base, chosen] <= draws[:, None]).sum(axis=1)
 
-    label_names = [f"L{c}" for c in range(m)]
-    dataset = Dataset.from_examples(
-        examples, label_names,
+    chosen = annotators.ravel()
+    if cfg.group_count > 0:
+        # one {"cohort": ...} dict per group; annotator i is in group group_ids[a_i]
+        demographics = tuple({"cohort": f"g{g}"} for g in range(cfg.group_count))
+        demographics_index = np.array(list(group_ids.values()), np.int32)[chosen]
+    else:
+        demographics, demographics_index = (), np.full(len(chosen), -1, np.int32)
+    annotator_ids, annotator_index = renumbered(annotator_ids, chosen)
+    dataset = Dataset(
+        label_names=[f"L{c}" for c in range(m)], annotator_ids=annotator_ids,
+        example_ids=list(base_labels), texts=tuple(texts), demographics=demographics,
+        annotator_index=annotator_index,
+        example_index=np.repeat(np.arange(n_texts, dtype=np.int32), per_text),
+        text_index=np.repeat(np.array(text_of, np.int32), per_text),
+        demographics_index=demographics_index,
+        labels=labels.ravel(),
         name=f"synthetic-n{cfg.n_annotators}-g{cfg.group_count}-s{cfg.bias_strength}",
     )
     truth = GroundTruth(

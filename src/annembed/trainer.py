@@ -193,13 +193,15 @@ def _prepare(dataset: Dataset, model: Model, mode: CombinationMode,
     needs: leave-one-out from the training index when one is given, else the
     model's test-time ones."""
     items = []
-    for ex in dataset.examples:
-        ids = enc.tokenize(ex.text, model.vocab, model.encoder_config.max_len)
+    for text, annotator, label in zip(dataset.text_index.tolist(),
+                                      dataset.annotator_index.tolist(), dataset.labels.tolist()):
+        ids = enc.tokenize(dataset.texts[text], model.vocab, model.encoder_config.max_len)
+        annotator_id = dataset.annotator_ids[annotator]
         coeff = None
         if mode.uses_annotation:
-            coeff = (model.test_coefficients(ex.annotator_id) if index is None
-                     else index.train_coefficients(ex.annotator_id, ex.label))
-        items.append((ids, ex.annotator_id, coeff, ex.label))
+            coeff = (model.test_coefficients(annotator_id) if index is None
+                     else index.train_coefficients(annotator_id, label))
+        items.append((ids, annotator_id, coeff, label))
     return items
 
 
@@ -243,11 +245,12 @@ def train(split: Split, cfg: TrainConfig,
     parameters of the epoch with the best dev EM, checked after every epoch;
     ValueError if the split has no dev part.
     """
-    if not split.train.examples:
+    if not len(split.train):
         raise ValueError("empty train split")
     if cfg.select_on_dev and split.dev is None:
         raise ValueError("select_on_dev needs a dev split, and this split has none")
-    vocab = Vocabulary.build(ex.text for ex in split.train.examples)
+    # texts in the order of their first annotation, which fixes the token ids
+    vocab = Vocabulary.build(map(split.train.texts.__getitem__, split.train.text_index.tolist()))
     encoder_config = replace(encoder_config or EncoderConfig(), vocab_size=vocab.size)
 
     model = Model(encoder_config, cfg, vocab, split.train.label_names,
@@ -350,7 +353,7 @@ def evaluate(model: Model, dataset: Dataset, mode: Optional[CombinationMode] = N
     annotations; annotators unseen in training get a fresh embedding row and
     the uniform label average.
     """
-    if not dataset.examples:
+    if not len(dataset):
         raise ValueError("cannot evaluate an empty dataset")
     if dataset.label_names != model.label_names:
         raise ValueError(f"dataset labels {dataset.label_names} do not match the "
@@ -389,7 +392,7 @@ def baselines(dataset: Dataset, seed: int, majority_label: Optional[int] = None,
     majority_label defaults to the dataset's own most frequent label (ties
     resolved toward the earlier registry index).
     """
-    if not dataset.examples:
+    if not len(dataset):
         raise ValueError("empty dataset")
     m = dataset.n_labels
     rng = np.random.default_rng(seed)

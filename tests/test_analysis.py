@@ -515,6 +515,38 @@ def test_demographic_ties_reported_together():
     assert alignment.top_values["gender"][0] == ["female", "male"]
 
 
+DEMOGRAPHICS = [None, {}, {"gender": "female"}, {"gender": "male"}, {"age": "30-39"},
+                {"gender": "male", "age": "40-49"}, {"age": "40-49", "gender": "female"}]
+
+
+@settings(max_examples=80, deadline=None)
+@given(annotations=st.lists(st.tuples(st.sampled_from(["a0", "a1", "a2", "a3"]),
+                                      st.sampled_from(DEMOGRAPHICS)),
+                            min_size=1, max_size=12),
+       data=st.data())
+def test_demographic_alignment_merges_each_annotators_dicts_as_update_does(annotations, data):
+    """An annotator with several dicts, in any order: the alignment equals
+    that of one dict per annotator, merged with dict.update over the
+    annotations in order, as the per-example loop did."""
+    examples = [AnnotatedExample(f"t{i}", "text", ann, 0, demographics=demo)
+                for i, (ann, demo) in enumerate(annotations)]
+    merged = {}
+    for ex in examples:
+        if ex.demographics:
+            merged.setdefault(ex.annotator_id, {}).update(ex.demographics)
+    once = [AnnotatedExample(ex.example_id, "text", ex.annotator_id, 0,
+                             demographics=merged.get(ex.annotator_id)) for ex in examples]
+    ids = list(dict.fromkeys(ann for ann, _ in annotations))
+    clusters = _clusters_for({a: data.draw(st.integers(0, 1)) for a in ids})
+    try:
+        want = demographic_alignment(clusters, Dataset.from_examples(once, ["L0"]))
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            demographic_alignment(clusters, Dataset.from_examples(examples, ["L0"]))
+    else:
+        assert demographic_alignment(clusters, Dataset.from_examples(examples, ["L0"])) == want
+
+
 @pytest.mark.parametrize("items", [[], [0]])
 def test_adjusted_rand_index_rejects_fewer_than_two_items(items):
     with pytest.raises(ValueError, match="at least 2 items"):

@@ -1118,6 +1118,76 @@ def test_mutated_record_is_refused_by_key_path_or_written_back_as_is(recorded_ru
         assert (work / "record.json").read_text() == (work / "mutated.json").read_text()
 
 
+# what a mutated JSONL line becomes: another value for a key, another text
+# for an example id that other lines repeat, another dict for an annotator,
+# or demographics that map no strings to strings
+OTHER_TEXTS = ["another text", "", "w001 ü w001"]
+OTHER_DEMOGRAPHICS = [{"cohort": "elsewhere"}, {}, {"b": "2", "a": "1"}]
+BAD_DEMOGRAPHICS = ["x", 1, 0.5, True, [], [["a", "b"]], {"a": 1}, {"a": None}]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_corpus_line_splits_trains_or_exits_2(recorded_run, data):
+    """One line of the recorded corpus or of a recorded split part: a key
+    deleted, renamed or given a value of another JSON type, a repeated
+    example id given another text, or an annotator given another demographics
+    dict or demographics that are no such dict. split of the corpus or train
+    on the split exits 0 or 2; a key fault or bad demographics exit 2 naming
+    the line, the other mutations break no rule and exit 0, and the parts
+    that split writes reload to the mutated records."""
+    target = data.draw(st.sampled_from(["synth/corpus.jsonl", "split/train.jsonl",
+                                        "split/test.jsonl"]))
+    lines = (recorded_run / target).read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    ids = [record["example_id"] for record in records]
+    repeated = [i for i, eid in enumerate(ids) if ids.count(eid) > 1]
+    kind = data.draw(st.sampled_from(["key", "demographics", "bad_demographics"]
+                                     + (["text"] if repeated else [])))
+    i = data.draw(st.sampled_from(repeated) if kind == "text" else
+                  st.integers(0, len(records) - 1))
+    record = records[i]
+    if kind == "key":
+        key = data.draw(st.sampled_from(sorted(record)))
+        _mutate(record, key, data.draw(st.sampled_from(_mutations(record[key]))))
+    elif kind == "text":
+        record["text"] = data.draw(st.sampled_from(OTHER_TEXTS))
+    else:
+        record["demographics"] = data.draw(st.sampled_from(
+            OTHER_DEMOGRAPHICS if kind == "demographics" else BAD_DEMOGRAPHICS))
+    mutated = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+    work = Path(tempfile.mkdtemp(dir=recorded_run))
+    if target.startswith("synth/"):
+        shutil.copy(recorded_run / "synth" / "corpus.manifest.json", work)
+        (work / "corpus.jsonl").write_text(mutated, encoding="utf-8")
+        argv = ["split", "--data", str(work / "corpus.jsonl"), "--seed", "1",
+                "--out", str(work / "split")]
+    else:
+        shutil.copytree(recorded_run / "split", work / "parts")
+        (work / target.replace("split/", "parts/")).write_text(mutated, encoding="utf-8")
+        argv = ["train", "--data", str(work / "parts"), "--epochs", "1", "--hidden", "8",
+                "--layers", "1", "--heads", "2", "--max-len", "12", "--ffn-mult", "2",
+                "--seed", "1", "--out", str(work / "train")]
+    code, err = _cli(argv)
+    assert code == (2 if kind in ("key", "bad_demographics") else 0), err
+    if code == 2:
+        assert f"error: line {i + 1}: " in err, err
+    elif argv[0] == "split":
+        labels = read_record(work / "corpus.manifest.json", DatasetManifest).label_names
+        reloaded = []
+        for part in ("train", "test"):
+            for ex in load_dataset(work / "split" / f"{part}.jsonl", labels).examples:
+                reloaded.append({"example_id": ex.example_id, "text": ex.text,
+                                 "annotator_id": ex.annotator_id, "label": labels[ex.label]})
+                if ex.demographics is not None:
+                    reloaded[-1]["demographics"] = ex.demographics
+        assert sorted(map(_canonical, reloaded)) == sorted(map(_canonical, records))
+
+
+def _canonical(record: dict) -> str:
+    return json.dumps(record, sort_keys=True)
+
+
 @pytest.mark.parametrize("field, value", [("max_len", 10 ** 12), ("ffn_mult", 10 ** 9),
                                           ("layers", 10 ** 5), ("vocab_size", 10 ** 8)])
 def test_checkpoint_declaring_a_huge_model_is_refused_before_it_allocates(

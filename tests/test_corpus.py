@@ -4,7 +4,10 @@ import json
 import math
 import os
 import re
-from typing import Optional
+from dataclasses import is_dataclass
+from enum import Enum
+from itertools import compress
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annembed.analysis import KappaMatrix
+from annembed.cli import CONFIG_FLAGS
 from annembed.corpus import (
     _LINE_DECODER,
     _LINE_ENCODER,
@@ -20,6 +24,8 @@ from annembed.corpus import (
     _subset,
     CorpusError,
     Dataset,
+    DatasetManifest,
+    SplitManifest,
     StatisticsReport,
     check_type,
     dataset_statistics,
@@ -32,7 +38,7 @@ from annembed.corpus import (
     write_json,
 )
 from annembed.embedding import CombinationMode
-from annembed.trainer import TrainConfig
+from annembed.trainer import CheckpointManifest, EvalReport, TrainConfig
 
 
 def _write_lines(path, records):
@@ -109,7 +115,7 @@ def test_load_shares_repeated_texts_ids_and_demographics(tmp_path):
     path = tmp_path / "data.jsonl"
     write_dataset(original, path)
     loaded = load_dataset(path, original.label_names).examples
-    assert loaded == examples
+    assert loaded == tuple(examples)
     assert len({id(ex.text) for ex in loaded}) == 6
     assert len({id(ex.example_id) for ex in loaded}) == 6
     assert len({id(ex.annotator_id) for ex in loaded}) == 4
@@ -218,6 +224,23 @@ def test_dataset_rejects_duplicate_label_names():
         Dataset.from_examples([AnnotatedExample("e", "x", "a", 0)], ["A", "B", "A"])
 
 
+@pytest.mark.parametrize("column, values, message", [
+    ("annotator_index", [0, 1, 0], r"annotator_index must hold 2 indices in \[0, 2\)"),
+    ("example_index", [0], r"example_index must hold 2 indices in \[0, 1\)"),
+    ("example_index", [0, -1], r"example_index must hold 2 indices in \[0, 1\)"),
+    ("text_index", [0, 2], r"text_index must hold 2 indices in \[0, 2\)"),
+    ("demographics_index", [-2, 0], r"demographics_index must hold 2 indices in \[-1, 1\)"),
+])
+def test_dataset_refuses_columns_of_another_length_or_out_of_range(column, values, message):
+    """Two annotations by a and b of e; one column is replaced."""
+    columns = dict(annotator_index=[0, 1], example_index=[0, 0], text_index=[0, 1],
+                   demographics_index=[-1, 0], labels=[0, 1])
+    columns[column] = values
+    with pytest.raises(CorpusError, match=f"^{message}$"):
+        Dataset(["A", "B"], ["a", "b"], ["e"], ("t", "u"), ({"g": "1"},),
+                **{key: np.array(value, np.int32) for key, value in columns.items()})
+
+
 def test_load_full_coverage_shape(tmp_path):
     # 6 annotators each labeling all 1,008 texts
     path = tmp_path / "wide.jsonl"
@@ -286,8 +309,8 @@ def test_annotation_split_matches_independent_partition():
         expected_test.extend(shuffled[n_train:])
     expected_train_examples = [ds.examples[i] for i in sorted(expected_train)]
     expected_test_examples = [ds.examples[i] for i in sorted(expected_test)]
-    assert split.train.examples == expected_train_examples
-    assert split.test.examples == expected_test_examples
+    assert list(split.train.examples) == expected_train_examples
+    assert list(split.test.examples) == expected_test_examples
 
 
 def test_annotation_split_preserves_multiset():
@@ -495,7 +518,7 @@ def _reference_statistics(dataset):
 def test_splits_and_statistics_equal_the_per_example_code(dataset, train_frac, dev_frac, seed,
                                                           data):
     def parts(split):
-        return {part: getattr(split, part).examples if getattr(split, part) else []
+        return {part: list(getattr(split, part).examples) if getattr(split, part) else []
                 for part in ("train", "dev", "test")}
 
     try:
@@ -512,7 +535,7 @@ def test_splits_and_statistics_equal_the_per_example_code(dataset, train_frac, d
     assert parts(split) == dict(_reference_annotator_split(dataset, train_frac, seed), dev=[])
     known = data.draw(st.lists(st.sampled_from(dataset.annotator_ids + ["stranger"])))
     kept = drop_unseen_annotators(dataset, known)
-    assert kept.examples == [ex for ex in dataset.examples if ex.annotator_id in known]
+    assert list(kept.examples) == [ex for ex in dataset.examples if ex.annotator_id in known]
     assert kept.name == dataset.name + "-seen"
     assert dataset_statistics(dataset) == _reference_statistics(dataset)
 
@@ -650,6 +673,46 @@ def test_check_type_limits_a_string_to_its_choices():
         check_type("kind", "annotatr", str, ["annotation", "annotator"])
 
 
+@pytest.mark.parametrize("kind, value", [
+    (list, ["a"]), (dict, {"a": "b"}), (tuple, ("a",)), (complex, 1j), (type(None), None),
+    (list[complex], [1j]), (Optional[dict], {}),
+])
+def test_check_type_refuses_a_kind_it_does_not_know(kind, value):
+    with pytest.raises(TypeError, match=r"^x(\[0\])?: check_type knows no kind "):
+        check_type("x", value, kind)
+
+
+def _reaching_value(kind):
+    """A value that check_type takes as kind and that reaches every kind
+    nested in it: one item in each list and object, X of Optional[X], every
+    field of a dataclass. A kind check_type does not know gets None."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:
+        return _reaching_value(args[0])
+    if origin is list:
+        return [_reaching_value(args[0])]
+    if origin is dict:
+        return {"key": _reaching_value(args[1])}
+    if origin is Literal:
+        return args[0]
+    if is_dataclass(kind):
+        return {name: _reaching_value(hint) for name, hint in get_type_hints(kind).items()}
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return next(iter(kind)).value
+    return {bool: True, int: 1, float: 0.5, str: "s"}.get(kind)
+
+
+def test_every_flag_and_record_field_has_a_kind_check_type_knows():
+    declared = [(f"{cls.__name__}.{name}", get_type_hints(cls)[name])
+                for cls, flags in CONFIG_FLAGS.items() for name in flags.values()]
+    declared += [(f"{record.__name__}.{name}", kind)
+                 for record in (DatasetManifest, SplitManifest, EvalReport, CheckpointManifest)
+                 for name, kind in get_type_hints(record).items()]
+    assert len(declared) > 30
+    for name, kind in declared:
+        check_type(name, _reaching_value(kind), kind)
+
+
 # (annotator, text number, label) triples, at most one per annotator and text
 ANNOTATIONS = st.lists(
     st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.integers(0, 9), st.integers(0, 2)),
@@ -721,7 +784,7 @@ def test_write_then_load_returns_the_same_records(tmp_path_factory, records):
                 for eid, text, ann, label, demo in records]
     path = tmp_path_factory.mktemp("corpus") / "data.jsonl"
     write_dataset(Dataset.from_examples(examples, labels), path)
-    assert load_dataset(path, labels).examples == examples
+    assert load_dataset(path, labels).examples == tuple(examples)
 
 
 # quotes, backslashes, control characters, non-ASCII and separators JSON
@@ -862,7 +925,8 @@ def _reference_record(obj, label_index, shared, line_no):
 
 
 def _reference_load(path, label_names):
-    """load_dataset as JSONDecoder.decode of each stripped line, then the checks."""
+    """load_dataset as JSONDecoder.decode of each stripped line, then the
+    checks: the examples and their _reference_view."""
     label_index = {name: i for i, name in enumerate(label_names)}
     shared, examples = {}, []
     with open(path, encoding="utf-8") as fh:
@@ -877,7 +941,52 @@ def _reference_load(path, label_names):
             except CorpusError as err:
                 raise CorpusError(f"line {line_no}: {err}") from err
             examples.append(_reference_record(obj, label_index, shared, line_no))
-    return Dataset.from_examples(examples, label_names, str(path))
+    return examples, _reference_view(examples, label_names)
+
+
+_INTEGERS = (int, np.integer)
+
+
+def _reference_view(examples, label_names):
+    """The object pass that Dataset made before it held columns: both
+    registries in first-appearance order, the three integer columns, and
+    CorpusError for the first annotation whose label is no integer or out of
+    range, or whose (example_id, annotator_id) pair came before."""
+    m = len(label_names)
+    annotators, example_ids, seen = {}, {}, set()
+    for ex in examples:
+        annotation = (ex.example_id, ex.annotator_id)
+        if not isinstance(ex.label, _INTEGERS) or isinstance(ex.label, bool):
+            raise CorpusError(
+                f"label of annotation {annotation} must be an integer, found {ex.label!r}")
+        if not 0 <= ex.label < m:
+            raise CorpusError(f"label index {ex.label} out of range for {m} labels")
+        if annotation in seen:
+            raise CorpusError(f"duplicate annotation {annotation}")
+        seen.add(annotation)
+        annotators.setdefault(ex.annotator_id, len(annotators))
+        example_ids.setdefault(ex.example_id, len(example_ids))
+    return {"annotator_ids": list(annotators), "example_ids": list(example_ids),
+            "annotator_index": [annotators[ex.annotator_id] for ex in examples],
+            "example_index": [example_ids[ex.example_id] for ex in examples],
+            "labels": [int(ex.label) for ex in examples]}
+
+
+def _assert_columns(dataset, examples, view):
+    """dataset holds the examples as view's registries and integer columns,
+    and its tables give each annotation its own text and demographics."""
+    assert dataset.annotator_ids == view["annotator_ids"]
+    assert dataset.example_ids == view["example_ids"]
+    for key in ("annotator_index", "example_index", "labels"):
+        assert getattr(dataset, key).tolist() == view[key]
+    assert [dataset.texts[i] for i in dataset.text_index] == [ex.text for ex in examples]
+    # each dict with its items in their own order
+    assert [list(dataset.demographics[i].items()) if i >= 0 else None
+            for i in dataset.demographics_index] \
+        == [None if ex.demographics is None else list(ex.demographics.items())
+            for ex in examples]
+    assert len(set(dataset.texts)) == len(dataset.texts)
+    assert dataset.examples == tuple(examples)
 
 
 LOADER_LABELS = ["A", "B", "ü"]
@@ -942,19 +1051,19 @@ def test_load_dataset_agrees_with_decoding_each_line(tmp_path_factory, lines):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("".join(lines))
     try:
-        want = _reference_load(path, LOADER_LABELS)
+        examples, view = _reference_load(path, LOADER_LABELS)
     except CorpusError as err:
         with pytest.raises(CorpusError) as got:
             load_dataset(path, LOADER_LABELS)
         assert str(got.value) == str(err)
         return
     got = load_dataset(path, LOADER_LABELS)
-    assert got.examples == want.examples
-    assert got.annotator_ids == want.annotator_ids and got.name == want.name
+    _assert_columns(got, examples, view)
+    assert got.name == str(path)
     # the same values are shared: as many distinct objects as the reference holds
     for key in ("text", "demographics"):
         assert (len({id(getattr(ex, key)) for ex in got.examples})
-                == len({id(getattr(ex, key)) for ex in want.examples}))
+                == len({id(getattr(ex, key)) for ex in examples}))
 
 
 def test_load_refuses_lines_that_decode_only_when_joined(tmp_path):
@@ -975,3 +1084,116 @@ def test_load_refuses_lines_that_decode_only_when_joined(tmp_path):
         path.write_text("\n".join(kept) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=message):
             load_dataset(path, ["A", "B"])
+
+
+# ---------------------------------------------------------------------------
+# the columns against the object pass they replaced (_reference_view)
+
+COLUMN_LABELS = ["A", "B", "C"]
+
+
+def _column_records(labels, **kwargs):
+    """Records from small pools, so that an example id comes back with another
+    text, an annotator with another dict (equal dicts as distinct objects, in
+    another item order, or empty) and, unless kwargs rule it out, an
+    (example, annotator) pair a second time."""
+    return st.lists(st.tuples(
+        st.sampled_from(["e1", "e2", "e3", "é4"]), st.sampled_from(["t", "u", "日 本", "e1"]),
+        st.sampled_from(["a", "b", "c", "d"]), labels,
+        st.sampled_from([None, {"g": "1"}, {"g": "2"}, {"g": "1", "h": "x"},
+                         {"h": "x", "g": "1"}, {}])), **kwargs)
+
+
+GOOD_LABELS = st.sampled_from([0, 1, 2, np.int64(2), np.uint8(1)])
+# half the lists valid; the others have labels that are no integer or out
+# of range, and repeated pairs
+COLUMN_RECORDS = (
+    _column_records(GOOD_LABELS, max_size=12, unique_by=lambda r: (r[0], r[2]))
+    | _column_records(GOOD_LABELS | st.sampled_from([3, -1, 1.5, "1", True, None, np.int8(-1)]),
+                      max_size=8))
+
+
+def _line(record) -> str:
+    """record as a JSONL line: a label in range becomes its name, and any
+    other label stays as it is, which load_dataset refuses."""
+    eid, text, ann, label, demographics = record
+    if isinstance(label, np.integer):
+        label = int(label)
+    if type(label) is int and 0 <= label < len(COLUMN_LABELS):
+        label = COLUMN_LABELS[label]
+    obj = {"example_id": eid, "text": text, "annotator_id": ann, "label": label}
+    if demographics is not None:
+        obj["demographics"] = demographics
+    return json.dumps(obj) + "\n"
+
+
+def _check_against_reference(build, reference):
+    """build() and reference() give the same columns, or the same first fault;
+    then every part of the dataset equals the dataset of its examples."""
+    try:
+        examples, view = reference()
+    except CorpusError as err:
+        with pytest.raises(CorpusError) as got:
+            build()
+        assert str(got.value) == str(err)
+        return None
+    dataset = build()
+    _assert_columns(dataset, examples, view)
+    # the examples built from the columns, not the ones from_examples keeps
+    _assert_columns(dataclasses.replace(dataset, _examples=None), examples, view)
+    return dataset, examples
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=COLUMN_RECORDS, data=st.data())
+@example(records=[("e1", "t", "a", 0, {"g": "1"}), ("e1", "u", "b", 1, {"h": "x", "g": "1"}),
+                  ("e2", "t", "a", 2, {"g": "1", "h": "x"}), ("e2", "t", "b", 0, None)],
+         data=None)
+@example(records=[("e1", "t", "a", 0, None), ("e1", "t", "a", 1.5, None)], data=None)
+def test_columns_equal_the_object_reference(tmp_path_factory, records, data):
+    """from_examples and load_dataset of the same records against the object
+    pass: registries, arrays, tables, examples and the first fault's text;
+    and each _subset part against from_examples of the objects it kept."""
+    path = tmp_path_factory.mktemp("columns") / "data.jsonl"
+    path.write_text("".join(map(_line, records)), encoding="utf-8")
+    objects = [AnnotatedExample(*record) for record in records]
+    for built in (
+        _check_against_reference(lambda: Dataset.from_examples(objects, COLUMN_LABELS, "drawn"),
+                                 lambda: (objects, _reference_view(objects, COLUMN_LABELS))),
+        _check_against_reference(lambda: load_dataset(path, COLUMN_LABELS, "drawn"),
+                                 lambda: _reference_load(path, COLUMN_LABELS)),
+    ):
+        if built is None or data is None:
+            continue
+        dataset, examples = built
+        keep = data.draw(st.lists(st.booleans(), min_size=len(examples),
+                                  max_size=len(examples)))
+        kept = list(compress(examples, keep))
+        part = _subset(dataset, np.array(keep, np.bool_), "part")
+        assert part == Dataset.from_examples(kept, COLUMN_LABELS, "drawn-part")
+        _assert_columns(part, kept, _reference_view(kept, COLUMN_LABELS))
+        # a part's examples are its source's objects
+        assert all(a is b for a, b in zip(part.examples, compress(dataset.examples, keep)))
+
+
+def test_load_split_write_train_evaluate_never_build_examples(tmp_path, monkeypatch):
+    from annembed import analysis, synthgen, trainer
+    from annembed.encoder import EncoderConfig
+
+    monkeypatch.setattr(Dataset, "examples",
+                        property(lambda self: pytest.fail("a pipeline step built examples")))
+    dataset, _ = synthgen.generate_population(synthgen.PopulationConfig(
+        n_annotators=4, n_texts=30, group_count=2, annotations_per_text=3, seed=2))
+    write_dataset(dataset, tmp_path / "corpus.jsonl")
+    loaded = load_dataset(tmp_path / "corpus.jsonl", dataset.label_names)
+    split = make_annotation_split(loaded, 0.7, seed=2, dev_frac=0.3)
+    for part in ("train", "dev", "test"):
+        write_dataset(getattr(split, part), tmp_path / f"{part}.jsonl")
+    model, _ = trainer.train(split, TrainConfig(epochs=1, batch_size=16, seed=2),
+                             EncoderConfig(hidden=8, layers=1, heads=2, max_len=12))
+    trainer.evaluate(model, split.test, with_baselines=True)
+    trainer.evaluate(model, drop_unseen_annotators(loaded, model.annotator_ids))
+    dataset_statistics(loaded)
+    clusters = analysis.ClusterResult({a: i % 2 for i, a in enumerate(loaded.annotator_ids)},
+                                      np.zeros((2, 1)), 0.0, seed=0)
+    analysis.demographic_alignment(clusters, loaded)

@@ -193,7 +193,7 @@ def test_population_equals_the_per_annotation_reference(monkeypatch, group_count
                                annotations_per_text=annotations_per_text, seed=n_labels)
         dataset, truth = generate_population(cfg)
         examples, base_labels, bias, group_ids = _reference_population(cfg)
-        assert dataset.examples == examples
+        assert dataset.examples == tuple(examples)
         assert all(type(ex.label) is int for ex in dataset.examples)
         assert truth.base_labels == base_labels
         assert truth.group_ids == group_ids

@@ -17,12 +17,13 @@ from annembed.corpus import (
     AnnotatedExample,
     Dataset,
     Split,
+    _subset,
     make_annotation_split,
     read_record,
     write_json,
 )
 from annembed.embedding import CombinationMode
-from annembed.encoder import EncoderConfig
+from annembed.encoder import EncoderConfig, Vocabulary
 from annembed.synthgen import PopulationConfig, generate_population
 from annembed.trainer import (
     EvalReport,
@@ -364,6 +365,22 @@ def test_train_leaves_the_callers_encoder_config_alone(tmp_path):
     assert first.encoder_config.vocab_size == first.vocab.size < second.vocab.size
     save_checkpoint(first, tmp_path / "first")
     assert load_checkpoint(tmp_path / "first").vocab.token_to_id == first.vocab.token_to_id
+
+
+def test_train_numbers_tokens_in_the_order_the_train_part_first_uses_its_texts():
+    """A split part shares its source's text table, which also holds the
+    test part's texts; the vocabulary reads the train annotations in order."""
+    texts = ["only test words", "train words here", "more train", "train again"]
+    ds = Dataset.from_examples(
+        [AnnotatedExample(f"t{t}", texts[t], ann, (t + i) % 2)
+         for t in (0, 3, 1, 2) for i, ann in enumerate(("a", "b"))], ["L0", "L1"])
+    split = Split(train=_subset(ds, ds.example_index > 0, "train"),
+                  test=_subset(ds, ds.example_index == 0, "test"))
+    assert split.train.texts == ds.texts == (texts[0], texts[3], texts[1], texts[2])
+    cfg = TrainConfig(mode=CombinationMode.TEXT_ONLY, epochs=1, batch_size=2, seed=0)
+    model, _ = train(split, cfg, EncoderConfig(**FAST_ENC))
+    want = Vocabulary.build([texts[3], texts[1], texts[2]])
+    assert model.vocab.token_to_id == want.token_to_id
 
 
 def test_evaluate_handles_unseen_annotators():
