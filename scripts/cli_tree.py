@@ -7,11 +7,12 @@ Each command runs as `python -m annembed.cli` against this checkout's own
 it, so that trees made from two checkouts can be compared with `diff -r`. The
 stdout, stderr and exit code of each command go to `_log/<step>.out`, `.err`
 and `.code`. The bad inputs at the end are expected to exit 2. Besides the
-synthetic corpora, the script writes three small corpora by hand: `quoted/`,
+synthetic corpora, the script writes four small corpora by hand: `quoted/`,
 whose annotator ids and a label name hold a comma or a quote, `edge/`, whose
 JSONL has blank and whitespace-only lines, CRLF line ends, lines padded with
-no-break spaces, repeated demographics and non-ASCII text, and
-`string_labels/`, whose manifest gives `label_names` as one string. After
+no-break spaces, repeated demographics and non-ASCII text,
+`string_labels/`, whose manifest gives `label_names` as one string, and
+`surrogate/`, whose JSONL holds a lone surrogate as a JSON escape. After
 training it copies one checkpoint to `huge_max_len/`, with `max_len` 10**12
 in its manifest, the split `split_a/` to `split_seed_string/`, whose
 `split_manifest.json` has `seed` "1", and one `report.json` to
@@ -93,6 +94,21 @@ def write_string_labels_corpus(tree):
     with open(os.path.join(tree, "string_labels", "corpus.manifest.json"), "w",
               encoding="utf-8") as fh:
         json.dump({"label_names": "ab", "name": "string_labels"}, fh)
+
+
+def write_surrogate_corpus(tree):
+    """Two annotators on four texts; the last text holds the escape \\ud800,
+    a lone surrogate, which UTF-8 cannot encode and load_dataset refuses."""
+    os.makedirs(os.path.join(tree, "surrogate"))
+    with open(os.path.join(tree, "surrogate", "corpus.jsonl"), "w", encoding="utf-8") as fh:
+        for t in range(4):
+            for k, ann in enumerate(("p", "q")):
+                text = "text \ud800" if t == 3 else f"text {t}"
+                fh.write(json.dumps({"annotator_id": ann, "example_id": f"t{t}",
+                                     "label": "ab"[(t + k) % 2], "text": text}) + "\n")
+    with open(os.path.join(tree, "surrogate", "corpus.manifest.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump({"label_names": ["a", "b"], "name": "surrogate"}, fh)
 
 
 def _edit_json(path, edit):
@@ -187,6 +203,8 @@ def steps(tree):
                             "--out", "bad_embedding"]
     yield "bad_label_names", ["analyze", "--data", "string_labels/corpus.jsonl",
                               "--what", "stats", "--out", "bad_label_names"]
+    yield "bad_surrogate", ["split", "--data", "surrogate/corpus.jsonl", "--seed", "1",
+                            "--out", "bad_surrogate"]
     yield "bad_data_dir", ["eval", "--checkpoint", "train_text_plus_both/checkpoint",
                            "--data", "split_a", "--out", "bad_data_dir"]
     write_huge_max_len_checkpoint(tree)
@@ -207,6 +225,7 @@ def main(argv) -> int:
     write_quoted_corpus(tree)
     write_edge_corpus(tree)
     write_string_labels_corpus(tree)
+    write_surrogate_corpus(tree)
     env = {key: value for key, value in os.environ.items() if key != "ANNEMBED_OUT"}
     env.update(PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")

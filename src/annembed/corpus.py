@@ -14,9 +14,11 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
+from itertools import islice
 from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -267,6 +269,19 @@ def _not_utf8(path, err: UnicodeDecodeError) -> CorpusError:
     return CorpusError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x}: {err.reason})")
 
 
+# a code point that UTF-8 cannot encode; JSON's \u escape can write one
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _refuse_surrogates(line_no, named_strings) -> None:
+    """CorpusError naming the first of the (name, string) pairs whose string
+    holds a lone surrogate."""
+    for name, value in named_strings:
+        if _SURROGATE.search(value):
+            raise CorpusError(f"line {line_no}: {name} must hold no lone surrogate, "
+                              f"found {value!r}")
+
+
 def load_dataset(path, label_names, name=None) -> Dataset:
     """Load a JSONL annotation file against a declared label schema.
 
@@ -274,12 +289,20 @@ def load_dataset(path, label_names, name=None) -> Dataset:
     the embedding matrices are reproducible across runs. Each stripped line
     must hold exactly one JSON value, parsed by read_json's rule with NaN and
     Infinity rejected; the record is an object whose example_id, text and
-    annotator_id are strings and whose label is a declared name. CorpusError
-    names the line and its first fault, or the file if it is not UTF-8.
-    Each distinct text and each distinct demographics dict, with its items
-    in file order, is one table entry.
+    annotator_id are strings and whose label is a declared name, and no
+    string field, demographics key or demographics value may hold a lone
+    surrogate. CorpusError names the line and its first fault, or the file
+    if it is not UTF-8. Each distinct text and each distinct demographics
+    dict, with its items in file order, is one table entry.
 
-    Lines are scanned one at a time, never joined into one array: a record
+    A line is read in one of two ways, with identical results. A line in
+    write_dataset's form with no escape in it (_RECORD_LINE) whose label is
+    a declared name is read by the pattern's groups, and its demographics
+    text, if any, is looked up among the texts seen before. Any other line,
+    or one with demographics text not seen before, is decoded as JSON and
+    checked field by field; that is the only way a fault is reported.
+
+    Lines are read one at a time, never joined into one array: a record
     split across lines, or two records on one line, would decode as valid
     records from lines that are each malformed on their own.
     """
@@ -288,17 +311,31 @@ def load_dataset(path, label_names, name=None) -> Dataset:
     annotators, example_ids, texts = _Registry(), _Registry(), _Registry()
     # tuple(items) of each demographics dict seen -> its index in the table
     seen_demographics: dict[tuple, int] = {}
+    # the text of each demographics object seen in a _RECORD_LINE -> its index
+    # in the table; None, no demographics, is index -1
+    demographics_at: dict[Optional[str], int] = {None: -1}
     demographics: list[dict] = []
     columns = ([], [], [], [], [])    # annotator, example, text and demographics indices, labels
     add_annotator, add_example, add_text, add_demographics, add_label = (
         column.append for column in columns)
-    scan = _LINE_DECODER.scan_once
+    scan, match = _LINE_DECODER.scan_once, _RECORD_LINE.fullmatch
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
+                written = match(line)
+                if written is not None:
+                    annotator_id, demo_text, example_id, label, text = written.groups()
+                    label, demo = label_index.get(label), demographics_at.get(demo_text)
+                    if label is not None and demo is not None:
+                        add_annotator(annotators[annotator_id])
+                        add_example(example_ids[example_id])
+                        add_text(texts[text])
+                        add_demographics(demo)
+                        add_label(label)
+                        continue
                 # JSONDecoder.decode of a stripped line is this scan and this end check
                 try:
                     obj, end = scan(line, 0)
@@ -320,6 +357,11 @@ def load_dataset(path, label_names, name=None) -> Dataset:
                 except (KeyError, TypeError):
                     # no object, a field missing or no string, an unknown or unhashable label
                     raise _record_fault(obj, line_no) from None
+                # the file is UTF-8: a lone surrogate can only come from a \u escape
+                escaped = "\\" in line
+                if escaped:
+                    _refuse_surrogates(line_no, (("example_id", example_id), ("text", text),
+                                                 ("annotator_id", annotator_id)))
                 demo = obj.get("demographics")
                 if demo is None:
                     demo = -1
@@ -334,9 +376,15 @@ def load_dataset(path, label_names, name=None) -> Dataset:
                         ):
                             raise CorpusError(f"line {line_no}: demographics must map "
                                               "strings to strings") from None
+                        if escaped:
+                            _refuse_surrogates(line_no, (pair for k, v in demo.items() for pair in (
+                                ("demographics key", k), (f"demographics[{k!r}]", v))))
                         seen_demographics[tuple(demo.items())] = len(demographics)
                         demographics.append(demo)
                         demo = len(demographics) - 1
+                if written is not None:
+                    # a _RECORD_LINE with new demographics text: the next one takes the fast path
+                    demographics_at[demo_text] = demo
                 add_annotator(annotators[annotator_id])
                 add_example(example_ids[example_id])
                 add_text(texts[text])
@@ -368,12 +416,30 @@ class _Encoded(dict):
         return text
 
 
+# the text of a JSON string token that is its decoded value: no quote,
+# backslash or control character, so no escape (RFC 8259, section 7); the
+# class is [^"\\\x00-\x1f] written as ranges, which sre matches faster
+_PLAIN = r'[ !#-\[\]-\U0010ffff]*'
+# the line write_dataset writes when none of its strings needs an escape;
+# its groups are the annotator id, the demographics object's text (None if
+# absent), the example id, the label name and the text
+_RECORD_LINE = re.compile(
+    rf'\{{"annotator_id": "({_PLAIN})"'
+    rf'(?:, "demographics": (\{{(?:"{_PLAIN}": "{_PLAIN}"(?:, "{_PLAIN}": "{_PLAIN}")*)?\}}))?'
+    rf', "example_id": "({_PLAIN})", "label": "({_PLAIN})", "text": "({_PLAIN})"\}}')
+# write_dataset hands the file this many lines joined in one write
+_WRITE_BLOCK = 4096
+
+
 def write_dataset(dataset: Dataset, path) -> None:
     """Write a dataset back to JSONL; load_dataset round-trips it record-for-record.
 
     Each line is _LINE_ENCODER.encode of the annotation's record, put together
     in sorted-key order from the encodings of its values; each registry and
-    table entry that the dataset uses is encoded once.
+    table entry that the dataset uses is encoded once. A line whose strings
+    need no escape has the form of _RECORD_LINE, which load_dataset reads
+    without a JSON decode. The lines go to the file _WRITE_BLOCK at a time,
+    through replaced_file: if a write raises, path keeps its old bytes.
     """
     annotators, examples = _Encoded(dataset.annotator_ids), _Encoded(dataset.example_ids)
     labels, texts = _Encoded(dataset.label_names), _Encoded(dataset.texts)
@@ -382,10 +448,12 @@ def write_dataset(dataset: Dataset, path) -> None:
     columns = zip(dataset.annotator_index.tolist(), dataset.demographics_index.tolist(),
                   dataset.example_index.tolist(), dataset.labels.tolist(),
                   dataset.text_index.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f'{{"annotator_id": {annotators[a]}{demographics[d]}, "example_id": '
-                      f'{examples[e]}, "label": {labels[label]}, "text": {texts[t]}}}\n'
-                      for a, d, e, label, t in columns)
+    lines = (f'{{"annotator_id": {annotators[a]}{demographics[d]}, "example_id": '
+             f'{examples[e]}, "label": {labels[label]}, "text": {texts[t]}}}\n'
+             for a, d, e, label, t in columns)
+    with replaced_file(path, encoding="utf-8") as fh:
+        while block := "".join(islice(lines, _WRITE_BLOCK)):
+            fh.write(block)
 
 
 def _plain(value):

@@ -576,6 +576,25 @@ def test_corpus_with_nan_exit_code(tmp_path, capsys):
     assert "line 1: NaN is not a JSON value" in capsys.readouterr().err
 
 
+def test_split_of_a_corpus_with_a_lone_surrogate_exit_code(tmp_path, capsys):
+    """JSON can write a lone surrogate as an escape, and UTF-8 cannot encode
+    it: the load refuses it, naming the line and the field, before split
+    writes a part."""
+    data = tmp_path / "corpus.jsonl"
+    with open(data, "w", encoding="utf-8") as fh:
+        for t in range(12):
+            for ann in ("a", "b"):
+                text = "bad \ud800" if (t, ann) == (11, "b") else f"text {t}"
+                fh.write(json.dumps({"annotator_id": ann, "example_id": f"t{t}",
+                                     "label": "AB"[t % 2], "text": text}) + "\n")
+    (tmp_path / "corpus.manifest.json").write_text('{"name": "c", "label_names": ["A", "B"]}\n')
+    out = tmp_path / "out"
+    assert _run("split", "--data", str(data), "--seed", "1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == \
+        "error: line 24: text must hold no lone surrogate, found 'bad \\ud800'\n"
+    assert not (out / "train.jsonl").exists() and not (out / "test.jsonl").exists()
+
+
 def test_eval_of_empty_dataset_exit_code(tmp_path, split_dir, train_dir):
     # every annotation comes from an unseen annotator, so --drop-unseen empties the set
     record = {"example_id": "t0", "text": "some words", "annotator_id": "stranger",

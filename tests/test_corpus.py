@@ -14,11 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from annembed import corpus
 from annembed.analysis import KappaMatrix
 from annembed.cli import CONFIG_FLAGS
 from annembed.corpus import (
     _LINE_DECODER,
     _LINE_ENCODER,
+    _RECORD_LINE,
     AnnotatedExample,
     _plain,
     _subset,
@@ -889,6 +891,15 @@ def test_write_json_refuses_an_infinity_with_json_dumps_text(tmp_path_factory, o
     assert not path.exists()
 
 
+def _reference_surrogates(line_no, named_strings):
+    """The first of the (name, string) pairs whose string holds a code point
+    in U+D800..U+DFFF: the JSON decoder joins a valid pair into one."""
+    for name, value in named_strings:
+        if any(0xD800 <= ord(c) <= 0xDFFF for c in value):
+            raise CorpusError(f"line {line_no}: {name} must hold no lone surrogate, "
+                              f"found {value!r}")
+
+
 def _reference_record(obj, label_index, shared, line_no):
     """The record checks of the line-by-line loader, in their order."""
     if not isinstance(obj, dict):
@@ -904,6 +915,8 @@ def _reference_record(obj, label_index, shared, line_no):
         index = label_index[label]
     except (KeyError, TypeError):
         raise CorpusError(f"line {line_no}: unknown label {label!r}") from None
+    _reference_surrogates(line_no, [(key, obj[key])
+                                    for key in ("example_id", "text", "annotator_id")])
     demo = obj.get("demographics")
     if demo is not None:
         try:
@@ -914,6 +927,9 @@ def _reference_record(obj, label_index, shared, line_no):
             ):
                 raise CorpusError(
                     f"line {line_no}: demographics must map strings to strings") from None
+            _reference_surrogates(line_no, [
+                pair for k, v in demo.items()
+                for pair in (("demographics key", k), (f"demographics[{k!r}]", v))])
             shared[tuple(demo.items())] = demo
     return AnnotatedExample(
         example_id=shared.setdefault(obj["example_id"], obj["example_id"]),
@@ -990,11 +1006,24 @@ def _assert_columns(dataset, examples, view):
 
 
 LOADER_LABELS = ["A", "B", "ü"]
+# strings that JSON escapes, or that need no escape but are empty, a line
+# separator or outside the BMP (a surrogate pair as an escape); "\ud800", a
+# lone surrogate, reaches the file as that escape
+AWKWARD_STRINGS = ['"', "\\", "\n", "\u2028", "", "\U0001f600", "\ud800"]
+
+
+def _pool(*plain):
+    """Each plain string six times as often as each awkward one."""
+    return st.sampled_from([*plain * 6, *AWKWARD_STRINGS])
+
+
 GOOD_RECORDS = st.fixed_dictionaries(
-    {"example_id": st.sampled_from(["e1", "e2", "é3"]), "text": st.sampled_from(["t", "日 本"]),
-     "annotator_id": st.sampled_from(["a", "b", "c"]), "label": st.sampled_from(LOADER_LABELS)},
+    {"example_id": _pool("e1", "e2", "é3"), "text": _pool("t", "日 本"),
+     "annotator_id": _pool("a", "b", "c"), "label": st.sampled_from(LOADER_LABELS)},
     optional={"demographics": st.sampled_from(
-        [None, {"g": "1"}, {"g": "2", "h": "x"}, {}, {"g": 1}, ["g"], "g", {"g": ["1"]}])})
+        [None, {"g": "1"}, {"g": "2", "h": "x"}, {"h": "x", "g": "2"}, {}, {"g": 1},
+         {"g": math.nan}, ["g"], "g", {"g": ["1"]}, {"g": '"'}, {"g": "\ud800"},
+         {"\ud800": "1"}])})
 # faults a record can have, one or more at a time: a field missing or of
 # another type, an unknown or unhashable label, a record that is no object
 FIELD_FAULTS = st.sampled_from([
@@ -1021,7 +1050,8 @@ def _faulty(record, faults):
 @st.composite
 def _corpus_lines(draw):
     """One JSONL line: a record, a record with faults, two values, a malformed
-    or a blank line, under random padding and line ends."""
+    or a blank line, under random padding and line ends. A record's keys are
+    sorted or not, so that a good one may come in write_dataset's form."""
     kind = draw(st.sampled_from(["good"] * 6 + ["fault", "two", "raw", "blank"]))
     if kind == "blank":
         line = draw(st.sampled_from(["", " ", "\t \t", "\u00a0", "\u00a0 \u3000"]))
@@ -1034,11 +1064,14 @@ def _corpus_lines(draw):
         record = draw(GOOD_RECORDS)
         if kind == "fault":
             record = _faulty(record, draw(st.lists(FIELD_FAULTS, min_size=1, max_size=3)))
-        line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+        line = json.dumps(record, ensure_ascii=draw(st.booleans()),
+                          sort_keys=draw(st.booleans()))
         if kind == "two":
             line += draw(st.sampled_from(["", " ", ", "])) + json.dumps(draw(GOOD_RECORDS))
     pad = draw(st.sampled_from(["", " ", "\t", "\u00a0", "\u2003"]))
-    return pad + line + pad + draw(st.sampled_from(["\n", "\r\n"]))
+    line = pad + line + pad + draw(st.sampled_from(["\n", "\r\n"]))
+    # a lone surrogate that ensure_ascii=False left raw, as its JSON escape
+    return line.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 @settings(max_examples=300, deadline=None)
@@ -1046,6 +1079,17 @@ def _corpus_lines(draw):
 @example(lines=['{"example_id": "e1", "text": "t", "annotator_id": "a", "label": "A"}\r\n',
                 "\u00a0\n", '  {"example_id": "e1", "text": "t", "annotator_id": "a", '
                 '"label": "B", "demographics": {"g": "1"}} \n'])
+# write_dataset's form: two demographics texts, each first seen and then seen
+@example(lines=['{"annotator_id": "a", "demographics": {"g": "1"}, "example_id": "e1", '
+                '"label": "A", "text": "t"}\n',
+                '{"annotator_id": "b", "demographics": {"g": "2", "h": "x"}, "example_id": "e1", '
+                '"label": "ü", "text": "t"}\n',
+                '{"annotator_id": "b", "demographics": {"g": "2", "h": "x"}, "example_id": "e2", '
+                '"label": "B", "text": "日 本"}\n',
+                '{"annotator_id": "a", "demographics": {"g": "1"}, "example_id": "e2", '
+                '"label": "A", "text": "t"}\n'])
+@example(lines=['{"annotator_id": "a", "example_id": "e2", "label": "Z", "text": "t"}\n'])
+@example(lines=['{"annotator_id": "a", "example_id": "e1", "label": "A", "text": "\\ud800"}\n'])
 def test_load_dataset_agrees_with_decoding_each_line(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("corpus") / "data.jsonl"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -1064,6 +1108,100 @@ def test_load_dataset_agrees_with_decoding_each_line(tmp_path_factory, lines):
     for key in ("text", "demographics"):
         assert (len({id(getattr(ex, key)) for ex in got.examples})
                 == len({id(getattr(ex, key)) for ex in examples}))
+
+
+def _synth_corpus(path, group_count):
+    """A synthgen crowd in small, written by write_dataset: the lines that
+    the crowd workload loads."""
+    from annembed import synthgen
+
+    dataset, _ = synthgen.generate_population(synthgen.PopulationConfig(
+        n_annotators=12, n_texts=40, n_labels=3, group_count=group_count,
+        annotations_per_text=5, seed=4))
+    write_dataset(dataset, path)
+    return dataset
+
+
+@pytest.mark.parametrize("group_count", [0, 3])
+def test_write_dataset_lines_load_without_a_json_decode(tmp_path, monkeypatch, group_count):
+    """Every line of a synthgen corpus is a _RECORD_LINE, and a load decodes
+    as JSON only the first line of each distinct demographics text."""
+    path = tmp_path / "corpus.jsonl"
+    dataset = _synth_corpus(path, group_count)
+    *lines, last = path.read_text(encoding="utf-8").split("\n")
+    assert last == "" and len(lines) == len(dataset)
+    matches = [_RECORD_LINE.fullmatch(line) for line in lines]
+    assert all(matches)
+    decoded = []
+
+    class CountingDecoder:
+        def scan_once(self, line, index):
+            decoded.append(line)
+            return _LINE_DECODER.scan_once(line, index)
+
+    monkeypatch.setattr(corpus, "_LINE_DECODER", CountingDecoder())
+    loaded = load_dataset(path, dataset.label_names, name=dataset.name)
+    first_of_each = {}
+    for line, fields in zip(lines, matches):
+        if fields[2] is not None:
+            first_of_each.setdefault(fields[2], line)
+    assert decoded == list(first_of_each.values())
+    assert len(decoded) == len(dataset.demographics) == group_count
+    assert loaded == dataset
+
+
+def test_a_corpus_with_its_keys_reordered_loads_to_an_equal_dataset(tmp_path):
+    """No line of the reordered file is a _RECORD_LINE: all of it is decoded
+    as JSON, and the columns and tables come out the same."""
+    written = tmp_path / "corpus.jsonl"
+    dataset = _synth_corpus(written, 3)
+    reordered = tmp_path / "reordered.jsonl"
+    with open(written, encoding="utf-8") as src, open(reordered, "w", encoding="utf-8") as out:
+        for line in src:
+            obj = json.loads(line)
+            line = json.dumps(dict(reversed(obj.items())), ensure_ascii=False)
+            assert _RECORD_LINE.fullmatch(line) is None
+            out.write(line + "\n")
+    got, want = (load_dataset(path, dataset.label_names, name="crowd")
+                 for path in (reordered, written))
+    assert got == want
+    assert (got.texts, got.demographics) == (want.texts, want.demographics)
+    for key in ("annotator_index", "example_index", "text_index", "demographics_index",
+                "labels"):
+        assert np.array_equal(getattr(got, key), getattr(want, key))
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"example_id": "e\ud800"}, "example_id must hold no lone surrogate, found 'e\\ud800'"),
+    ({"text": "\udc00t"}, "text must hold no lone surrogate, found '\\udc00t'"),
+    ({"annotator_id": "\ud800"}, "annotator_id must hold no lone surrogate, found '\\ud800'"),
+    ({"demographics": {"g": "1", "\udfff": "2"}},
+     "demographics key must hold no lone surrogate, found '\\udfff'"),
+    ({"demographics": {"g": "x\ud800y"}},
+     "demographics['g'] must hold no lone surrogate, found 'x\\ud800y'"),
+], ids=["example_id", "text", "annotator_id", "demographics_key", "demographics_value"])
+def test_load_refuses_a_lone_surrogate_naming_the_line_and_field(tmp_path, record, message):
+    path = tmp_path / "data.jsonl"
+    _write_lines(path, [_record("e0", "alice", "A", demographics={"g": "1"}),
+                        {**_record("e1", "alice", "B"), **record}])
+    assert "\\u" in path.read_text(encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        load_dataset(path, ["A", "B"])
+    assert str(err.value) == f"line 2: {message}"
+
+
+def test_write_dataset_keeps_the_old_file_when_a_write_raises(tmp_path):
+    """UTF-8 cannot encode a lone surrogate: the write raises, and the file
+    keeps its old bytes instead of the lines before the bad one."""
+    path = tmp_path / "data.jsonl"
+    path.write_text("old\n", encoding="utf-8")
+    dataset = Dataset.from_examples(
+        [AnnotatedExample(f"e{i}", "t" if i < 9 else "\ud800", "a", 0) for i in range(10)],
+        ["A"])
+    with pytest.raises(UnicodeEncodeError):
+        write_dataset(dataset, path)
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert os.listdir(tmp_path) == ["data.jsonl"]
 
 
 def test_load_refuses_lines_that_decode_only_when_joined(tmp_path):
@@ -1113,9 +1251,10 @@ COLUMN_RECORDS = (
                       max_size=8))
 
 
-def _line(record) -> str:
-    """record as a JSONL line: a label in range becomes its name, and any
-    other label stays as it is, which load_dataset refuses."""
+def _line(record, written: bool) -> str:
+    """record as a JSONL line, in write_dataset's form if written: a label in
+    range becomes its name, and any other label stays as it is, which
+    load_dataset refuses."""
     eid, text, ann, label, demographics = record
     if isinstance(label, np.integer):
         label = int(label)
@@ -1124,7 +1263,7 @@ def _line(record) -> str:
     obj = {"example_id": eid, "text": text, "annotator_id": ann, "label": label}
     if demographics is not None:
         obj["demographics"] = demographics
-    return json.dumps(obj) + "\n"
+    return (_LINE_ENCODER.encode(obj) if written else json.dumps(obj)) + "\n"
 
 
 def _check_against_reference(build, reference):
@@ -1155,7 +1294,9 @@ def test_columns_equal_the_object_reference(tmp_path_factory, records, data):
     pass: registries, arrays, tables, examples and the first fault's text;
     and each _subset part against from_examples of the objects it kept."""
     path = tmp_path_factory.mktemp("columns") / "data.jsonl"
-    path.write_text("".join(map(_line, records)), encoding="utf-8")
+    # the two forms alternate, so that a line of either form sees a dict first
+    path.write_text("".join(_line(record, i % 2 == 0) for i, record in enumerate(records)),
+                    encoding="utf-8")
     objects = [AnnotatedExample(*record) for record in records]
     for built in (
         _check_against_reference(lambda: Dataset.from_examples(objects, COLUMN_LABELS, "drawn"),
