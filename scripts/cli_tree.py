@@ -18,7 +18,11 @@ in its manifest, the split `split_a/` to `split_seed_string/`, whose
 `split_manifest.json` has `seed` "1", and one `report.json` to
 `report_confusion_3/`, whose `confusion` is 3. Each of the four persisted
 records (dataset manifest, split manifest, checkpoint manifest, report) thus
-has one bad copy, read by an exit-2 step.
+has one bad copy, read by an exit-2 step. Two more exit-2 steps read
+`format_1/`, a copy of the same checkpoint whose manifest has
+`format_version` 1, by `eval`, and `split_stale_dev/`, a copy of `split_a/`
+with `split_dev/dev.jsonl` placed beside its `counts`, whose `dev` is 0, by
+`train`.
 """
 
 from __future__ import annotations
@@ -140,6 +144,18 @@ def write_bad_split_and_report(tree):
     _edit_json(report, lambda r: r.update(confusion=3))
 
 
+def write_format_1_and_stale_dev(tree):
+    """The checkpoint of write_huge_max_len_checkpoint with format_version 1,
+    and split_a with the dev part of split_dev."""
+    target = os.path.join(tree, "format_1")
+    shutil.copytree(os.path.join(tree, "train_text_plus_both", "checkpoint"), target)
+    _edit_json(os.path.join(target, "manifest.json"), lambda m: m.update(format_version=1))
+    target = os.path.join(tree, "split_stale_dev")
+    shutil.copytree(os.path.join(tree, "split_a"), target)
+    shutil.copyfile(os.path.join(tree, "split_dev", "dev.jsonl"),
+                    os.path.join(target, "dev.jsonl"))
+
+
 def steps(tree):
     """Each step's name and arguments. main runs a step before it asks for the
     next, so the code between two steps may read what the earlier ones wrote."""
@@ -214,6 +230,11 @@ def steps(tree):
     yield "bad_split_manifest", ["train", "--data", "split_seed_string", *TINY,
                                  "--out", "bad_split_manifest"]
     yield "bad_report", ["report", "report_confusion_3/report.json", "--out", "bad_report"]
+    write_format_1_and_stale_dev(tree)
+    yield "bad_format_version", ["eval", "--checkpoint", "format_1",
+                                 "--data", "split_a/test.jsonl", "--out", "bad_format_version"]
+    yield "bad_stale_dev", ["train", "--data", "split_stale_dev", *TINY,
+                            "--out", "bad_stale_dev"]
 
 
 def main(argv) -> int:

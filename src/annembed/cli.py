@@ -116,8 +116,11 @@ def cmd_split(args, out):
         split = corpus.make_annotator_split(dataset, args.train_frac, args.seed)
     corpus.write_dataset(split.train, os.path.join(out, "train.jsonl"))
     corpus.write_dataset(split.test, os.path.join(out, "test.jsonl"))
+    dev_path = os.path.join(out, "dev.jsonl")
     if split.dev is not None:
-        corpus.write_dataset(split.dev, os.path.join(out, "dev.jsonl"))
+        corpus.write_dataset(split.dev, dev_path)
+    elif os.path.exists(dev_path):    # an earlier split's, which counts would not list
+        os.remove(dev_path)
     corpus.write_manifest(dataset, os.path.join(out, "schema.manifest.json"))
     counts = {"train": len(split.train), "dev": len(split.dev) if split.dev else 0,
               "test": len(split.test)}
@@ -129,14 +132,22 @@ def cmd_split(args, out):
 
 
 def _load_split(split_dir: str) -> corpus.Split:
+    """The parts of a split directory; CorpusError unless each part holds the
+    annotations that split_manifest.json counts, so that a part an earlier
+    split left behind is refused."""
     labels = corpus.read_record(os.path.join(split_dir, "schema.manifest.json"),
                                 corpus.DatasetManifest).label_names
-    meta = corpus.read_record(os.path.join(split_dir, "split_manifest.json"),
-                              corpus.SplitManifest)
+    meta_path = os.path.join(split_dir, "split_manifest.json")
+    meta = corpus.read_record(meta_path, corpus.SplitManifest)
     train = corpus.load_dataset(os.path.join(split_dir, "train.jsonl"), labels, name="train")
     test = corpus.load_dataset(os.path.join(split_dir, "test.jsonl"), labels, name="test")
     dev_path = os.path.join(split_dir, "dev.jsonl")
     dev = corpus.load_dataset(dev_path, labels, name="dev") if os.path.exists(dev_path) else None
+    # in the sorted key order that split_manifest.json holds
+    found = {"dev": 0 if dev is None else len(dev), "test": len(test), "train": len(train)}
+    if meta.counts != found:
+        raise corpus.CorpusError(f"{meta_path}: counts {meta.counts} differ from the parts "
+                                 f"in {split_dir}, {found}")
     return corpus.Split(train=train, test=test, dev=dev, kind=meta.kind, seed=meta.seed)
 
 

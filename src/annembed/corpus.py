@@ -100,9 +100,6 @@ class Dataset:
     name: str = "dataset"
     # the examples: those handed to from_examples, or built on first access
     _examples: Optional[tuple] = field(default=None, repr=False)
-    # a part's source dataset and its positions there: the part's examples
-    # are then the source's objects, which the two share
-    _source: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         m = len(self.label_names)
@@ -173,22 +170,16 @@ class Dataset:
         """One AnnotatedExample per annotation, built on first access; for
         callers that want objects, never for the pipeline's own paths."""
         if self._examples is None:
-            source = self._source
-            if source is not None:
-                dataset, positions = source
-                examples = tuple(map(dataset.examples.__getitem__, positions.tolist()))
-            else:
-                def column(table, index):    # table[index] per annotation, with no int objects
-                    return np.fromiter(table, object, len(table))[index]
+            def column(table, index):    # table[index] per annotation, with no int objects
+                return np.fromiter(table, object, len(table))[index]
 
-                examples = tuple(map(
-                    AnnotatedExample, column(self.example_ids, self.example_index),
-                    column(self.texts, self.text_index),
-                    column(self.annotator_ids, self.annotator_index), self.labels.tolist(),
-                    # index -1 is no demographics
-                    column((*self.demographics, None), self.demographics_index)))
             # two threads may both build them: either tuple serves
-            self._examples, self._source = examples, None
+            self._examples = tuple(map(
+                AnnotatedExample, column(self.example_ids, self.example_index),
+                column(self.texts, self.text_index),
+                column(self.annotator_ids, self.annotator_index), self.labels.tolist(),
+                # index -1 is no demographics
+                column((*self.demographics, None), self.demographics_index)))
         return self._examples
 
     def __eq__(self, other):
@@ -660,19 +651,15 @@ def _build(cls, obj: dict, name: str):
         raise ValueError(f"{name} {err}" if name else str(err)) from None
 
 
-def read_record(path, cls, upgrade=None):
+def read_record(path, cls):
     """The one reader of a persisted JSON file, declared as the dataclass cls:
-    check_type of the object as cls, then cls's own __post_init__. upgrade,
-    for a file of an older format, takes the parsed object and that reader
-    of an object and returns the record. CorpusError reads "<path>: <key
-    path> <problem>"; write_json writes the record back as the same JSON text."""
-    def read(obj):
-        check_type("", obj, cls)
-        return _build(cls, obj, "")
-
+    check_type of the object as cls, then cls's own __post_init__. CorpusError
+    reads "<path>: <key path> <problem>"; write_json writes the record back as
+    the same JSON text."""
     obj = read_json(path)
     try:
-        return upgrade(obj, read) if upgrade else read(obj)
+        check_type("", obj, cls)
+        return _build(cls, obj, "")
     except ValueError as err:
         raise CorpusError(f"{path}: {err}") from None
 
@@ -708,8 +695,7 @@ def write_manifest(dataset: Dataset, path) -> None:
 def _subset(dataset: Dataset, keep: np.ndarray, suffix) -> Dataset:
     """The annotations where the boolean mask keep is set, in dataset order:
     the arrays indexed, both registries renumbered to their first appearance
-    in the part, and the text and demographics tables and the examples
-    shared."""
+    in the part, and the text and demographics tables shared."""
     positions = np.flatnonzero(keep)
     annotator_ids, annotator_index = renumbered(dataset.annotator_ids,
                                                 dataset.annotator_index[positions])
@@ -720,8 +706,7 @@ def _subset(dataset: Dataset, keep: np.ndarray, suffix) -> Dataset:
         annotator_index=annotator_index, example_index=example_index,
         text_index=dataset.text_index[positions],
         demographics_index=dataset.demographics_index[positions],
-        labels=dataset.labels[positions], name=f"{dataset.name}-{suffix}",
-        _source=(dataset, positions))
+        labels=dataset.labels[positions], name=f"{dataset.name}-{suffix}")
 
 
 def make_annotation_split(dataset: Dataset, train_frac: float, seed: int,

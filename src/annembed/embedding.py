@@ -18,6 +18,9 @@ import numpy as np
 from . import tensor
 from .tensor import Node
 
+# the added-parameter count above which parameter_overhead flags a model
+OVERHEAD_BUDGET = 1_000_000
+
 
 class CombinationMode(str, Enum):
     TEXT_ONLY = "text_only"
@@ -159,12 +162,12 @@ class OverheadReport:
 
 
 def parameter_overhead(n_annotators: int, n_labels: int, hidden: int,
-                       mode: CombinationMode, base_parameters: int | None = None,
-                       budget: int = 1_000_000) -> OverheadReport:
+                       mode: CombinationMode,
+                       base_parameters: int | None = None) -> OverheadReport:
     """Count of parameters the mechanism adds on top of the encoder: the bank
     tensors the mode uses, which are the sentence gate for either embedding
     and each used embedding's table and gate. The report flags counts
-    exceeding the advertised budget (default one million) since large hidden
+    exceeding the advertised budget, OVERHEAD_BUDGET, since large hidden
     sizes blow past it on the gate matrices alone."""
     if n_annotators <= 0 or n_labels <= 0 or hidden <= 0:
         raise ValueError("sizes must be positive")
@@ -178,6 +181,6 @@ def parameter_overhead(n_annotators: int, n_labels: int, hidden: int,
         added_parameters=added,
         base_parameters=base_parameters,
         ratio=ratio,
-        budget=budget,
-        over_budget=added > budget,
+        budget=OVERHEAD_BUDGET,
+        over_budget=added > OVERHEAD_BUDGET,
     )

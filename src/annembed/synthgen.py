@@ -83,11 +83,16 @@ def _bias_matrix(n_labels: int, strength: float, rng: np.random.Generator) -> np
     return matrix
 
 
-def _distinct_bias_matrices(count, n_labels, strength, rng, attempts=20):
+# the redraws of a group's bias matrix that _distinct_bias_matrices makes
+# before it accepts a duplicate
+BIAS_ATTEMPTS = 20
+
+
+def _distinct_bias_matrices(count, n_labels, strength, rng):
     matrices: list[np.ndarray] = []
     for _ in range(count):
         matrix = _bias_matrix(n_labels, strength, rng)
-        for _ in range(attempts):
+        for _ in range(BIAS_ATTEMPTS):
             if not any(np.array_equal(matrix, m) for m in matrices):
                 break
             matrix = _bias_matrix(n_labels, strength, rng)

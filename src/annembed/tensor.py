@@ -241,7 +241,7 @@ def concat_cols(*nodes: Node) -> Node:
     return Node(np.concatenate([n.value for n in nodes], axis=1), nodes, backward=_backward)
 
 
-def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = LAYER_NORM_EPS) -> Node:
+def layer_norm(x: Node, gamma: Node, beta: Node) -> Node:
     """Per-row normalization to mean 0 / variance 1, then affine gamma, beta."""
     if gamma.value.shape != (1, x.value.shape[1]) or beta.value.shape != (1, x.value.shape[1]):
         raise ValueError("layer_norm affine shapes must be 1 x cols")
@@ -249,7 +249,7 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = LAYER_NORM_EPS) ->
     cols = x.value.shape[1]
     centered = x.value - x.value.sum(axis=1, keepdims=True) / cols
     var = (centered * centered).sum(axis=1, keepdims=True) / cols
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     norm = centered * inv
 
     def _backward(g):

@@ -25,7 +25,6 @@ from .corpus import (
     Dataset,
     Split,
     check_fields,
-    check_type,
     read_record,
     replaced_file,
     write_json,
@@ -385,9 +384,13 @@ def evaluate(model: Model, dataset: Dataset, mode: Optional[CombinationMode] = N
     return report
 
 
-def baselines(dataset: Dataset, seed: int, majority_label: Optional[int] = None,
-              draws: int = 10) -> tuple[float, float]:
-    """Uniform-random EM (mean over draws) and always-majority EM.
+# the uniform-random draws that baselines averages
+BASELINE_DRAWS = 10
+
+
+def baselines(dataset: Dataset, seed: int,
+              majority_label: Optional[int] = None) -> tuple[float, float]:
+    """Uniform-random EM (mean over BASELINE_DRAWS draws) and always-majority EM.
 
     majority_label defaults to the dataset's own most frequent label (ties
     resolved toward the earlier registry index).
@@ -397,7 +400,7 @@ def baselines(dataset: Dataset, seed: int, majority_label: Optional[int] = None,
     m = dataset.n_labels
     rng = np.random.default_rng(seed)
     rand_scores = [
-        float(np.mean(rng.integers(m, size=len(dataset)) == dataset.labels)) for _ in range(draws)
+        float(np.mean(rng.integers(m, size=len(dataset)) == dataset.labels)) for _ in range(BASELINE_DRAWS)
     ]
     if majority_label is None:
         majority_label = int(np.argmax(dataset.label_counts().sum(axis=0)))
@@ -432,12 +435,12 @@ CHECKPOINT_ARRAYS = "params.bin"
 
 @dataclass
 class CheckpointManifest:
-    """A checkpoint's manifest.json as format 2 writes it, and as
-    _from_format_1 reads format 1. read_record checks format_version, the
-    first field, before any other; __post_init__ holds the rules that are not
-    types. params_sha256, the sha256 of params.bin, is null only for format 1."""
+    """A checkpoint's manifest.json, format 2. read_record checks
+    format_version, the first field, before any other, so a manifest of
+    another format is refused by its version; __post_init__ holds the rules
+    that are not types. params_sha256 is the sha256 of params.bin."""
 
-    format_version: Literal[1, 2]
+    format_version: Literal[2]
     encoder_config: EncoderConfig
     train_config: TrainConfig
     label_names: list[str]
@@ -446,7 +449,7 @@ class CheckpointManifest:
     seed: int
     train_counts: dict[str, list[float]]
     arrays: dict[str, dict[str, int]]
-    params_sha256: Optional[str]
+    params_sha256: str
 
     def __post_init__(self):
         for key in ("label_names", "annotator_ids"):
@@ -468,40 +471,6 @@ class CheckpointManifest:
             if len(row) != m or min(row, default=0.0) < 0:
                 raise ValueError(f"train_counts[{a!r}] must be {m} finite, non-negative "
                                  f"numbers, one per label_names entry, found {row!r}")
-
-
-def _from_format_1(obj: dict, read) -> CheckpointManifest:
-    """read_record's upgrade: a format-1 manifest is read with a null
-    params_sha256 and without the five keys that format 2 dropped, which are
-    then checked against the record; train_label_totals must be the column
-    sums of train_counts. Another version is read as it is."""
-    if type(obj.get("format_version")) is not int or obj["format_version"] != 1:
-        return read(obj)
-    if "params_sha256" in obj:
-        raise ValueError("params_sha256 is not a field of format 1")
-    # the train_config keys that format 2 dropped, at the one value each that
-    # every format-1 checkpoint holds
-    retired = {"beta1": BETA1, "beta2": BETA2, "adam_eps": ADAM_EPS, "eval_every": 0}
-    config, totals = obj.get("train_config"), obj.get("train_label_totals")
-    upgraded = {key: value for key, value in obj.items() if key != "train_label_totals"}
-    upgraded["params_sha256"] = None
-    if isinstance(config, dict):   # else the record's own check refuses it
-        upgraded["train_config"] = {key: value for key, value in config.items()
-                                    if key not in retired}
-    record = read(upgraded)
-    for key, value in retired.items():
-        if key not in config:
-            raise ValueError(f"train_config.{key} is missing")
-        check_type(f"train_config.{key}", config[key], Literal[value])
-    if "train_label_totals" not in obj:
-        raise ValueError("train_label_totals is missing")
-    check_type("train_label_totals", totals, list[float])
-    sums = sum((np.asarray(record.train_counts[a], np.float64) for a in record.annotator_ids),
-               np.zeros(len(record.label_names)))
-    if not np.array_equal(totals, sums):
-        raise ValueError(f"train_label_totals {totals} differs from the column sums of "
-                         f"train_counts, {sums.tolist()}")
-    return record
 
 
 def _model_shapes(encoder_config: EncoderConfig, n_labels: int, n_annotators: int):
@@ -546,10 +515,10 @@ def save_checkpoint(model: Model, directory) -> None:
 def load_checkpoint(directory) -> Model:
     """Rebuild a saved model around theta as params.bin holds it; ValueError if
     its CheckpointManifest's array index is not checkpoint_layout's, or
-    params.bin is not that long or, from format 2 on, has another sha256, all
-    checked before the model is built."""
+    params.bin is not that long or has another sha256, all checked before
+    the model is built."""
     manifest = os.path.join(directory, CHECKPOINT_MANIFEST)
-    record = read_record(manifest, CheckpointManifest, _from_format_1)
+    record = read_record(manifest, CheckpointManifest)
     encoder_config, stored = record.encoder_config, record.arrays
     m, n = len(record.label_names), len(record.annotator_ids)
     # one table entry past the index is enough to tell that the model needs
@@ -574,7 +543,7 @@ def load_checkpoint(directory) -> Model:
                          f"bytes, the arrays need {size}")
     theta = np.fromfile(path, dtype="<f8")
     digest = hashlib.sha256(theta).hexdigest()
-    if record.format_version > 1 and digest != record.params_sha256:
+    if digest != record.params_sha256:
         raise ValueError(f"{manifest}: params_sha256 {record.params_sha256} differs from the "
                          f"sha256 of {CHECKPOINT_ARRAYS}, {digest}")
     model = Model(encoder_config, record.train_config, Vocabulary(token_to_id=record.vocabulary),

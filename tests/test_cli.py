@@ -45,8 +45,6 @@ from annembed.trainer import (
     save_checkpoint,
 )
 
-from format1 import RETIRED_TRAIN_KEYS, to_format_1
-
 FAST_TRAIN = [
     "--epochs", "2", "--batch-size", "16", "--lr", "2e-3",
     "--hidden", "16", "--layers", "1", "--heads", "2",
@@ -241,43 +239,6 @@ def test_failed_params_write_leaves_the_old_checkpoint_whole(tmp_path, split_dir
     assert _run(*eval_args, "--out", str(tmp_path / "after")) == 0
     assert ((tmp_path / "after" / "report.json").read_bytes()
             == (tmp_path / "before" / "report.json").read_bytes())
-
-
-def test_format_1_checkpoint_and_its_format_2_resave_evaluate_alike(tmp_path, split_dir,
-                                                                    train_dir):
-    # the manifest of format 1 as its writer wrote it: write_json's bytes
-    old = tmp_path / "format1"
-    shutil.copytree(train_dir / "checkpoint", old)
-    manifest = json.loads((old / "manifest.json").read_text())
-    to_format_1(manifest)
-    write_json(old / "manifest.json", manifest)
-    resaved = tmp_path / "resaved"
-    save_checkpoint(load_checkpoint(old), resaved)
-    assert json.loads((resaved / "manifest.json").read_text())["format_version"] == 2
-    assert (resaved / "params.bin").read_bytes() == (old / "params.bin").read_bytes()
-    reports = []
-    for checkpoint in (old, resaved):
-        out = tmp_path / f"eval_{checkpoint.name}"
-        assert _run("eval", "--checkpoint", str(checkpoint),
-                    "--data", str(split_dir / "test.jsonl"), "--out", str(out)) == 0
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
-
-
-@pytest.mark.parametrize("section, key", [
-    *(("train_config", key) for key in RETIRED_TRAIN_KEYS), (None, "train_label_totals")])
-def test_eval_of_format_1_checkpoint_with_a_format_1_key_of_another_value_exit_code(
-        tmp_path, split_dir, train_dir, capsys, section, key):
-    checkpoint = train_dir / "checkpoint"
-    manifest = json.loads((checkpoint / "manifest.json").read_text())
-    to_format_1(manifest)
-    target = manifest if section is None else manifest[section]
-    target[key] = [0.5] * len(target[key]) if section is None else target[key] + 0.5
-    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
-    assert _run("eval", "--checkpoint", str(checkpoint),
-                "--data", str(split_dir / "test.jsonl"), "--out", str(tmp_path / "eval")) == 2
-    name = key if section is None else f"{section}.{key}"
-    assert f"error: {checkpoint / 'manifest.json'}: {name} " in capsys.readouterr().err
 
 
 def test_eval_twice_identical(tmp_path, split_dir, train_dir):
@@ -699,13 +660,12 @@ def test_eval_of_checkpoint_missing_manifest_key_exit_code(tmp_path, split_dir, 
     (lambda m: m.update(train_counts=[1, 2]), "train_counts"),
     (lambda m: m["train_counts"].__setitem__("zzz", m["train_counts"].pop("a000")),
      "(missing ['a000'], unexpected ['zzz'])"),
-    (lambda m: (to_format_1(m), m.update(train_label_totals=[0.0, 0.0, 1e6])),
-     "train_label_totals [0.0, 0.0, 1000000.0] differs from the column sums"),
+    (lambda m: m.update(format_version=1), "format_version must be one of [2], found 1"),
     (lambda m: m["encoder_config"].update(hidden="16"),
      "encoder_config.hidden must be an integer, found '16'"),
     (lambda m: m["train_config"].update(epochs=1.5),
      "train_config.epochs must be an integer, found 1.5"),
-], ids=["nan_literal", "list_train_counts", "renamed_annotator", "wrong_totals",
+], ids=["nan_literal", "list_train_counts", "renamed_annotator", "version_1",
         "string_hidden", "float_epochs"])
 def test_eval_of_checkpoint_with_malformed_manifest_exit_code(tmp_path, split_dir, train_dir,
                                                               capsys, edit, message):
@@ -774,6 +734,59 @@ def test_train_select_on_dev_without_dev_split_exit_code(tmp_path, split_dir, ca
     err = capsys.readouterr().err
     assert "--select-on-dev" in err and "dev.jsonl" in err
     assert "(split with --kind annotation --dev-frac above 0)" in err
+    assert not (out / "checkpoint").exists()
+
+
+def test_train_select_on_dev_after_a_resplit_without_dev_exit_code(tmp_path, capsys):
+    # the earlier split's dev part would otherwise select the epoch, though
+    # most of its annotations are in the new train part
+    synth, split = tmp_path / "syn", tmp_path / "sp"
+    assert _run("synth", "--annotators", "6", "--texts", "80", "--seed", "1",
+                "--out", str(synth)) == 0
+    data = str(synth / "corpus.jsonl")
+    assert _run("split", "--data", data, "--kind", "annotation", "--dev-frac", "0.2",
+                "--seed", "1", "--out", str(split)) == 0
+    assert (split / "dev.jsonl").exists()
+    assert _run("split", "--data", data, "--kind", "annotation", "--seed", "2",
+                "--out", str(split)) == 0
+    assert not (split / "dev.jsonl").exists()
+    capsys.readouterr()
+    out = tmp_path / "tr"
+    assert _run("train", "--data", str(split), "--epochs", "1", "--hidden", "16",
+                "--layers", "1", "--select-on-dev", "--out", str(out)) == 2
+    assert f"{split} has no dev.jsonl" in capsys.readouterr().err
+    assert not (out / "checkpoint").exists()
+
+
+def _without_first_line(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+
+
+def _without_train_count(path):
+    meta = json.loads(path.read_text())
+    del meta["counts"]["train"]
+    path.write_text(json.dumps(meta))
+
+
+# an edit of a split directory, and the counts of its parts after it
+@pytest.mark.parametrize("edit, found", [
+    (lambda split: shutil.copy(split / "test.jsonl", split / "dev.jsonl"),
+     lambda counts: {**counts, "dev": counts["test"]}),
+    (lambda split: _without_first_line(split / "train.jsonl"),
+     lambda counts: {**counts, "train": counts["train"] - 1}),
+    (lambda split: _without_train_count(split / "split_manifest.json"), lambda counts: counts),
+], ids=["stale_dev", "short_train", "counts_without_train"])
+def test_train_on_split_whose_parts_differ_from_its_counts_exit_code(tmp_path, split_dir,
+                                                                     capsys, edit, found):
+    meta = split_dir / "split_manifest.json"
+    counts = json.loads(meta.read_text())["counts"]
+    assert counts["dev"] == 0 and not (split_dir / "dev.jsonl").exists()
+    edit(split_dir)
+    recorded = json.loads(meta.read_text())["counts"]
+    out = tmp_path / "t"
+    assert _run("train", "--data", str(split_dir), "--out", str(out), *FAST_TRAIN) == 2
+    assert (f"error: {meta}: counts {recorded} differ from the parts in {split_dir}, "
+            f"{found(counts)}") in capsys.readouterr().err
     assert not (out / "checkpoint").exists()
 
 
@@ -1031,24 +1044,11 @@ HUGE = (10 ** 12, 10 ** 400)
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_checkpoint_config_loads_or_exits_2(recorded_run, data):
-    """Every manifest key, and every field of its two configs."""
-    _check_mutated_checkpoint(recorded_run, data, lambda manifest: None)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_mutated_format_1_checkpoint_loads_or_exits_2(recorded_run, data):
-    """The same property for the manifest that format 1 wrote."""
-    _check_mutated_checkpoint(recorded_run, data, to_format_1)
-
-
-def _check_mutated_checkpoint(recorded_run, data, rewrite):
-    """Mutate one key of the recorded manifest, rewritten in place by rewrite:
-    eval exits 0 or 2, and 2 names the key; a manifest that loads is saved
-    again, rewritten the same way, as it was."""
+    """Every manifest key, and every field of its two configs, mutated one at
+    a time: eval exits 0 or 2, and 2 names the key; a manifest that loads is
+    saved again as it was."""
     source = recorded_run / "train" / "checkpoint"
     manifest = json.loads((source / "manifest.json").read_text())
-    rewrite(manifest)
     section, key = data.draw(st.sampled_from(
         [(None, key) for key in sorted(manifest)]
         + [(name, key) for name in ("encoder_config", "train_config")
@@ -1071,7 +1071,6 @@ def _check_mutated_checkpoint(recorded_run, data, rewrite):
         # type included (True == 1 == 1.0 in Python, so the JSON texts are compared)
         save_checkpoint(load_checkpoint(checkpoint), work / "again")
         again = json.loads((work / "again" / "manifest.json").read_text())
-        rewrite(again)
         assert json.dumps(again, sort_keys=True) == json.dumps(manifest, sort_keys=True)
 
 

@@ -37,7 +37,6 @@ from annembed.trainer import (
     train,
 )
 
-from format1 import to_format_1
 from gradcheck import sum_all
 
 FAST_ENC = dict(hidden=16, layers=1, heads=2, max_len=12, ffn_mult=2, dropout=0.0)
@@ -725,10 +724,13 @@ def _edit_manifest(directory, edit):
 
 
 def test_checkpoint_rejects_unknown_format_version(tmp_path):
+    # format 1, which no release wrote, is refused like any version but 2
     directory = _saved_checkpoint(tmp_path)
-    _edit_manifest(directory, lambda m: m.update(format_version=3))
-    with pytest.raises(ValueError, match="format_version"):
-        load_checkpoint(directory)
+    for version in (1, 3):
+        _edit_manifest(directory, lambda m: m.update(format_version=version))
+        with pytest.raises(ValueError, match=rf"format_version must be one of \[2\], "
+                                             rf"found {version}$"):
+            load_checkpoint(directory)
 
 
 def test_checkpoint_of_another_version_is_refused_by_its_version(tmp_path):
@@ -737,13 +739,14 @@ def test_checkpoint_of_another_version_is_refused_by_its_version(tmp_path):
     _edit_manifest(directory, lambda m: (m.pop("params_sha256"),
                                          m.update(format_version=3, params_blake2b="0" * 128)))
     with pytest.raises(ValueError, match=r"ckpt/manifest.json: format_version must be one of "
-                                         r"\[1, 2\], found 3$"):
+                                         r"\[2\], found 3$"):
         load_checkpoint(directory)
 
 
-@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("version", [True, 2.0], ids=["bool", "float"])
 def test_checkpoint_rejects_a_format_version_that_only_compares_equal_to_1(tmp_path, version):
-    # True == 1.0 == 1 in Python, so a plain comparison loaded both as version 1
+    # True == 1 and 2.0 == 2 in Python, so a plain comparison would take them
+    # for versions 1 and 2
     directory = _saved_checkpoint(tmp_path)
     _edit_manifest(directory, lambda m: m.update(format_version=version))
     with pytest.raises(ValueError, match=rf"format_version must be an integer, found {version!r}"):
@@ -925,8 +928,6 @@ def test_checkpoint_rejects_config_field_mismatch(tmp_path, section, edit, key):
     (lambda m: m.update(train_counts=[1, 2]), r"train_counts must be an object"),
     (lambda m: m["train_counts"]["a000"].pop(), r"train_counts\['a000'\] must be 3 finite"),
     (lambda m: m["train_counts"]["a001"].__setitem__(0, -1.0), r"train_counts\['a001'\]"),
-    (lambda m: (to_format_1(m), m["train_label_totals"].append(0.0)),
-     r"train_label_totals \[\d+\.0, \d+\.0, \d+\.0, 0\.0\] differs from the column sums"),
     (lambda m: m["annotator_ids"].__setitem__(1, "a000"), r"annotator_ids must be unique"),
     (lambda m: m["label_names"].__setitem__(0, 7), r"label_names\[0\] must be a string"),
     (lambda m: m["vocabulary"].update(extra=len(m["vocabulary"])), r"vocabulary ids"),
@@ -934,20 +935,6 @@ def test_checkpoint_rejects_config_field_mismatch(tmp_path, section, edit, key):
     (lambda m: m.update(seed="x"), r"seed must be an integer"),
     (lambda m: m["train_counts"].__setitem__("zzz", m["train_counts"].pop("a000")),
      r"train_counts keys do not match annotator_ids \(missing \['a000'\], unexpected \['zzz'\]\)"),
-    (lambda m: (to_format_1(m), m.update(train_label_totals=[0.0, 0.0, 1e6])),
-     r"train_label_totals \[0.0, 0.0, 1000000.0\] differs from the column sums of train_counts, "
-     r"\[\d+\.0, \d+\.0, \d+\.0\]$"),
-    (lambda m: (to_format_1(m), m["train_config"].update(beta1=0.8)),
-     r"train_config\.beta1 must be one of \[0\.9\], found 0\.8$"),
-    (lambda m: (to_format_1(m), m["train_config"].pop("eval_every")),
-     r"train_config\.eval_every is missing$"),
-    (lambda m: (to_format_1(m), m["train_config"].update(eval_every=False)),
-     r"train_config\.eval_every must be an integer, found False$"),
-    (lambda m: (to_format_1(m), m.pop("train_label_totals")), r"train_label_totals is missing$"),
-    (lambda m: (to_format_1(m), m["train_label_totals"].__setitem__(0, "1")),
-     r"train_label_totals\[0\] must be a finite number, found '1'$"),
-    (lambda m: (to_format_1(m), m.update(params_sha256="0" * 64)),
-     r"params_sha256 is not a field of format 1$"),
     (lambda m: m["encoder_config"].update(hidden="8"),
      r"encoder_config\.hidden must be an integer, found '8'$"),
     (lambda m: m["encoder_config"].update(dropout=None),
@@ -958,12 +945,10 @@ def test_checkpoint_rejects_config_field_mismatch(tmp_path, section, edit, key):
      r"train_config\.epochs must be an integer, found 1.5$"),
     (lambda m: m["train_counts"]["a000"].__setitem__(0, True),
      r"train_counts\['a000'\]\[0\] must be"),
-], ids=["list_train_counts", "short_row", "negative_count", "long_totals",
-        "duplicate_annotator", "non_string_label", "vocabulary_size", "number_config",
-        "string_seed", "renamed_annotator", "wrong_totals", "format_1_beta1",
-        "format_1_no_eval_every", "format_1_bool_eval_every", "format_1_no_totals",
-        "format_1_string_total", "format_1_sha256", "string_hidden", "null_dropout",
-        "float_heads", "float_epochs", "bool_count"])
+], ids=["list_train_counts", "short_row", "negative_count", "duplicate_annotator",
+        "non_string_label", "vocabulary_size", "number_config", "string_seed",
+        "renamed_annotator", "string_hidden", "null_dropout", "float_heads", "float_epochs",
+        "bool_count"])
 def test_checkpoint_rejects_manifest_of_wrong_type_or_size(tmp_path, edit, message):
     directory = _saved_checkpoint(tmp_path)
     _edit_manifest(directory, edit)
